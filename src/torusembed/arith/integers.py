@@ -7,9 +7,10 @@ Pollard rho (Brent variant) on the < 2^64-ish cofactors that remain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 TRIAL_DIVISION_BOUND = 10_000
 
@@ -134,33 +135,60 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def factor_rational(
+    x: int | Fraction, known: Iterable[int] = ()
+) -> tuple[int, dict[int, int]]:
+    """Factor nonzero x as (sign, {prime: exponent}).
+
+    Primes of the denominator get negative exponents.  The primes in
+    ``known`` are divided out first, so :func:`factor_integer` only sees the
+    cofactor that is left.
+    """
+    fr = Fraction(x)
+    if fr == 0:
+        raise ValueError("cannot factor zero")
+    exponents: dict[int, int] = {}
+    for part, unit in ((abs(fr.numerator), 1), (fr.denominator, -1)):
+        for p in known:
+            while part % p == 0:
+                exponents[p] = exponents.get(p, 0) + unit
+                part //= p
+        if part > 1:
+            for p, e in factor_integer(part)[1]:
+                exponents[p] = exponents.get(p, 0) + unit * e
+    return (1 if fr > 0 else -1), exponents
+
+
 def squarefree_part(x: int | Fraction) -> int:
     """The unique squarefree integer s with x = s * (nonzero rational square)."""
-    if x == 0:
-        raise ValueError("zero has no squarefree part")
-    fr = Fraction(x)
-    s = 1
-    for part in (fr.numerator, fr.denominator):
-        if abs(part) != 1:
-            _, facs = factor_integer(part)
-            for p, e in facs:
-                if e % 2:
-                    s *= p
-    return s if fr > 0 else -s
+    return SquareClass.of(x).rep
 
 
 @dataclass(frozen=True)
 class SquareClass:
-    """A rational square class, represented by its signed squarefree integer."""
+    """A rational square class, represented by its signed squarefree integer.
+
+    ``primes`` holds the primes dividing ``rep``, so products of classes
+    never factor anything.
+    """
 
     rep: int
+    primes: frozenset[int] = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, x: int | Fraction) -> "SquareClass":
-        return cls(squarefree_part(x))
+        return cls.from_factors(*factor_rational(x))
+
+    @classmethod
+    def from_factors(cls, sign: int, exponents: dict[int, int]) -> "SquareClass":
+        """The class of sign * prod(p**e), from the parities of the exponents."""
+        primes = frozenset(p for p, e in exponents.items() if e % 2)
+        return cls(prod(primes, start=sign), primes)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass(squarefree_part(self.rep * other.rep))
+        sign = 1 if (self.rep > 0) == (other.rep > 0) else -1
+        primes = self.primes ^ other.primes
+        return SquareClass(prod(primes, start=sign), primes)
 
     @property
     def is_trivial(self) -> bool:

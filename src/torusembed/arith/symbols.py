@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from torusembed.arith.integers import factor_integer
-from torusembed.arith.places import Place, sorted_places
+from torusembed.arith.integers import factor_rational
+from torusembed.arith.places import INFINITY, Place, sorted_places
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -86,22 +86,23 @@ def is_local_square(x: Fraction | int, place: Place) -> bool:
     return legendre_symbol(_unit_residue(u, p), p) == 1
 
 
-def candidate_places(values) -> list[Place]:
-    """The real place, 2, and every odd prime dividing a numerator/denominator.
+def places_over(primes) -> list[Place]:
+    """The given primes' places plus 2 and the real place.
 
-    Any Hilbert symbol built from ``values`` is trivial outside this list.
     Sorted: finite places ascending, then the real place.
     """
-    primes = {2}
+    return sorted_places([*(Place(p) for p in {2, *primes}), INFINITY])
+
+
+def candidate_places(values) -> list[Place]:
+    """The real place, 2, and every prime dividing a numerator/denominator.
+
+    Any Hilbert symbol built from ``values`` is trivial outside this list.
+    """
+    primes: set[int] = set()
     for x in values:
-        fr = Fraction(x)
-        for part in (fr.numerator, fr.denominator):
-            if abs(part) > 1:
-                _, facs = factor_integer(part)
-                primes.update(p for p, _ in facs)
-    out = [Place(p) for p in primes]
-    out.append(Place.infinity())
-    return sorted_places(out)
+        primes.update(factor_rational(x, primes)[1])
+    return places_over(primes)
 
 
 def symbol_support(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:

@@ -18,7 +18,7 @@ Exit codes: decide maps verdicts to 0 (realizable), 1 (locally fails),
 2 (not realizable up to the bound), 3 (inconclusive); local uses 0/1/3 for
 pass/fail/indeterminate; oracle uses 0/1 for found/not found; 4 means a
 malformed input document and 70 an internal audit failure.  Batch mode exits
-with the maximum code over the documents.
+with the maximum code over the documents, and an empty batch with 0.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .engine import (
     check_local,
     decide,
 )
-from .errors import AuditError, InputDocumentError
+from .errors import AuditError, InputDocumentError, format_pairs
 from .oracle import search_realizing_element
 
 EXIT_INPUT_ERROR = 4
@@ -76,13 +76,17 @@ def _load_documents(path: str) -> tuple[list[Any], bool]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputDocumentError("$", f"invalid JSON: {exc.msg} (line {exc.lineno})")
+    except ValueError:
+        # The decoder's only other ValueError: an integer literal longer than
+        # the interpreter's digit limit.
+        raise InputDocumentError(
+            "$", "invalid JSON: integer literal too long"
+        ) from None
+    except RecursionError:
+        raise InputDocumentError("$", "invalid JSON: nesting too deep") from None
     if isinstance(data, list):
         return data, True
     return [data], False
-
-
-def _format_pairs(pairs) -> str:
-    return ", ".join(f"(component {i}, prime {p})" for i, p in pairs)
 
 
 def _effective_bound(args: argparse.Namespace, problem) -> int:
@@ -124,7 +128,7 @@ def _decide_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str
     elif report.verdict == VERDICT_INCONCLUSIVE:
         summary.append(
             "verdict: inconclusive; annotations needed: "
-            + _format_pairs(report.needed_annotations)
+            + format_pairs(report.needed_annotations)
         )
     elif report.verdict == VERDICT_NOT_REALIZABLE_UP_TO_BOUND:
         summary.append(f"verdict: not_realizable_up_to_bound (bound {report.bound})")
@@ -159,7 +163,7 @@ def _local_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str]
         code, text = 1, f"local checks: fail ({local.failing_condition}{where})"
     else:
         code = 3
-        text = "local checks: indeterminate; annotations needed: " + _format_pairs(
+        text = "local checks: indeterminate; annotations needed: " + format_pairs(
             local.pending
         )
     return code, render_local_report(problem, algebra, form, local), [text]
@@ -298,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     if chatty:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
-    return max(codes)
+    return max(codes, default=0)
 
 
 if __name__ == "__main__":

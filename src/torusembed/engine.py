@@ -28,11 +28,10 @@ criterion still runs as an internal audit whenever it is computable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .arith import iter_primes
 from .arith.places import INFINITY, TWO, Place, sorted_places
-from .errors import AuditError, NeedAnnotations
+from .errors import AuditError, NeedAnnotations, format_pairs
 from .etale import EtaleAlgebra
 from .qform import (
     QuadraticSpace,
@@ -426,10 +425,6 @@ class DecisionReport:
     notes: tuple[str, ...]
 
 
-def _format_pairs(pairs: Iterable[tuple[int, int]]) -> str:
-    return ", ".join(f"(component {i}, prime {p})" for i, p in pairs)
-
-
 def decide(
     algebra: EtaleAlgebra,
     form: QuadraticSpace,
@@ -476,7 +471,7 @@ def decide(
             needed_annotations=local.pending,
             notes=(
                 "hyperbolicity check needs annotations: "
-                + _format_pairs(local.pending),
+                + format_pairs(local.pending),
             ),
         )
 
@@ -539,7 +534,7 @@ def decide(
     else:
         notes.append(
             "parity audit unavailable; splitting annotations needed: "
-            + _format_pairs(needed)
+            + format_pairs(needed)
         )
 
     if fast is not None:

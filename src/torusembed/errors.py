@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the formatter for the
+(component, prime) annotation keys their messages list."""
 
 from __future__ import annotations
+
+from typing import Iterable
+
+
+def format_pairs(pairs: Iterable[tuple[int, int]]) -> str:
+    """(component, prime) annotation keys as one human-readable list."""
+    return ", ".join(f"(component {i}, prime {p})" for i, p in pairs)
 
 
 class TorusembedError(Exception):
@@ -28,8 +36,9 @@ class NeedAnnotations(TorusembedError):
 
     def __init__(self, pending: tuple[tuple[int, int], ...]):
         self.pending = tuple(sorted(set(pending)))
-        places = ", ".join(f"(component {i}, prime {p})" for i, p in self.pending)
-        super().__init__(f"splitting annotations needed at: {places}")
+        super().__init__(
+            f"splitting annotations needed at: {format_pairs(self.pending)}"
+        )
 
 
 class AuditError(TorusembedError, RuntimeError):

@@ -19,10 +19,9 @@ primes the oracle abstains unless the user supplies an annotation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from torusembed.arith.integers import SquareClass, factor_integer
+from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import factor_mod_p, ff_is_square
 from torusembed.arith.polyq import (
@@ -34,7 +33,7 @@ from torusembed.arith.polyq import (
     resultant_in_y,
 )
 from torusembed.arith.sturm import RealRoot, isolate_real_roots
-from torusembed.arith.symbols import candidate_places, hilbert_symbol, legendre_symbol
+from torusembed.arith.symbols import hilbert_symbol, legendre_symbol, places_over
 from torusembed.errors import ComponentValidationError
 
 SPLIT = "split"
@@ -143,16 +142,6 @@ class Component:
         return self.unramified_real_count + self.complex_pair_count
 
 
-def _odd_prime_divisors(x: int | Fraction) -> set[int]:
-    out: set[int] = set()
-    fr = Fraction(x)
-    for part in (fr.numerator, fr.denominator):
-        if abs(part) > 1:
-            _, facs = factor_integer(part)
-            out.update(p for p, _ in facs if p != 2)
-    return out
-
-
 def _denominator_lcm(f: PolyQ) -> int:
     d = 1
     for c in f.coeffs:
@@ -168,12 +157,15 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             raise ComponentValidationError(
                 f"d = {d} does not define a quadratic field"
             )
-        _, facs = factor_integer(d)
+        sign, facs = factor_integer(d)
         if any(e > 1 for _, e in facs):
             raise ComponentValidationError(f"d = {d} must be squarefree")
         f = PolyQ.of((-d, 1))
         theta = PolyQ.of((d,))
         h = PolyQ.of((-d, 0, 1))
+        # disc(h) = 4d lies in the class of d.
+        disc_class = SquareClass.from_factors(sign, dict(facs))
+        gaps: frozenset[int] = frozenset()
     else:
         f, theta = spec.f, spec.theta
         if f.degree < 1:
@@ -203,26 +195,30 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
                 "not a field component: sqrt(theta) does not generate a field "
                 "of the full degree"
             )
+        # The gap set: odd primes of the denominators, disc(f) and
+        # Res(f, t*theta).  Each number is factored after dividing out the
+        # primes already found, and so is disc(h).
+        t = _denominator_lcm(theta)
+        bad: set[int] = set()
+        for x in (
+            _denominator_lcm(f),
+            discriminant(f),
+            t,
+            resultant(f, theta.scale(t)),
+        ):
+            bad.update(factor_rational(x, bad)[1])
+        disc_class = SquareClass.from_factors(
+            *factor_rational(discriminant(h), bad)
+        )
+        gaps = frozenset(bad - {2})
     assert all(h.coeff(j) == 0 for j in range(1, h.degree, 2)), "h must be even"
 
-    disc_class = SquareClass.of(discriminant(h))
     det_sign = -1 if (h.degree // 2) % 2 else 1
     det_class = SquareClass.of(det_sign) * disc_class
 
     real_roots = isolate_real_roots(f)
     theta_signs = tuple(r.sign_of(theta) for r in real_roots)
     assert all(s != 0 for s in theta_signs), "theta cannot vanish at a root of f"
-
-    gaps: frozenset[int]
-    if isinstance(spec, QuadSpec):
-        gaps = frozenset()
-    else:
-        bad = _odd_prime_divisors(_denominator_lcm(f))
-        bad |= _odd_prime_divisors(discriminant(f))
-        t = _denominator_lcm(theta)
-        bad |= _odd_prime_divisors(t)
-        bad |= _odd_prime_divisors(resultant(f, theta.scale(t)))
-        gaps = frozenset(bad)
 
     return Component(
         spec=spec,
@@ -359,12 +355,9 @@ class EtaleAlgebra:
             if self.component_split(i, v).is_indeterminate
         ]
 
-    def det_classes(self) -> list[SquareClass]:
-        return [c.det_class for c in self.components]
-
     def pairwise_det_bit(self, v: Place) -> int:
         """Sum over i < j of the symbol of (det_i, det_j) at v, mod 2."""
-        dets = self.det_classes()
+        dets = [c.det_class for c in self.components]
         bit = 0
         for i in range(len(dets)):
             for j in range(i + 1, len(dets)):
@@ -375,9 +368,9 @@ class EtaleAlgebra:
         """Places where the pairwise determinant-class symbol sum is odd."""
         if len(self.components) < 2:
             return frozenset()
-        reps = [c.det_class.rep for c in self.components]
+        primes = set().union(*(c.det_class.primes for c in self.components))
         return frozenset(
-            v for v in candidate_places(reps) if self.pairwise_det_bit(v)
+            v for v in places_over(primes) if self.pairwise_det_bit(v)
         )
 
 

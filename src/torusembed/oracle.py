@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .arith import PolyQ
 from .etale import Component, EtaleAlgebra
-from .qform import QuadraticSpace, equivalent_over_q
+from .qform import QuadraticSpace
 
 __all__ = [
     "AlgebraElement",

@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from torusembed.arith.integers import SquareClass
+from torusembed.arith.integers import SquareClass, factor_rational
 from torusembed.arith.places import Place
-from torusembed.arith.symbols import candidate_places, hilbert_symbol, is_local_square
+from torusembed.arith.symbols import hilbert_symbol, is_local_square, places_over
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,25 @@ class QuadraticSpace:
 
     @cached_property
     def invariants(self) -> QFInvariants:
+        # Factor each distinct entry once, after dividing out the primes of
+        # the entries before it; every invariant is read off the exponents.
+        primes: set[int] = set()
+        factored: dict[Fraction, dict[int, int]] = {}
+        total: dict[int, int] = {}
+        for a in self.diagonal:
+            if a not in factored:
+                factored[a] = factor_rational(a, primes)[1]
+                primes.update(factored[a])
+            for p, e in factored[a].items():
+                total[p] = total.get(p, 0) + e
         m = self.dim
-        det_val = self.det_value
-        det = SquareClass.of(det_val)
-        disc_sign = -1 if (m * (m - 1) // 2) % 2 else 1
-        disc = SquareClass.of(disc_sign * det_val) if m else SquareClass.of(1)
-        support = frozenset(
-            v for v in candidate_places(self.diagonal) if self.local_hasse_bit(v)
-        )
         r = sum(1 for a in self.diagonal if a > 0)
+        det = SquareClass.from_factors(-1 if (m - r) % 2 else 1, total)
+        disc_sign = -1 if (m * (m - 1) // 2) % 2 else 1
+        disc = SquareClass.of(disc_sign) * det
+        support = frozenset(
+            v for v in places_over(primes) if self.local_hasse_bit(v)
+        )
         return QFInvariants(m, det, disc, support, (r, m - r))
 
     def __str__(self) -> str:

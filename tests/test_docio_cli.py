@@ -528,6 +528,32 @@ def test_cli_batch_runs_every_document(tmp_path):
     assert "[2] verdict: locally_fails" in err
 
 
+def test_cli_empty_batch_prints_empty_list():
+    code, out, err = run_cli(["decide"], stdin_text="[]")
+    assert code == 0
+    assert json.loads(out) == []
+    assert "Traceback" not in err
+
+
+def test_cli_overlong_integer_literal_is_an_input_error():
+    text = '{"algebra": [{"type": "quad", "d": ' + "7" * 5000 + "}]}"
+    code, out, _ = run_cli(["decide", "--json"], stdin_text=text)
+    assert code == 4
+    assert json.loads(out)["error"] == {
+        "path": "$",
+        "message": "invalid JSON: integer literal too long",
+    }
+
+
+def test_cli_deep_nesting_is_an_input_error():
+    code, out, _ = run_cli(["decide", "--json"], stdin_text="[" * 100_000)
+    assert code == 4
+    assert json.loads(out)["error"] == {
+        "path": "$",
+        "message": "invalid JSON: nesting too deep",
+    }
+
+
 def test_cli_stderr_summary_modes(tmp_path):
     path = write_doc(tmp_path, quad_doc(-1, [1, 1]))
     _, _, chatty = run_cli(["decide", path])

@@ -1,10 +1,13 @@
 """Integer arithmetic: primality, factorization, squarefree parts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusembed.arith.integers import (
     SquareClass,
@@ -115,3 +118,28 @@ def test_square_class_algebra():
     assert SquareClass.of(9).is_trivial
     assert not SquareClass.of(-9).is_trivial
     assert str(SquareClass.of(50)) == "2"
+
+
+PRIMES = (2, 3, 5, 7, 11, 9973, 10007, 65537, 999983)
+exponent_vectors = st.lists(
+    st.integers(min_value=-3, max_value=3), min_size=len(PRIMES), max_size=len(PRIMES)
+)
+
+
+def rational(sign: int, exponents: list[int]) -> Fraction:
+    x = Fraction(sign)
+    for p, e in zip(PRIMES, exponents):
+        x *= Fraction(p) ** e
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, -1)), exponent_vectors, st.sampled_from((1, -1)), exponent_vectors)
+def test_square_class_product_matches_class_of_product(sa, ea, sb, eb):
+    a, b = rational(sa, ea), rational(sb, eb)
+    product = SquareClass.of(a) * SquareClass.of(b)
+    assert product == SquareClass.of(a * b)
+    assert product.rep == squarefree_part(a * b)
+    odd = {p for p, x, y in zip(PRIMES, ea, eb) if (x + y) % 2}
+    assert product.primes == odd
+    assert product.rep == sa * sb * math.prod(odd)

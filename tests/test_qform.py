@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusembed.arith import integers
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.symbols import hilbert_symbol, symbol_support
 from torusembed.qform import (
@@ -188,3 +189,30 @@ def test_invariants_are_congruence_invariant_under_scaling_by_squares():
             [c * rng.choice([1, 4, 9, Fraction(1, 4)]) for c in space.diagonal]
         )
         assert scaled.invariants == space.invariants
+
+
+def test_invariants_factor_each_entry_not_the_determinant(monkeypatch):
+    # Entries k * (10^9 + 7)(10^9 + 9): factoring their 230-digit product as
+    # one number takes seconds; factoring entry by entry, after dividing out
+    # the primes already found, never sees an argument longer than an entry.
+    p, q = 10**9 + 7, 10**9 + 9
+    space = QuadraticSpace.of([k * p * q for k in range(1, 13)])
+    seen = []
+    real_factor = integers.factor_integer
+
+    def counting_factor(n):
+        seen.append(n)
+        return real_factor(n)
+
+    monkeypatch.setattr(integers, "factor_integer", counting_factor)
+    inv = space.invariants
+    largest = max(len(str(abs(a.numerator))) for a in space.diagonal)
+    assert seen and max(len(str(abs(n))) for n in seen) <= largest
+
+    # 12! is 2^10 3^5 5^2 7 11, so det and disc lie in the class of 231.
+    assert (inv.det.rep, inv.disc.rep, inv.signature) == (231, 231, (12, 0))
+    assert inv.hasse_support == frozenset(
+        Place.finite(v) for v in (2, 5, 11, 10**9 + 9)
+    )
+    places = [Place.finite(v) for v in (2, 3, 5, 7, 11, p, q)] + [INFINITY]
+    assert inv.hasse_support == {v for v in places if space.local_hasse_bit(v)}
