@@ -10,6 +10,7 @@ from torusembed.arith.integers import (
 )
 from torusembed.arith.places import Place
 from torusembed.arith.symbols import (
+    hasse_bit,
     hilbert_symbol,
     is_local_square,
     legendre_symbol,
@@ -27,6 +28,7 @@ __all__ = [
     "iter_primes",
     "squarefree_part",
     "Place",
+    "hasse_bit",
     "hilbert_symbol",
     "is_local_square",
     "legendre_symbol",

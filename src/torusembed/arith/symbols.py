@@ -70,6 +70,58 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, place: Place) -> int:
     return (alpha * beta * eps_p + beta * ru + alpha * rw) % 2
 
 
+def hasse_bit(entries, place: Place) -> int:
+    """Additive Hasse invariant of the diagonal form <a_1, ..., a_n> at a place:
+    the sum over i < j of hilbert_symbol(a_i, a_j, place), mod 2.
+
+    One pass over the numerators and denominators, building no Fraction.
+    With alpha_i the parity of v(a_i), A = sum(alpha_i) and u_i the unit part:
+    at infinity the bit is C(k, 2) for k negative entries; at odd p it is
+    ((p-1)/2)*C(A, 2) + sum r_i*(A - alpha_i) with r_i = 1 for a nonresidue
+    u_i; at 2 it is C(E, 2) + sum alpha_i*(W - omega_i) with E and W the sums
+    of eps_i = (u_i-1)/2 and omega_i = (u_i^2-1)/8.  r and omega are
+    characters of the units, so each sum over i collapses to one character
+    value of a product of unit parts.
+    """
+    if place.is_infinite:
+        k = sum(1 for a in entries if a < 0)
+        return k * (k - 1) // 2 % 2
+    p = place.p
+    m = 8 if p == 2 else p
+    odd = 0  # A: entries of odd valuation
+    eps = 0  # E: entries whose unit part is 3 mod 4 (used at p = 2)
+    unit_all = 1  # product of all unit parts mod m
+    unit_odd = 1  # product of the odd-valuation entries' unit parts mod m
+    for a in entries:
+        num, den = a.numerator, a.denominator
+        if num == 0:
+            raise ValueError("hasse bit requires nonzero entries")
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v += 1
+        # num * den = u * den^2: the same residue character as the unit part.
+        u = num * den % m
+        unit_all = unit_all * u % m
+        if v & 1:
+            odd += 1
+            unit_odd = unit_odd * u % m
+        eps += u & 2 == 2
+    if p == 2:
+        # omega(u) = 1 exactly for u = 3, 5 mod 8.
+        char_all = unit_all in (3, 5)
+        char_odd = unit_odd in (3, 5)
+        pairs = eps * (eps - 1) // 2
+    else:
+        char_all = pow(unit_all, (p - 1) // 2, p) != 1
+        char_odd = pow(unit_odd, (p - 1) // 2, p) != 1
+        pairs = (p - 1) // 2 * (odd * (odd - 1) // 2)
+    return (pairs + odd * char_all + char_odd) % 2
+
+
 def is_local_square(x: Fraction | int, place: Place) -> bool:
     """Whether nonzero x is a square in the completion at ``place``."""
     fr = Fraction(x)

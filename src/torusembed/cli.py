@@ -17,8 +17,9 @@ and timing go to standard error unless ``--json`` or ``--quiet`` is given.
 Exit codes: decide maps verdicts to 0 (realizable), 1 (locally fails),
 2 (not realizable up to the bound), 3 (inconclusive); local uses 0/1/3 for
 pass/fail/indeterminate; oracle uses 0/1 for found/not found; 4 means a
-malformed input document and 70 an internal audit failure.  Batch mode exits
-with the maximum code over the documents, and an empty batch with 0.
+malformed input document and 70 an internal audit failure.  Both errors are
+rendered in place of the document's report as an error object.  Batch mode
+exits with the maximum code over the documents, and an empty batch with 0.
 """
 
 from __future__ import annotations
@@ -280,22 +281,21 @@ def main(argv: list[str] | None = None) -> int:
 
     codes: list[int] = []
     outputs: list[dict] = []
-    try:
-        for k, doc in enumerate(documents):
-            try:
-                code, rendered, summary = handler(doc, args)
-            except InputDocumentError as exc:
-                code, rendered = EXIT_INPUT_ERROR, render_error(exc)
-                summary = [f"error: {exc}"]
-            codes.append(code)
-            outputs.append(rendered)
-            if chatty:
-                prefix = f"[{k}] " if batch else ""
-                for line in summary:
-                    print(prefix + line, file=sys.stderr)
-    except AuditError as exc:
-        print(f"internal audit failure: {exc}", file=sys.stderr)
-        return EXIT_AUDIT_ERROR
+    for k, doc in enumerate(documents):
+        try:
+            code, rendered, summary = handler(doc, args)
+        except InputDocumentError as exc:
+            code, rendered = EXIT_INPUT_ERROR, render_error(exc)
+            summary = [f"error: {exc}"]
+        except AuditError as exc:
+            code, rendered = EXIT_AUDIT_ERROR, render_error(exc)
+            summary = [rendered["error"]["message"]]
+        codes.append(code)
+        outputs.append(rendered)
+        if chatty:
+            prefix = f"[{k}] " if batch else ""
+            for line in summary:
+                print(prefix + line, file=sys.stderr)
 
     payload: Any = outputs if batch else outputs[0]
     print(json.dumps(payload, indent=2))

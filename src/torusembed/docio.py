@@ -33,7 +33,7 @@ from . import __version__
 from .arith import PolyQ
 from .arith.places import Place
 from .engine import DEFAULT_PRIME_BOUND, DecisionReport, LocalCheckResult
-from .errors import ComponentValidationError, InputDocumentError
+from .errors import AuditError, ComponentValidationError, InputDocumentError
 from .etale import EtaleAlgebra, GeneralSpec, QuadSpec, build_algebra, build_component
 from .oracle import SearchResult
 from .qform import QuadraticSpace, signature_hasse_bit
@@ -502,5 +502,9 @@ def render_oracle_report(
     }
 
 
-def render_error(exc: InputDocumentError) -> dict:
+def render_error(exc: InputDocumentError | AuditError) -> dict:
+    """The error object that stands in for a document's report.  An audit
+    failure concerns the whole document, so its path is ``$``."""
+    if isinstance(exc, AuditError):
+        return {"error": {"path": "$", "message": f"internal audit failure: {exc}"}}
     return {"error": {"path": exc.path, "message": exc.message}}

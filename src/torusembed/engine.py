@@ -36,7 +36,7 @@ from .etale import EtaleAlgebra
 from .qform import (
     QuadraticSpace,
     hyperbolic_deviation_set,
-    hyperbolic_space,
+    hyperbolic_hasse_support,
     signature_hasse_bit,
 )
 
@@ -191,7 +191,7 @@ def achievable_bits(algebra: EtaleAlgebra, i: int, v: Place) -> frozenset[int] |
         return None
     if status.is_split:
         dim = algebra.components[i].degree
-        return frozenset({hyperbolic_space(dim).local_hasse_bit(v)})
+        return frozenset({int(v in hyperbolic_hasse_support(dim))})
     return frozenset({0, 1})
 
 

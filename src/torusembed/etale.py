@@ -33,7 +33,7 @@ from torusembed.arith.polyq import (
     resultant_in_y,
 )
 from torusembed.arith.sturm import RealRoot, isolate_real_roots
-from torusembed.arith.symbols import hilbert_symbol, legendre_symbol, places_over
+from torusembed.arith.symbols import hasse_bit, legendre_symbol, places_over
 from torusembed.errors import ComponentValidationError
 
 SPLIT = "split"
@@ -357,12 +357,7 @@ class EtaleAlgebra:
 
     def pairwise_det_bit(self, v: Place) -> int:
         """Sum over i < j of the symbol of (det_i, det_j) at v, mod 2."""
-        dets = [c.det_class for c in self.components]
-        bit = 0
-        for i in range(len(dets)):
-            for j in range(i + 1, len(dets)):
-                bit ^= hilbert_symbol(dets[i].rep, dets[j].rep, v)
-        return bit
+        return hasse_bit([c.det_class.rep for c in self.components], v)
 
     def pairwise_det_support(self) -> frozenset[Place]:
         """Places where the pairwise determinant-class symbol sum is odd."""

@@ -8,7 +8,12 @@ principle (two forms are equivalent iff their invariant tuples agree).
 The Hasse invariant is represented by its support: the finite set of places
 where the pairwise symbol sum is odd.  Away from 2, infinity, and primes
 dividing a diagonal entry, every symbol is trivial, so the support is
-computable from finitely many candidate places.
+computable from finitely many candidate places.  The bit at one place comes
+from ``arith.symbols.hasse_bit`` in one pass over the entries: it counts the
+entries of odd valuation and reads residue characters of their unit parts,
+so no pairwise symbol is evaluated; ``hilbert_symbol`` stays the per-pair
+reference it is tested against.  The split form's support has a closed form,
+``hyperbolic_hasse_support``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from functools import cached_property
 from math import prod
 
 from torusembed.arith.integers import SquareClass, factor_rational
-from torusembed.arith.places import Place
-from torusembed.arith.symbols import hilbert_symbol, is_local_square, places_over
+from torusembed.arith.places import INFINITY, TWO, Place
+from torusembed.arith.symbols import hasse_bit, is_local_square, places_over
 
 
 @dataclass(frozen=True)
@@ -108,13 +113,10 @@ class QuadraticSpace:
         return prod(self.diagonal, start=Fraction(1))
 
     def local_hasse_bit(self, v: Place) -> int:
-        """Additive Hasse invariant at v: sum of pairwise symbols mod 2."""
-        bit = 0
-        d = self.diagonal
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                bit ^= hilbert_symbol(d[i], d[j], v)
-        return bit
+        """Additive Hasse invariant at v: the sum over i < j of the symbols
+        (a_i, a_j)_v mod 2, computed by ``hasse_bit`` in one pass over the
+        diagonal (valuation parities and unit-residue characters)."""
+        return hasse_bit(self.diagonal, v)
 
     @cached_property
     def invariants(self) -> QFInvariants:
@@ -150,6 +152,18 @@ def hyperbolic_space(dim: int) -> QuadraticSpace:
     return QuadraticSpace.of((1, -1) * (dim // 2))
 
 
+def hyperbolic_hasse_support(dim: int) -> frozenset[Place]:
+    """Hasse support of the split form of the given even dimension 2n.
+
+    Its only nontrivial pairwise symbols are the C(n, 2) copies of (-1, -1),
+    which is nontrivial exactly at 2 and infinity.
+    """
+    if dim < 0 or dim % 2:
+        raise ValueError("hyperbolic spaces have even dimension")
+    n = dim // 2
+    return frozenset({TWO, INFINITY}) if n * (n - 1) // 2 % 2 else frozenset()
+
+
 def equivalent_over_q(q1: QuadraticSpace, q2: QuadraticSpace) -> bool:
     """Equivalence over Q: equality of the complete invariant tuples."""
     return q1.invariants == q2.invariants
@@ -159,8 +173,7 @@ def hyperbolic_deviation_set(q: QuadraticSpace) -> frozenset[Place]:
     """Places where the Hasse bit of q differs from the split form's bit."""
     if q.dim % 2:
         raise ValueError("dimension must be even")
-    h = hyperbolic_space(q.dim)
-    return q.invariants.hasse_support ^ h.invariants.hasse_support
+    return q.invariants.hasse_support ^ hyperbolic_hasse_support(q.dim)
 
 
 def is_locally_hyperbolic(q: QuadraticSpace, v: Place) -> bool:
@@ -173,7 +186,7 @@ def is_locally_hyperbolic(q: QuadraticSpace, v: Place) -> bool:
     det_shift = q.invariants.det.rep * (-1 if n % 2 else 1)
     if not is_local_square(Fraction(det_shift), v):
         return False
-    return q.local_hasse_bit(v) == hyperbolic_space(q.dim).local_hasse_bit(v)
+    return q.local_hasse_bit(v) == (v in hyperbolic_hasse_support(q.dim))
 
 
 def signature_hasse_bit(signature: tuple[int, int]) -> int:

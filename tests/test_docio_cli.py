@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,11 @@ from torusembed.docio import (
 )
 from torusembed.engine import DEFAULT_PRIME_BOUND
 from torusembed.errors import InputDocumentError
+from torusembed.oracle import make_element, trace_form
 
-from helpers import run_cli
+from helpers import P, run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def quad_doc(d, entries, **options):
@@ -552,6 +556,32 @@ def test_cli_deep_nesting_is_an_input_error():
         "path": "$",
         "message": "invalid JSON: nesting too deep",
     }
+
+
+def test_cli_audit_failure_keeps_the_other_reports(tmp_path):
+    # Golden 08's annotation "theta = y + 2 splits at 2" is false, so its
+    # realizing element alpha = (-1 - x^2, -1 - x^2), found at height 1,
+    # contradicts the engine's verdict: an audit failure in document 1.
+    first = json.loads((GOLDEN / "01-gaussian-sum-of-squares.input.json").read_text())
+    second = json.loads((GOLDEN / "08-pair-bound-too-low.input.json").read_text())
+    algebra, _ = build_inputs(parse_problem(second))
+    alpha = make_element(algebra, [P(-1, 0, -1)] * 2)
+    gram = trace_form(algebra, alpha).gram
+    second["form"] = {"gram": [[render_rational(x) for x in row] for row in gram]}
+    second["options"]["oracle_height"] = 1
+    path = write_doc(tmp_path, [first, second])
+    code, out, err = run_cli(["decide", path, "--json"])
+    assert code == 70
+    assert err == ""
+    reports = json.loads(out)
+    assert len(reports) == 2
+    golden = json.loads((GOLDEN / "01-gaussian-sum-of-squares.report.json").read_text())
+    assert reports[0] == golden
+    assert reports[1]["error"]["path"] == "$"
+    assert reports[1]["error"]["message"].startswith("internal audit failure: ")
+    code, out, _ = run_cli(["decide", write_doc(tmp_path, second, "one.json")])
+    assert code == 70
+    assert json.loads(out) == reports[1]
 
 
 def test_cli_stderr_summary_modes(tmp_path):

@@ -13,6 +13,7 @@ from torusembed.qform import (
     diagonalize_gram,
     equivalent_over_q,
     hyperbolic_deviation_set,
+    hyperbolic_hasse_support,
     hyperbolic_space,
     is_locally_hyperbolic,
     signature_hasse_bit,
@@ -129,6 +130,15 @@ def test_hyperbolic_space_invariants():
     assert h4.invariants.hasse_support == frozenset({V2, INFINITY})
     with pytest.raises(ValueError):
         hyperbolic_space(3)
+
+
+def test_hyperbolic_hasse_support_closed_form():
+    for dim in range(2, 25, 2):
+        expected = hyperbolic_space(dim).invariants.hasse_support
+        assert hyperbolic_hasse_support(dim) == expected
+    for dim in (1, 3, 7):
+        with pytest.raises(ValueError):
+            hyperbolic_hasse_support(dim)
 
 
 def test_equivalence_is_invariant_equality():

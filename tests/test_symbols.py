@@ -2,18 +2,24 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.symbols import (
     candidate_places,
+    hasse_bit,
     hilbert_symbol,
     is_local_square,
     legendre_symbol,
     p_valuation,
     symbol_support,
 )
+
+from torusembed.etale import QuadSpec, build_algebra
 
 from bruteforce import brute_hilbert_bit
 
@@ -142,3 +148,59 @@ def test_place_basics():
         Place.finite(4)
     ordered = sorted([INFINITY, V5, V2], key=Place.sort_key)
     assert ordered == [V2, V5, INFINITY]
+
+
+# ------------------------------------------------ one-pass Hasse bit kernel
+
+PRIME7 = 1_000_003
+KERNEL_PLACES = (INFINITY, V2, V3, V5, Place.finite(PRIME7))
+
+# Numerators and denominators carry powers of 2, 3 and a 7-digit prime, times
+# a small cofactor that varies the unit parts.
+_carrier = st.builds(
+    lambda a, b, c, k: 2**a * 3**b * PRIME7**c * k,
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(1, 60),
+)
+_rationals = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from((1, -1)),
+    _carrier,
+    _carrier,
+)
+_squarefree = st.builds(
+    lambda sign, primes: sign * prod(primes),
+    st.sampled_from((1, -1)),
+    st.sets(st.sampled_from((2, 3, 5, 7, PRIME7))),
+).filter(lambda d: d != 1)
+
+
+def pairwise_symbol_sum(entries, v):
+    bit = 0
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            bit ^= hilbert_symbol(entries[i], entries[j], v)
+    return bit
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rationals, max_size=12))
+def test_hasse_bit_is_the_pairwise_symbol_sum(entries):
+    for v in KERNEL_PLACES:
+        assert hasse_bit(entries, v) == pairwise_symbol_sum(entries, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_squarefree, min_size=3, max_size=3))
+def test_pairwise_det_bit_is_the_pairwise_symbol_sum(ds):
+    alg = build_algebra([QuadSpec(d) for d in ds])
+    reps = [c.det_class.rep for c in alg.components]
+    for v in KERNEL_PLACES:
+        assert alg.pairwise_det_bit(v) == pairwise_symbol_sum(reps, v)
+
+
+def test_hasse_bit_rejects_zero():
+    with pytest.raises(ValueError):
+        hasse_bit([1, 0], V3)
