@@ -54,7 +54,6 @@ from .qform import (
     QuadraticSpace,
     equivalent_over_q,
     hyperbolic_deviation_set,
-    hyperbolic_space,
     is_locally_hyperbolic,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "enumerate_symmetric_units",
     "equivalent_over_q",
     "hyperbolic_deviation_set",
-    "hyperbolic_space",
     "is_locally_hyperbolic",
     "make_element",
     "parity_vector",

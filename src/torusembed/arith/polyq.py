@@ -95,12 +95,6 @@ class PolyQ:
         c = Fraction(c)
         return PolyQ.of([c * a for a in self.coeffs])
 
-    def shift_up(self, k: int) -> "PolyQ":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return PolyQ((Fraction(0),) * k + self.coeffs)
-
     def monic(self) -> "PolyQ":
         if self.is_zero:
             return self
@@ -148,16 +142,6 @@ class PolyQ:
         if self.degree < 1:
             return self.monic()
         return (self // self.gcd(self.derivative())).monic()
-
-    def pow(self, e: int) -> "PolyQ":
-        result = PolyQ.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def reduce_mod_p(self, p: int) -> PolyFp:
         """Image in F_p[x]; every coefficient denominator must be prime to p."""
@@ -292,56 +276,35 @@ def discriminant(f: PolyQ) -> Fraction:
     return sign * r / f.lc
 
 
-def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> PolyQ:
-    """The unique polynomial of degree < len(points) through the given points."""
-    result = PolyQ.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = PolyQ.one()
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * PolyQ.of((-xj, 1))
-            den *= xi - xj
-        result = result + num.scale(yi / den)
-    return result
+def power_sums(f: PolyQ, count: int) -> list[Fraction]:
+    """s_0, ..., s_(count-1), s_k the sum of the k-th powers of the roots of
+    monic f, by Newton's identities."""
+    m, a = f.degree, f.coeffs
+    s = [Fraction(m)]
+    for k in range(1, count):
+        acc = k * a[m - k] if k <= m else Fraction(0)
+        s.append(-acc - sum(a[m - i] * s[k - i] for i in range(1, min(k, m + 1))))
+    return s
 
 
-def resultant_in_y(F: list[PolyQ], G: list[PolyQ]) -> PolyQ:
-    """Res_y of two polynomials in y whose coefficients are polynomials in x.
+def resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
+    """Res_y(f(y), x^2 - theta(y)) for monic f of degree m >= 1.
 
-    ``F[j]``/``G[j]`` is the coefficient of y^j.  The leading y-coefficients
-    must be nonzero constants so that specialization at any x preserves the
-    y-degrees; the resultant is then computed by evaluation/interpolation.
+    It is chi(x^2), chi the characteristic polynomial of theta on Q[y]/(f):
+    the monic polynomial of degree m whose roots have the power sums
+    t_k = Tr(theta^k) = sum_i [y^i](theta^k mod f) * Tr(y^i), k = 1..m, which
+    Newton's identities turn into its coefficients.
     """
-    F = list(F)
-    G = list(G)
-    while F and F[-1].is_zero:
-        F.pop()
-    while G and G[-1].is_zero:
-        G.pop()
-    if not F or not G:
-        raise ValueError("resultant of the zero polynomial is undefined here")
-    dy_f, dy_g = len(F) - 1, len(G) - 1
-    if dy_g == 0:
-        return G[0].pow(dy_f)
-    if dy_f == 0:
-        return F[0].pow(dy_g)
-    if F[-1].degree != 0 or G[-1].degree != 0:
-        raise ValueError("leading y-coefficients must be constants")
-    dx_f = max(c.degree for c in F)
-    dx_g = max(c.degree for c in G)
-    bound = dy_f * dx_g + dy_g * dx_f
-    points: list[tuple[Fraction, Fraction]] = []
-    x0 = 0
-    while len(points) < bound + 1:
-        fx = PolyQ.of([c.evaluate(x0) for c in F])
-        gx = PolyQ.of([c.evaluate(x0) for c in G])
-        points.append((Fraction(x0), resultant(fx, gx)))
-        x0 = -x0 + (1 if x0 <= 0 else 0)
-    return lagrange_interpolate(points)
+    m = f.degree
+    s = power_sums(f, m)
+    t = [Fraction(m)]
+    chi = [Fraction(0)] * m + [Fraction(1)]
+    power = PolyQ.one()
+    for k in range(1, m + 1):
+        power = (power * theta) % f
+        t.append(sum((c * si for c, si in zip(power.coeffs, s)), Fraction(0)))
+        chi[m - k] = -(t[k] + sum(chi[m - i] * t[k - i] for i in range(1, k))) / k
+    return PolyQ.of([c for x in chi for c in (x, 0)][:-1])
 
 
 def rational_roots(f: PolyQ) -> list[Fraction]:
@@ -350,6 +313,8 @@ def rational_roots(f: PolyQ) -> list[Fraction]:
         raise ValueError("the zero polynomial has every root")
     if f.degree < 1:
         return []
+    if f.degree == 1:
+        return [-f.coeff(0) / f.coeff(1)]
     roots = set()
     A, _ = integerize(f)
     while A and A[0] == 0:

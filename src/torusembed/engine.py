@@ -56,7 +56,6 @@ __all__ = [
     "check_local",
     "bad_places",
     "achievable_bits",
-    "achievable_signatures",
     "construct_baseline",
     "parity_vector",
     "build_graph",
@@ -185,7 +184,7 @@ def achievable_bits(algebra: EtaleAlgebra, i: int, v: Place) -> frozenset[int] |
     undetermined status abstains (``None``).
     """
     if v.is_infinite:
-        raise ValueError("finite place required; use achievable_signatures at infinity")
+        raise ValueError("finite place required")
     status = algebra.component_split(i, v)
     if status.is_indeterminate:
         return None
@@ -193,16 +192,6 @@ def achievable_bits(algebra: EtaleAlgebra, i: int, v: Place) -> frozenset[int] |
         dim = algebra.components[i].degree
         return frozenset({int(v in hyperbolic_hasse_support(dim))})
     return frozenset({0, 1})
-
-
-def achievable_signatures(algebra: EtaleAlgebra, i: int) -> tuple[tuple[int, int], ...]:
-    """Signatures achievable by component ``i`` at the real place: each
-    ramified real embedding contributes a definite plane of either sign, and
-    the unramified weight pads both sides."""
-    comp = algebra.components[i]
-    w = comp.unramified_weight
-    ram = comp.ramified_count
-    return tuple((2 * rp + w, 2 * (ram - rp) + w) for rp in range(ram + 1))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,18 @@ negates sqrt(theta).  The quadratic-over-Q shorthand (K = Q(sqrt(d))) is
 normalized internally to f = y - d, theta = y, but keeps an exact splitting
 rule at every prime.
 
-Each component carries: the minimal polynomial h of sqrt(theta) over Q (an
-even polynomial of degree 2*[F:Q]), discriminant and determinant square
-classes, the profile of its real places (ramified = theta negative there),
-and a prime-splitting oracle.  For general components the modular splitting
+A component's arithmetic over Q comes from one trace kernel, Newton's
+identities.  The traces Tr_{F/Q}(theta^k), read off theta^k mod f and the
+power sums of f's roots, are the power sums of the characteristic polynomial
+chi of theta, and h(x) = chi(x^2) = Res_y(f(y), x^2 - theta(y)) is the
+minimal polynomial of sqrt(theta) (an even polynomial of degree 2*[F:Q]).
+The power sums of h's roots, p_w = Tr_{K/Q}(sqrt(theta)^w), which are
+2*Tr_{F/Q}(theta^(w/2)) for even w and 0 for odd w, give every trace-form
+Gram block.
+
+Each component also carries discriminant and determinant square classes, the
+profile of its real places (ramified = theta negative there), and a
+prime-splitting oracle.  For general components the modular splitting
 computation is exact at odd primes away from a finite documented gap set
 (primes dividing the data's discriminants/resultants, plus 2); at the gap
 primes the oracle abstains unless the user supplies an annotation.
@@ -19,6 +27,7 @@ primes the oracle abstains unless the user supplies an annotation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
 from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
@@ -29,6 +38,7 @@ from torusembed.arith.polyq import (
     PolyQ,
     discriminant,
     is_irreducible,
+    power_sums,
     resultant,
     resultant_in_y,
 )
@@ -96,6 +106,7 @@ class Component:
     f: PolyQ
     theta: PolyQ
     h: PolyQ
+    power_sums: tuple[Fraction, ...]
     degree: int
     disc_class: SquareClass
     det_class: SquareClass
@@ -162,7 +173,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             raise ComponentValidationError(f"d = {d} must be squarefree")
         f = PolyQ.of((-d, 1))
         theta = PolyQ.of((d,))
-        h = PolyQ.of((-d, 0, 1))
+        h = resultant_in_y(f, theta)
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
@@ -182,14 +193,9 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         theta = theta % f
         if theta.is_zero:
             raise ComponentValidationError("theta must be nonzero in F")
-        # h(x) = Res_y(f(y), x^2 - theta(y)), the minimal polynomial of
-        # sqrt(theta) over Q exactly when K is a field.
-        f_in_y = [PolyQ.constant(c) for c in f.coeffs]
-        g_in_y = [PolyQ.of((-theta.coeff(0), 0, 1))]
-        g_in_y += [PolyQ.constant(-theta.coeff(j)) for j in range(1, theta.degree + 1)]
-        h = resultant_in_y(f_in_y, g_in_y)
-        if h.degree != 2 * f.degree or h.lc != 1:
-            raise ComponentValidationError("not a field component")
+        # h is monic of degree 2m by construction; it is the minimal
+        # polynomial of sqrt(theta) over Q exactly when K is a field.
+        h = resultant_in_y(f, theta)
         if not is_irreducible(h):
             raise ComponentValidationError(
                 "not a field component: sqrt(theta) does not generate a field "
@@ -225,6 +231,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         f=f,
         theta=theta,
         h=h,
+        power_sums=tuple(power_sums(h, 3 * h.degree - 3)),
         degree=h.degree,
         disc_class=disc_class,
         det_class=det_class,

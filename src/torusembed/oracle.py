@@ -30,7 +30,6 @@ __all__ = [
     "TraceFormResult",
     "SearchResult",
     "make_element",
-    "one_element",
     "sigma_apply",
     "is_symmetric",
     "is_unit",
@@ -76,11 +75,6 @@ def make_element(algebra: EtaleAlgebra, parts: Sequence) -> AlgebraElement:
     return AlgebraElement(tuple(reduced))
 
 
-def one_element(algebra: EtaleAlgebra) -> AlgebraElement:
-    """The multiplicative identity of the algebra."""
-    return AlgebraElement(tuple(PolyQ.one() for _ in algebra.components))
-
-
 def sigma_apply(x: AlgebraElement) -> AlgebraElement:
     """Apply the involution: negate the odd-power coefficients of every part.
 
@@ -112,31 +106,17 @@ def is_unit(algebra: EtaleAlgebra, x: AlgebraElement) -> bool:
     )
 
 
-def _component_trace(h: PolyQ, z: PolyQ) -> Fraction:
-    """Trace of multiplication by ``z`` on Q[y]/(h): the sum of the diagonal
-    of the multiplication matrix, whose column t is ``z * y^t mod h``."""
-    total = Fraction(0)
-    cur = z % h
-    for t in range(h.degree):
-        if t:
-            cur = cur.shift_up(1) % h
-        total += cur.coeff(t)
-    return total
-
-
-def _component_gram(h: PolyQ, part: PolyQ) -> list[list[Fraction]]:
+def _component_gram(comp: Component, part: PolyQ) -> list[list[Fraction]]:
     """Gram block of q_alpha restricted to one component, over the monomial
-    basis 1, y, ..., y^(d-1):  B[u][v] = Tr(part * y^u * sigma(y^v))
-                                       = (-1)^v * Tr(part * y^(u+v))."""
-    d = h.degree
-    traces = []
-    cur = part % h
-    for w in range(2 * d - 1):
-        if w:
-            cur = cur.shift_up(1) % h
-        traces.append(_component_trace(h, cur))
+    basis 1, y, ..., y^(d-1): with p_w = Tr(y^w) from the component,
+        B[u][v] = Tr(part * y^u * sigma(y^v)) = (-1)^v * sum_k c_2k * p_(2k+u+v)."""
+    d, p = comp.degree, comp.power_sums
+    c = (part % comp.h).coeffs
+    sums = [
+        sum(c[k] * p[k + w] for k in range(0, len(c), 2)) for w in range(2 * d - 1)
+    ]
     return [
-        [(-traces[u + v] if v % 2 else traces[u + v]) for v in range(d)]
+        [(-sums[u + v] if v % 2 else sums[u + v]) for v in range(d)]
         for u in range(d)
     ]
 
@@ -171,7 +151,7 @@ def trace_form(algebra: EtaleAlgebra, alpha: AlgebraElement) -> TraceFormResult:
     rows = [[Fraction(0)] * size for _ in range(size)]
     offset = 0
     for comp, part in zip(algebra.components, alpha.parts):
-        block = _component_gram(comp.h, part)
+        block = _component_gram(comp, part)
         d = comp.degree
         for u in range(d):
             for v in range(d):

@@ -145,13 +145,6 @@ class QuadraticSpace:
         return "<" + ", ".join(str(a) for a in self.diagonal) + ">"
 
 
-def hyperbolic_space(dim: int) -> QuadraticSpace:
-    """The split form <1, -1, 1, -1, ...> of the given even dimension."""
-    if dim < 0 or dim % 2:
-        raise ValueError("hyperbolic spaces have even dimension")
-    return QuadraticSpace.of((1, -1) * (dim // 2))
-
-
 def hyperbolic_hasse_support(dim: int) -> frozenset[Place]:
     """Hasse support of the split form of the given even dimension 2n.
 

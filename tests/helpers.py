@@ -9,7 +9,14 @@ from fractions import Fraction
 
 from torusembed.arith.polyq import PolyQ
 from torusembed.cli import main as cli_main
-from torusembed.etale import EtaleAlgebra, GeneralSpec, QuadSpec, build_algebra
+from torusembed.errors import ComponentValidationError
+from torusembed.etale import (
+    EtaleAlgebra,
+    GeneralSpec,
+    QuadSpec,
+    build_algebra,
+    build_component,
+)
 from torusembed.oracle import AlgebraElement, make_element
 from torusembed.qform import QuadraticSpace
 
@@ -28,6 +35,21 @@ def general(f_coeffs, theta_coeffs) -> GeneralSpec:
 
 def algebra(*specs, annotations=None) -> EtaleAlgebra:
     return build_algebra(specs, annotations)
+
+
+def random_general_spec(rng: random.Random, max_degree: int = 4) -> GeneralSpec:
+    """A valid general component: f monic of degree 1..max_degree and theta of
+    lower degree, both with small rational coefficients."""
+    while True:
+        m = rng.randint(1, max_degree)
+        f = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2))) for _ in range(m)]
+        theta = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3))) for _ in range(m)]
+        spec = general(f + [1], theta)
+        try:
+            build_component(spec)
+        except ComponentValidationError:
+            continue
+        return spec
 
 
 def diag(*entries) -> QuadraticSpace:

@@ -13,7 +13,6 @@ from torusembed.engine import (
     VERDICT_NOT_REALIZABLE_UP_TO_BOUND,
     VERDICT_REALIZABLE,
     achievable_bits,
-    achievable_signatures,
     bad_places,
     build_graph,
     check_local,
@@ -121,17 +120,6 @@ def test_achievable_bits():
     assert achievable_bits(noted, 0, V2) == frozenset({0, 1})
     with pytest.raises(ValueError):
         achievable_bits(alg, 0, INFINITY)
-
-
-def test_achievable_signatures():
-    assert achievable_signatures(algebra(quad(-1)), 0) == ((0, 2), (2, 0))
-    assert achievable_signatures(algebra(quad(5)), 0) == ((1, 1),)
-    quartic = algebra(general([-2, 0, 1], [0, 1]))
-    assert achievable_signatures(quartic, 0) == ((1, 3), (3, 1))
-    unramified = algebra(general([-2, 0, 1], [2, 1]))
-    assert achievable_signatures(unramified, 0) == ((2, 2),)
-    cm = algebra(general([-2, 0, 1], [-2, 1]))
-    assert achievable_signatures(cm, 0) == ((0, 4), (2, 2), (4, 0))
 
 
 def test_construct_baseline_demo_values():

@@ -1,17 +1,20 @@
 """Etale algebras with involution: validation, invariants, splitting."""
 
 import itertools
+import random
 
 import pytest
 
+from torusembed import etale
+from torusembed.arith import integers
 from torusembed.arith.integers import is_probable_prime, squarefree_part
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyfp import factor_mod_p
-from torusembed.arith.polyq import PolyQ, discriminant
+from torusembed.arith.polyq import PolyQ, discriminant, resultant
 from torusembed.errors import ComponentValidationError
 from torusembed.etale import build_algebra, build_component
 
-from helpers import algebra, diag, general, quad
+from helpers import algebra, diag, general, quad, random_general_spec
 
 V2, V3, V5 = (Place.finite(p) for p in (2, 3, 5))
 
@@ -105,6 +108,38 @@ def test_component_h_is_even_and_disc_matches_h():
         assert ram + unram + 2 * cx == c.fixed_degree
         assert c.unramified_weight == unram + 2 * cx
         assert c.unramified_place_count == unram + cx
+
+
+def test_h_is_the_resultant_of_f_and_x2_minus_theta():
+    # h(x) = Res_y(f(y), x^2 - theta(y)); h has degree 2m, so its values at
+    # 2m + 1 points, from the univariate resultant, pin it down.
+    rng = random.Random(41)
+    for _ in range(60):
+        c = build_component(random_general_spec(rng))
+        m = c.fixed_degree
+        assert c.h.degree == 2 * m and c.h.lc == 1
+        for x0 in range(2 * m + 1):
+            expected = resultant(c.f, PolyQ.constant(x0 * x0) - c.theta)
+            assert c.h.evaluate(x0) == expected, (c.f.coeffs, c.theta.coeffs, x0)
+
+
+def test_quad_component_factors_d_once(monkeypatch):
+    # The squarefree check factors d; the real root of f = y - d is read off
+    # the linear polynomial, with no divisor search that factors d again.
+    seen = []
+    real_factor = integers.factor_integer
+
+    def counting_factor(n):
+        seen.append(n)
+        return real_factor(n)
+
+    monkeypatch.setattr(integers, "factor_integer", counting_factor)
+    monkeypatch.setattr(etale, "factor_integer", counting_factor)
+    d = -7 * (10**6 + 3)
+    c = build_component(quad(d))
+    assert seen == [d]
+    assert [r.lo for r in c.real_roots] == [d]
+    assert c.real_profile == (1, 0, 0)
 
 
 def test_exactness_gaps():

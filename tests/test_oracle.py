@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torusembed.arith.places import INFINITY, Place
@@ -14,7 +15,6 @@ from torusembed.oracle import (
     is_symmetric,
     is_unit,
     make_element,
-    one_element,
     ramified_sign_counts,
     search_realizing_element,
     sigma_apply,
@@ -24,7 +24,15 @@ from torusembed.oracle import (
 from torusembed.qform import QuadraticSpace, equivalent_over_q
 
 import helpers
-from helpers import algebra, diag, general, quad, symmetric_part
+from helpers import (
+    algebra,
+    diag,
+    general,
+    quad,
+    random_general_spec,
+    random_symmetric_unit,
+    symmetric_part,
+)
 
 P = PolyQ.of
 V3, V5 = Place.finite(3), Place.finite(5)
@@ -62,7 +70,7 @@ def test_is_unit():
 
 def test_one_element_trace_form_gaussian():
     alg = algebra(quad(-1))
-    result = trace_form(alg, one_element(alg))
+    result = trace_form(alg, make_element(alg, [1]))
     assert result.gram == ((2, 0), (0, 2))
     inv = result.space.invariants
     assert inv.disc.rep == -1
@@ -71,7 +79,7 @@ def test_one_element_trace_form_gaussian():
 
 def test_trace_form_frozen_quartic_gram():
     alg = algebra(general([-2, 0, 1], [0, 1]))  # h = x^4 - 2
-    result = trace_form(alg, one_element(alg))
+    result = trace_form(alg, make_element(alg, [1]))
     assert result.gram == (
         (4, 0, 0, 0),
         (0, 0, 0, -8),
@@ -81,6 +89,39 @@ def test_trace_form_frozen_quartic_gram():
     inv = result.space.invariants
     assert inv.disc.rep == -2
     assert inv.signature == (3, 1)
+
+
+def test_trace_form_gram_matches_numeric_roots_of_h():
+    # A reference independent of h and its power sums: the roots of h_i are
+    # r = +-sqrt(theta(y)) over the complex roots y of f, and
+    # Tr(alpha * y^u * sigma(y^v)) = (-1)^v * sum_r alpha_i(r) * r^(u+v).
+    # Entries agree to 1e-6 relative to the largest entry of their block, and
+    # entries outside the diagonal blocks are exactly 0.
+    rng = random.Random(43)
+    for _ in range(30):
+        alg = algebra(*(random_general_spec(rng, 3) for _ in range(rng.randint(1, 2))))
+        for _ in range(3):
+            alpha = random_symmetric_unit(alg, rng, halves=True)
+            gram = trace_form(alg, alpha).gram
+            offset = 0
+            for comp, part in zip(alg.components, alpha.parts):
+                d = comp.degree
+                ys = np.roots([float(c) for c in reversed(comp.f.coeffs)])
+                theta = [float(c) for c in reversed(comp.theta.coeffs)]
+                half = np.sqrt(np.polyval(theta, ys).astype(complex))
+                roots = np.concatenate([half, -half])
+                at_roots = np.polyval([float(c) for c in reversed(part.coeffs)], roots)
+                sums = [np.sum(at_roots * roots**w).real for w in range(2 * d - 1)]
+                want = np.array(
+                    [[(-1) ** v * sums[u + v] for v in range(d)] for u in range(d)]
+                )
+                block = [row[offset : offset + d] for row in gram[offset : offset + d]]
+                got = np.array(block, dtype=float)
+                assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+                for u in range(d):
+                    outside = gram[offset + u][:offset] + gram[offset + u][offset + d :]
+                    assert all(x == 0 for x in outside)
+                offset += d
 
 
 def test_trace_form_is_block_diagonal_across_components():

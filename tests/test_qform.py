@@ -14,7 +14,6 @@ from torusembed.qform import (
     equivalent_over_q,
     hyperbolic_deviation_set,
     hyperbolic_hasse_support,
-    hyperbolic_space,
     is_locally_hyperbolic,
     signature_hasse_bit,
 )
@@ -122,19 +121,17 @@ def test_hasse_orthogonal_sum_law():
 
 
 def test_hyperbolic_space_invariants():
-    h4 = hyperbolic_space(4)
-    assert equivalent_over_q(h4, QuadraticSpace.of([1, -1, 1, -1]))
+    h4 = QuadraticSpace.of((1, -1) * 2)
+    assert equivalent_over_q(h4, QuadraticSpace.of([-1, 1, -1, 1]))
     assert h4.invariants.signature == (2, 2)
     assert h4.invariants.disc.rep == 1
-    assert hyperbolic_space(2).invariants.hasse_support == frozenset()
+    assert QuadraticSpace.of((1, -1)).invariants.hasse_support == frozenset()
     assert h4.invariants.hasse_support == frozenset({V2, INFINITY})
-    with pytest.raises(ValueError):
-        hyperbolic_space(3)
 
 
 def test_hyperbolic_hasse_support_closed_form():
     for dim in range(2, 25, 2):
-        expected = hyperbolic_space(dim).invariants.hasse_support
+        expected = QuadraticSpace.of((1, -1) * (dim // 2)).invariants.hasse_support
         assert hyperbolic_hasse_support(dim) == expected
     for dim in (1, 3, 7):
         with pytest.raises(ValueError):
@@ -165,7 +162,7 @@ def test_hyperbolic_deviation_sets():
     assert hyperbolic_deviation_set(QuadraticSpace.of([1, 1, 1, 3])) == frozenset(
         {V2, INFINITY}
     )
-    assert hyperbolic_deviation_set(hyperbolic_space(6)) == frozenset()
+    assert hyperbolic_deviation_set(QuadraticSpace.of((1, -1) * 3)) == frozenset()
     assert hyperbolic_deviation_set(QuadraticSpace.of([1, -1])) == frozenset()
 
 
