@@ -133,6 +133,9 @@ def isolate_real_roots(f: PolyQ) -> list[RealRoot]:
     """All distinct real roots of nonzero f, ascending, each isolated."""
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
+    if f.degree == 1:
+        r = -f.coeffs[0] / f.coeffs[1]
+        return [RealRoot(PolyQ.of((-r, 1)), r, r, True)]
     sf = f.squarefree_part()
     if sf.degree < 1:
         return []

@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from math import prod
 from typing import Any
 
 from .docio import (
@@ -52,6 +53,11 @@ from .oracle import search_realizing_element
 
 EXIT_INPUT_ERROR = 4
 EXIT_AUDIT_ERROR = 70
+
+# The most candidates an oracle search from the command line may enumerate.
+# A search over H = height visits prod((2H+1)^(deg f_i) - 1) elements;
+# search_realizing_element itself takes any height.
+MAX_ORACLE_CANDIDATES = 10_000
 
 _VERDICT_EXIT = {
     VERDICT_REALIZABLE: 0,
@@ -110,11 +116,23 @@ def _effective_height(args: argparse.Namespace, problem) -> int:
     return args.height
 
 
+def _check_oracle_cost(algebra, height: int) -> None:
+    """Reject a search height whose candidate count exceeds the limit."""
+    count = prod((2 * height + 1) ** c.fixed_degree - 1 for c in algebra.components)
+    if count > MAX_ORACLE_CANDIDATES:
+        raise InputDocumentError(
+            "$.options.oracle_height",
+            f"oracle search over {count} candidates exceeds the limit of "
+            f"{MAX_ORACLE_CANDIDATES}",
+        )
+
+
 def _decide_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     problem = parse_problem(doc)
     bound = _effective_bound(args, problem)
     height = _effective_height(args, problem)
     algebra, form = build_inputs(problem)
+    _check_oracle_cost(algebra, height)
     report = decide(algebra, form, bound)
     oracle_result = None
     summary = []
@@ -191,6 +209,7 @@ def _oracle_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str
             "oracle search needs a positive height (set --height or oracle_height)",
         )
     algebra, form = build_inputs(problem)
+    _check_oracle_cost(algebra, height)
     result = search_realizing_element(algebra, form, height)
     if result.found:
         code, text = 0, f"oracle: realizing element found (height {height})"

@@ -43,8 +43,9 @@ from torusembed.arith.polyq import (
     resultant_in_y,
 )
 from torusembed.arith.sturm import RealRoot, isolate_real_roots
-from torusembed.arith.symbols import hasse_bit, legendre_symbol, places_over
+from torusembed.arith.symbols import hasse_bit, legendre_symbol
 from torusembed.errors import ComponentValidationError
+from torusembed.qform import pairwise_det_support
 
 SPLIT = "split"
 NONSPLIT = "nonsplit"
@@ -368,12 +369,7 @@ class EtaleAlgebra:
 
     def pairwise_det_support(self) -> frozenset[Place]:
         """Places where the pairwise determinant-class symbol sum is odd."""
-        if len(self.components) < 2:
-            return frozenset()
-        primes = set().union(*(c.det_class.primes for c in self.components))
-        return frozenset(
-            v for v in places_over(primes) if self.pairwise_det_bit(v)
-        )
+        return pairwise_det_support([c.det_class for c in self.components])
 
 
 def build_algebra(

@@ -12,6 +12,16 @@ whose trace form is rationally equivalent to a target form.  A successful
 search is an unconditional realizability certificate, independent of the
 local-data engine in :mod:`torusembed.engine`; a failed bounded search proves
 nothing.
+
+The Gram matrix of q_alpha is block diagonal, one block per component, and a
+candidate is a choice of one part per component.  The search therefore walks
+each component's parts once and computes a block's invariants the first time
+a candidate uses it; a candidate's invariants are the blocks' invariants
+combined by ``qform.orthogonal_sum`` (signatures add, determinants multiply,
+Hasse invariants add up with the pairwise determinant symbols).  The full
+trace form of a candidate whose combined invariants equal the target's is
+still computed and compared, so every match is certified by the same exact
+invariant comparison as a candidate-by-candidate search.
 """
 
 from __future__ import annotations
@@ -19,11 +29,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from math import prod
+from typing import Iterator, Sequence
 
-from .arith import PolyQ
+from .arith import PolyQ, SquareClass
+from .errors import AuditError
 from .etale import Component, EtaleAlgebra
-from .qform import QuadraticSpace
+from .qform import QFInvariants, QuadraticSpace, orthogonal_sum
 
 __all__ = [
     "AlgebraElement",
@@ -179,6 +192,37 @@ def _vector_to_part(vec: Sequence[int]) -> PolyQ:
     return PolyQ.of(coeffs[:-1] if coeffs else [0])
 
 
+@dataclass(frozen=True)
+class _Block:
+    """One component's part of a candidate; the invariants of its Gram block
+    are computed on first use and kept for every candidate sharing it."""
+
+    component: Component
+    part: PolyQ
+
+    @cached_property
+    def invariants(self) -> QFInvariants:
+        gram = _component_gram(self.component, self.part)
+        return QuadraticSpace.from_gram(gram).invariants
+
+
+def _streams(algebra: EtaleAlgebra, height: int) -> list[list[_Block]]:
+    """Per component, its involution-fixed unit parts whose even-power
+    coefficients are integers in [-height, height], in vector order."""
+    if height < 1:
+        raise ValueError("height must be at least 1")
+    streams = []
+    for comp in algebra.components:
+        parts = (
+            _vector_to_part(vec)
+            for vec in _component_vectors(comp.fixed_degree, height)
+        )
+        streams.append(
+            [_Block(comp, part) for part in parts if part.gcd(comp.h).degree == 0]
+        )
+    return streams
+
+
 def enumerate_symmetric_units(
     algebra: EtaleAlgebra, height: int
 ) -> Iterator[AlgebraElement]:
@@ -189,16 +233,8 @@ def enumerate_symmetric_units(
     component varying slowest.  The zero vector is excluded per component;
     since every component is a field, all remaining candidates are units.
     """
-    if height < 1:
-        raise ValueError("height must be at least 1")
-    streams = [
-        [_vector_to_part(vec) for vec in _component_vectors(comp.fixed_degree, height)]
-        for comp in algebra.components
-    ]
-    for combo in itertools.product(*streams):
-        candidate = AlgebraElement(tuple(combo))
-        if is_unit(algebra, candidate):
-            yield candidate
+    for blocks in itertools.product(*_streams(algebra, height)):
+        yield AlgebraElement(tuple(b.part for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -219,6 +255,9 @@ def search_realizing_element(
 ) -> SearchResult:
     """First enumerated element whose trace form is equivalent to ``target``.
 
+    Candidates are screened by their blocks' invariants: the signature, then
+    the determinant class, then the whole orthogonal sum.  A candidate that
+    passes is confirmed by its full trace form, which is the one returned.
     An exhausted search is a bounded outcome only: it never proves that no
     realizing element exists.
     """
@@ -227,10 +266,23 @@ def search_realizing_element(
             f"form dimension {target.dim} does not match algebra rank {algebra.rank}"
         )
     want = target.invariants
-    for candidate in enumerate_symmetric_units(algebra, height):
+    one = SquareClass.of(1)
+    for blocks in itertools.product(*_streams(algebra, height)):
+        invs = [b.invariants for b in blocks]
+        if sum(i.signature[0] for i in invs) != want.signature[0]:
+            continue
+        if prod((i.det for i in invs), start=one) != want.det:
+            continue
+        if orthogonal_sum(invs) != want:
+            continue
+        candidate = AlgebraElement(tuple(b.part for b in blocks))
         result = trace_form(algebra, candidate)
-        if result.invariants == want:
-            return SearchResult(element=candidate, form=result, height=height)
+        if result.invariants != want:
+            raise AuditError(
+                f"the block invariants of {candidate} match the target but its "
+                "trace form does not"
+            )
+        return SearchResult(element=candidate, form=result, height=height)
     return SearchResult(element=None, form=None, height=height)
 
 

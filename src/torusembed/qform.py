@@ -14,6 +14,12 @@ entries of odd valuation and reads residue characters of their unit parts,
 so no pairwise symbol is evaluated; ``hilbert_symbol`` stays the per-pair
 reference it is tested against.  The split form's support has a closed form,
 ``hyperbolic_hasse_support``.
+
+``orthogonal_sum`` combines the invariants of forms into those of their
+orthogonal sum q + q' without their entries: dimensions and signatures add,
+determinants multiply, and the Hasse invariants satisfy
+s(q + q') = s(q) + s(q') + (det q, det q'), so the sum's support is the XOR
+of the summands' supports and ``pairwise_det_support`` of their determinants.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from typing import Sequence
 
 from torusembed.arith.integers import SquareClass, factor_rational
 from torusembed.arith.places import INFINITY, TWO, Place
@@ -134,15 +141,44 @@ class QuadraticSpace:
         m = self.dim
         r = sum(1 for a in self.diagonal if a > 0)
         det = SquareClass.from_factors(-1 if (m - r) % 2 else 1, total)
-        disc_sign = -1 if (m * (m - 1) // 2) % 2 else 1
-        disc = SquareClass.of(disc_sign) * det
         support = frozenset(
             v for v in places_over(primes) if self.local_hasse_bit(v)
         )
-        return QFInvariants(m, det, disc, support, (r, m - r))
+        return QFInvariants(m, det, _disc(det, m), support, (r, m - r))
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(a) for a in self.diagonal) + ">"
+
+
+def _disc(det: SquareClass, dim: int) -> SquareClass:
+    """Discriminant class (-1)^(dim*(dim-1)/2) * det."""
+    return SquareClass.of(-1 if (dim * (dim - 1) // 2) % 2 else 1) * det
+
+
+def pairwise_det_support(dets: Sequence[SquareClass]) -> frozenset[Place]:
+    """Places where the sum over i < j of the symbols (det_i, det_j) is odd.
+
+    Every symbol is trivial at odd primes dividing no det, so the support lies
+    in ``places_over`` the dets' primes.
+    """
+    if len(dets) < 2:
+        return frozenset()
+    reps = [d.rep for d in dets]
+    primes = set().union(*(d.primes for d in dets))
+    return frozenset(v for v in places_over(primes) if hasse_bit(reps, v))
+
+
+def orthogonal_sum(blocks: Sequence[QFInvariants]) -> QFInvariants:
+    """Invariants of the orthogonal sum of forms with the given invariants."""
+    dim = sum(b.dim for b in blocks)
+    det = prod((b.det for b in blocks), start=SquareClass.of(1))
+    support = pairwise_det_support([b.det for b in blocks])
+    for b in blocks:
+        support ^= b.hasse_support
+    positive = sum(b.signature[0] for b in blocks)
+    return QFInvariants(
+        dim, det, _disc(det, dim), support, (positive, dim - positive)
+    )
 
 
 def hyperbolic_hasse_support(dim: int) -> frozenset[Place]:

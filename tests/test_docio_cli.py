@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from torusembed import cli
 from torusembed.docio import (
     build_inputs,
     normalize_problem,
@@ -499,6 +500,43 @@ def test_cli_oracle_requires_height(tmp_path):
     assert code == 0
     miss = write_doc(tmp_path, quad_doc(-1, [1, -1]), "m.json")
     assert run_cli(["oracle", miss, "--height", "2", "--quiet"])[0] == 1
+
+
+def _two_quad_run(tmp_path, command, height, from_flag):
+    # Q(i) x Q(sqrt 5) at height H has (2H)^2 candidates.
+    doc = {
+        "algebra": [{"type": "quad", "d": -1}, {"type": "quad", "d": 5}],
+        "form": {"diagonal": [2, 2, 2, -10]},
+    }
+    argv = [command, "--quiet"]
+    if from_flag:
+        argv += ["--height", str(height)]
+    else:
+        doc["options"] = {"oracle_height": height}
+    code, out, _ = run_cli(argv + [write_doc(tmp_path, doc)])
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("from_flag", [False, True])
+@pytest.mark.parametrize("command", ["decide", "oracle"])
+def test_cli_oracle_candidate_cap(tmp_path, monkeypatch, command, from_flag):
+    monkeypatch.setattr(cli, "MAX_ORACLE_CANDIDATES", 16 + 1)
+    code, report = _two_quad_run(tmp_path, command, 2, from_flag)
+    assert code == 0 and report["oracle"]["found"] is True
+    monkeypatch.setattr(cli, "MAX_ORACLE_CANDIDATES", 16 - 1)
+    code, report = _two_quad_run(tmp_path, command, 2, from_flag)
+    assert code == 4
+    assert report["error"]["path"] == "$.options.oracle_height"
+    assert "16 candidates exceeds the limit of 15" in report["error"]["message"]
+
+
+def test_cli_oracle_candidate_cap_default(tmp_path):
+    assert cli.MAX_ORACLE_CANDIDATES == 10_000
+    code, report = _two_quad_run(tmp_path, "decide", 50, False)  # 100^2 = cap
+    assert code == 0 and report["oracle"]["found"] is True
+    code, report = _two_quad_run(tmp_path, "oracle", 51, True)  # 102^2
+    assert code == 4
+    assert report["error"]["path"] == "$.options.oracle_height"
 
 
 def test_cli_reads_stdin_by_default():

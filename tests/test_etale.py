@@ -142,6 +142,24 @@ def test_quad_component_factors_d_once(monkeypatch):
     assert c.real_profile == (1, 0, 0)
 
 
+def test_quad_component_root_needs_no_squarefree_part(monkeypatch):
+    # f = y - d has the exact root d; isolating it needs no squarefree part
+    # and no Sturm chain.
+    def refuse(self):
+        raise AssertionError("squarefree_part called for a linear f")
+
+    monkeypatch.setattr(PolyQ, "squarefree_part", refuse)
+    for d in [k for k in range(-40, 41) if k not in (0, 1)] + [-(10**9 + 7)]:
+        if squarefree_part(d) != d:
+            continue
+        c = build_component(quad(d))
+        [root] = c.real_roots
+        assert root.exact and root.lo == root.hi == d
+        assert root.poly.coeffs == (-d, 1)
+        assert c.theta_signs == ((1,) if d > 0 else (-1,))
+        assert c.real_profile == ((0, 1, 0) if d > 0 else (1, 0, 0))
+
+
 def test_exactness_gaps():
     assert build_component(general([-5, 0, 1], [0, 1])).exactness_gaps == frozenset(
         {5}

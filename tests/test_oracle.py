@@ -7,9 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusembed import oracle
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyq import PolyQ
+from torusembed.etale import EtaleAlgebra
 from torusembed.oracle import (
+    AlgebraElement,
     enumerate_symmetric_units,
     fixed_field_image,
     is_symmetric,
@@ -21,7 +24,7 @@ from torusembed.oracle import (
     signs_at_ramified_embeddings,
     trace_form,
 )
-from torusembed.qform import QuadraticSpace, equivalent_over_q
+from torusembed.qform import QuadraticSpace, equivalent_over_q, orthogonal_sum
 
 import helpers
 from helpers import (
@@ -294,3 +297,67 @@ def test_signature_spectrum_matches_achievable_signatures():
     for e in enumerate_symmetric_units(alg, 2):
         seen.add(trace_form(alg, e).space.invariants.signature)
     assert seen == {(4, 0), (0, 4), (2, 2)}
+
+
+def _random_small_algebra(rng: random.Random, max_components: int = 3):
+    specs = []
+    for _ in range(rng.randint(1, max_components)):
+        if rng.random() < 0.5:
+            specs.append(quad(rng.choice([-11, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7])))
+        else:
+            specs.append(random_general_spec(rng, 3))
+    return algebra(*specs)
+
+
+def test_orthogonal_sum_of_block_invariants_is_the_trace_form_invariants():
+    # Each block's invariants come from the trace form of the one-component
+    # algebra; their orthogonal sum must be the full trace form's invariants.
+    rng = random.Random(5)
+    for _ in range(60):
+        alg = _random_small_algebra(rng)
+        for _ in range(3):
+            alpha = random_symmetric_unit(alg, rng, halves=True)
+            blocks = [
+                trace_form(EtaleAlgebra((comp,)), AlgebraElement((part,))).invariants
+                for comp, part in zip(alg.components, alpha.parts)
+            ]
+            assert orthogonal_sum(blocks) == trace_form(alg, alpha).invariants
+
+
+def _reference_search(alg, target, height):
+    want = target.invariants
+    for e in enumerate_symmetric_units(alg, height):
+        result = trace_form(alg, e)
+        if result.invariants == want:
+            return e, result
+    return None, None
+
+
+def test_search_matches_a_linear_scan_and_exhausts_without_trace_forms(monkeypatch):
+    rng = random.Random(11)
+    calls = []
+
+    def counting_trace_form(alg, alpha):
+        calls.append(alpha)
+        return trace_form(alg, alpha)
+
+    monkeypatch.setattr(oracle, "trace_form", counting_trace_form)
+    for _ in range(12):
+        alg = _random_small_algebra(rng, 2)
+        planted = random_symmetric_unit(alg, rng, height=2)
+        entries = [
+            a * rng.choice((1, 4, 9)) for a in trace_form(alg, planted).space.diagonal
+        ]
+        target = QuadraticSpace.of(entries)
+        element, form = _reference_search(alg, target, 2)
+        assert element is not None
+        result = search_realizing_element(alg, target, 2)
+        assert result.element == element
+        assert result.form.gram == form.gram
+        assert result.form.space.diagonal == form.space.diagonal
+
+        entries[rng.randrange(len(entries))] *= rng.choice((3, 5, 7))
+        calls.clear()
+        missing = search_realizing_element(alg, QuadraticSpace.of(entries), 2)
+        assert not missing.found
+        assert calls == []
