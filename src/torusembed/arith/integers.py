@@ -190,9 +190,5 @@ class SquareClass:
         primes = self.primes ^ other.primes
         return SquareClass(prod(primes, start=sign), primes)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rep == 1
-
     def __str__(self) -> str:
         return str(self.rep)

@@ -82,10 +82,6 @@ class RealRoot:
     hi: Fraction
     exact: bool
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def approx(self) -> float:
         return float((self.lo + self.hi) / 2)
 

@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from math import prod
 from typing import Any
 
@@ -226,7 +227,9 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="torusembed",
         description="Decide realizability of quadratic forms as trace forms "

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
 from torusembed.arith.places import Place
@@ -37,6 +36,7 @@ from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
     discriminant,
+    integerize,
     is_irreducible,
     power_sums,
     resultant,
@@ -57,7 +57,6 @@ class SplitStatus:
     """Result of a splitting query: split, nonsplit, or an abstention."""
 
     kind: str
-    reason: str | None = None
 
     @classmethod
     def split(cls) -> "SplitStatus":
@@ -68,8 +67,8 @@ class SplitStatus:
         return cls(NONSPLIT)
 
     @classmethod
-    def indeterminate(cls, reason: str) -> "SplitStatus":
-        return cls(INDETERMINATE, reason)
+    def indeterminate(cls) -> "SplitStatus":
+        return cls(INDETERMINATE)
 
     @property
     def is_split(self) -> bool:
@@ -154,13 +153,6 @@ class Component:
         return self.unramified_real_count + self.complex_pair_count
 
 
-def _denominator_lcm(f: PolyQ) -> int:
-    d = 1
-    for c in f.coeffs:
-        d = d * c.denominator // gcd(d, c.denominator)
-    return d
-
-
 def build_component(spec: QuadSpec | GeneralSpec) -> Component:
     """Validate a component description and compute its derived data."""
     if isinstance(spec, QuadSpec):
@@ -205,10 +197,10 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # The gap set: odd primes of the denominators, disc(f) and
         # Res(f, t*theta).  Each number is factored after dividing out the
         # primes already found, and so is disc(h).
-        t = _denominator_lcm(theta)
+        t = integerize(theta)[1]
         bad: set[int] = set()
         for x in (
-            _denominator_lcm(f),
+            integerize(f)[1],
             discriminant(f),
             t,
             resultant(f, theta.scale(t)),
@@ -264,8 +256,7 @@ def component_split_at(
             return SplitStatus.split()
         if annotation == NONSPLIT:
             return SplitStatus.nonsplit()
-        why = "dyadic place" if p == 2 else "prime divides the component's bad data"
-        return SplitStatus.indeterminate(why)
+        return SplitStatus.indeterminate()
     fp = c.f.reduce_mod_p(p)
     theta_p = c.theta.reduce_mod_p(p)
     for g, _ in factor_mod_p(fp):
@@ -294,10 +285,6 @@ class EtaleAlgebra:
     @property
     def rank(self) -> int:
         return sum(c.degree for c in self.components)
-
-    @property
-    def half_rank(self) -> int:
-        return self.rank // 2
 
     @property
     def disc_class(self) -> SquareClass:

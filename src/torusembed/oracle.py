@@ -208,19 +208,22 @@ class _Block:
 
 def _streams(algebra: EtaleAlgebra, height: int) -> list[list[_Block]]:
     """Per component, its involution-fixed unit parts whose even-power
-    coefficients are integers in [-height, height], in vector order."""
+    coefficients are integers in [-height, height], in vector order.
+
+    Every nonzero vector gives a unit: its part is a nonzero polynomial of
+    degree below ``deg h``, and ``h`` is irreducible because every component
+    is validated as a field, so the part is coprime to ``h``.  No gcd is
+    needed; ``trace_form`` still checks ``is_unit`` on every match.
+    """
     if height < 1:
         raise ValueError("height must be at least 1")
-    streams = []
-    for comp in algebra.components:
-        parts = (
-            _vector_to_part(vec)
+    return [
+        [
+            _Block(comp, _vector_to_part(vec))
             for vec in _component_vectors(comp.fixed_degree, height)
-        )
-        streams.append(
-            [_Block(comp, part) for part in parts if part.gcd(comp.h).degree == 0]
-        )
-    return streams
+        ]
+        for comp in algebra.components
+    ]
 
 
 def enumerate_symmetric_units(
@@ -230,8 +233,10 @@ def enumerate_symmetric_units(
     in [-height, height].
 
     Deterministic order: component-wise lexicographic, with the first
-    component varying slowest.  The zero vector is excluded per component;
-    since every component is a field, all remaining candidates are units.
+    component varying slowest.  The zero vector is excluded per component.
+    Every other vector is a unit: its part is nonzero of degree below
+    ``deg h`` and each ``h`` is irreducible (every component is a field),
+    so the part is coprime to ``h``.
     """
     for blocks in itertools.product(*_streams(algebra, height)):
         yield AlgebraElement(tuple(b.part for b in blocks))

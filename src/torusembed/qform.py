@@ -115,10 +115,6 @@ class QuadraticSpace:
     def dim(self) -> int:
         return len(self.diagonal)
 
-    @property
-    def det_value(self) -> Fraction:
-        return prod(self.diagonal, start=Fraction(1))
-
     def local_hasse_bit(self, v: Place) -> int:
         """Additive Hasse invariant at v: the sum over i < j of the symbols
         (a_i, a_j)_v mod 2, computed by ``hasse_bit`` in one pass over the

@@ -1,6 +1,9 @@
 """Wire format parsing, report rendering, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -649,3 +652,30 @@ def test_cli_selftest_quiet():
     code, out, _ = run_cli(["selftest", "--quiet"])
     assert code == 0
     assert out == ""
+
+
+def test_cli_selftest_needs_no_test_dependencies():
+    # A fresh interpreter that sees only the package: selftest must pass
+    # without importing the test-only dependencies.
+    script = (
+        "import sys\n"
+        "from torusembed.cli import main\n"
+        "code = main(['selftest', '--quiet'])\n"
+        "print(sorted({'numpy', 'hypothesis', 'pytest'} & set(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()

@@ -295,7 +295,7 @@ def test_annotation_validation():
 
 def test_algebra_level_invariants():
     alg = algebra(quad(-3), quad(-1))
-    assert alg.rank == 4 and alg.half_rank == 2
+    assert alg.rank == 4 and alg.rank // 2 == 2
     assert alg.disc_class.rep == 3
     assert alg.is_cm
     assert not alg.has_nonrational_fixed_field

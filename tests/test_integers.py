@@ -115,8 +115,8 @@ def test_square_class_algebra():
     assert SquareClass.of(8).rep == 2
     assert (SquareClass.of(2) * SquareClass.of(-18)).rep == -1
     assert SquareClass.of(Fraction(-1, 3)).rep == -3
-    assert SquareClass.of(9).is_trivial
-    assert not SquareClass.of(-9).is_trivial
+    assert SquareClass.of(9).rep == 1
+    assert SquareClass.of(-9).rep != 1
     assert str(SquareClass.of(50)) == "2"
 
 

@@ -252,7 +252,7 @@ def test_local_bits_cover_both_classes_at_nonsplit_places():
         if split_v is None:
             continue
         assert alg.split_at(split_v).is_split
-        hyper_bit = QuadraticSpace.of([1, -1] * alg.half_rank).local_hasse_bit(
+        hyper_bit = QuadraticSpace.of([1, -1] * (alg.rank // 2)).local_hasse_bit(
             split_v
         )
         for e in itertools.islice(enumerate_symmetric_units(alg, 2), 24):
@@ -361,3 +361,27 @@ def test_search_matches_a_linear_scan_and_exhausts_without_trace_forms(monkeypat
         missing = search_realizing_element(alg, QuadraticSpace.of(entries), 2)
         assert not missing.found
         assert calls == []
+
+
+def test_streams_keep_every_nonzero_vector_and_run_no_gcd(monkeypatch):
+    # A nonzero part has degree below deg h and every h is irreducible, so each
+    # nonzero vector is a unit: a stream holds (2H+1)^(deg f) - 1 blocks, the
+    # count cli._check_oracle_cost charges, and needs no gcd to build.
+    rng = random.Random(23)
+    algebras = [_random_small_algebra(rng) for _ in range(12)]
+    assert {c.fixed_degree for a in algebras for c in a.components} == {1, 2, 3}
+    assert {c.is_quad for a in algebras for c in a.components} == {True, False}
+
+    def no_gcd(self, other):
+        raise AssertionError("_streams ran a gcd")
+
+    for alg in algebras:
+        for height in (1, 2, 3):
+            with monkeypatch.context() as m:
+                m.setattr(PolyQ, "gcd", no_gcd)
+                streams = oracle._streams(alg, height)
+            assert [len(s) for s in streams] == [
+                (2 * height + 1) ** c.fixed_degree - 1 for c in alg.components
+            ]
+            for comp, blocks in zip(alg.components, streams):
+                assert all(b.part.gcd(comp.h).degree == 0 for b in blocks)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -112,10 +113,12 @@ def test_hasse_orthogonal_sum_law():
         q1 = random_space(rng, rng.randint(1, 3))
         q2 = random_space(rng, rng.randint(1, 3))
         total = QuadraticSpace.of(q1.diagonal + q2.diagonal)
+        det1 = prod(q1.diagonal, start=Fraction(1))
+        det2 = prod(q2.diagonal, start=Fraction(1))
         expected = (
             q1.invariants.hasse_support
             ^ q2.invariants.hasse_support
-            ^ symbol_support(q1.det_value, q2.det_value)
+            ^ symbol_support(det1, det2)
         )
         assert total.invariants.hasse_support == expected
 
