@@ -17,7 +17,7 @@ from torusembed.arith.symbols import (
     symbol_support,
 )
 from torusembed.arith.polyq import PolyQ, discriminant, is_irreducible, resultant
-from torusembed.arith.polyfp import PolyFp, factor_mod_p, ff_is_square
+from torusembed.arith.polyfp import PolyFp, factor_mod_p
 from torusembed.arith.sturm import RealRoot, isolate_real_roots, real_root_count
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "resultant",
     "PolyFp",
     "factor_mod_p",
-    "ff_is_square",
     "RealRoot",
     "isolate_real_roots",
     "real_root_count",

@@ -1,9 +1,10 @@
 """Dense univariate polynomial arithmetic over prime fields F_p.
 
 Factorization is squarefree decomposition + distinct-degree + Cantor-Zassenhaus
-equal-degree splitting.  The random stream used by the splitting step is local
-to the call and seeded from (p, input coefficients), so results are
-reproducible across runs and platforms.
+equal-degree splitting (Cohen, GTM 138, 3.4); the distinct-degree blocks alone
+count factors and decide splitting.  The random stream used by the splitting
+step is local to the call and seeded from (p, input coefficients), so results
+are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
     return out
 
 
-def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Split squarefree monic f into products of irreducibles of equal degree."""
+def distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
+    """Split squarefree monic f into (block, k): each block the product of
+    f's irreducible factors of degree k, in ascending k."""
     p = f.p
     out = []
     h = PolyFp.x(p)
@@ -252,7 +254,7 @@ def factor_mod_p(f: PolyFp) -> list[tuple[PolyFp, int]]:
     monic = f.monic()
     out: list[tuple[PolyFp, int]] = []
     for part, mult in _squarefree_decomposition(monic):
-        for block, d in _distinct_degree(part):
+        for block, d in distinct_degree(part):
             for irr in _equal_degree(block, d, rng):
                 out.append((irr, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
@@ -277,14 +279,3 @@ def is_irreducible_mod_p(f: PolyFp) -> bool:
             return False
     return True
 
-
-def ff_is_square(e: PolyFp, modulus: PolyFp) -> bool:
-    """Whether nonzero e is a square in F_p[x]/(modulus), p odd, modulus irreducible."""
-    p = e.p
-    if p == 2:
-        raise ValueError("ff_is_square requires odd characteristic")
-    if (e % modulus).is_zero:
-        raise ValueError("zero is not classified")
-    k = modulus.degree
-    r = e.pow_mod((p**k - 1) // 2, modulus)
-    return r == PolyFp.one(p)

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from torusembed.arith.integers import divisors, iter_primes
-from torusembed.arith.polyfp import PolyFp, factor_mod_p
+from torusembed.arith.polyfp import PolyFp, distinct_degree, factor_mod_p
 
 MAX_IRREDUCIBILITY_DEGREE = 12
 
@@ -449,8 +449,9 @@ def is_irreducible(f: PolyQ) -> bool:
     g = _monicize(A)
 
     # An irreducible reduction mod any good prime settles it; otherwise keep
-    # the prime giving the fewest modular factors to minimize recombination.
-    best: tuple[int, list[PolyFp]] | None = None
+    # the prime giving the fewest modular factors (counted from the
+    # distinct-degree blocks) to minimize recombination.
+    best: tuple[int, int, PolyFp] | None = None
     tried = 0
     for p in iter_primes():
         if p == 2:
@@ -458,16 +459,17 @@ def is_irreducible(f: PolyQ) -> bool:
         gp = PolyFp.of(p, g)
         if gp.degree != n or gp.gcd(gp.derivative()).degree != 0:
             continue
-        facs = [fac for fac, _ in factor_mod_p(gp)]
-        if len(facs) == 1:
+        count = sum(block.degree // k for block, k in distinct_degree(gp))
+        if count == 1:
             return True
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
+        if best is None or count < best[0]:
+            best = (count, p, gp)
         tried += 1
         if tried >= 4:
             break
     assert best is not None
-    p, facs = best
+    _, p, gp = best
+    facs = [fac for fac, _ in factor_mod_p(gp)]
 
     # Landau-Mignotte style bound on coefficients of any monic factor of g.
     bound = (2**n) * (isqrt(sum(x * x for x in g)) + 1)

@@ -1,7 +1,11 @@
-"""Exact real-root isolation and sign determination via Sturm sequences.
+"""Real roots by signed remainder sequences: Tarski queries and isolation.
 
-Rational roots are split off first, so bisection midpoints are never roots of
-the remaining (irrational-root) factor and every Sturm count is unambiguous.
+``tarski_query(f, g)``, the sum of sign g(x) over the real roots x of f, is
+read off the signed remainder sequence of f and f'g mod f at -oo and +oo
+(Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+``isolate_real_roots``, the reference the queries are tested against, splits
+off rational roots first, so bisection midpoints are never roots of the
+remaining (irrational-root) factor and every Sturm count is unambiguous.
 """
 
 from __future__ import annotations
@@ -16,13 +20,12 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def sturm_chain(f: PolyQ) -> list[PolyQ]:
-    """Sturm sequence f, f', -(rem), ... of a squarefree polynomial."""
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
+def _signed_remainders(a: PolyQ, b: PolyQ) -> list[PolyQ]:
+    """a, b, -rem(a, b), ... up to the last nonzero term."""
+    chain = [a]
+    while not b.is_zero:
+        chain.append(b)
+        a, b = b, -(a % b)
     return chain
 
 
@@ -57,15 +60,17 @@ def root_bound(f: PolyQ) -> Fraction:
     return 1 + max((abs(c / f.lc) for c in f.coeffs[:-1]), default=Fraction(0))
 
 
+def tarski_query(f: PolyQ, g: PolyQ) -> int:
+    """Sum of sign g(x) over the distinct real roots x of squarefree f."""
+    chain = _signed_remainders(f, f.derivative() * g % f)
+    return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
+
+
 def real_root_count(f: PolyQ) -> int:
     """Number of distinct real roots of nonzero f."""
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    sf = f.squarefree_part()
-    if sf.degree < 1:
-        return 0
-    chain = sturm_chain(sf)
-    return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
+    return tarski_query(f.squarefree_part(), PolyQ.one())
 
 
 @dataclass
@@ -82,9 +87,6 @@ class RealRoot:
     hi: Fraction
     exact: bool
 
-    def approx(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
     def refine_once(self) -> None:
         if self.exact:
             return
@@ -94,44 +96,11 @@ class RealRoot:
         else:
             self.lo = mid
 
-    def refine(self, width: Fraction) -> None:
-        while self.hi - self.lo > width:
-            self.refine_once()
-
-    def sign_of(self, g: PolyQ) -> int:
-        """Exact sign of g at this root."""
-        if g.is_zero:
-            return 0
-        if self.exact:
-            return _sign(g.evaluate(self.lo))
-        r = g % self.poly
-        if r.is_zero:
-            return 0
-        common = self.poly.gcd(r)
-        if common.degree > 0:
-            # The root is a zero of g exactly if it is a zero of the gcd.
-            chain = sturm_chain(common)
-            if _count_between(chain, self.lo, self.hi) > 0:
-                return 0
-        rsf = r.squarefree_part()
-        chain_r = sturm_chain(rsf)
-        while True:
-            if (
-                rsf.evaluate(self.lo) != 0
-                and rsf.evaluate(self.hi) != 0
-                and _count_between(chain_r, self.lo, self.hi) == 0
-            ):
-                return _sign(r.evaluate(self.hi))
-            self.refine_once()
-
 
 def isolate_real_roots(f: PolyQ) -> list[RealRoot]:
     """All distinct real roots of nonzero f, ascending, each isolated."""
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    if f.degree == 1:
-        r = -f.coeffs[0] / f.coeffs[1]
-        return [RealRoot(PolyQ.of((-r, 1)), r, r, True)]
     sf = f.squarefree_part()
     if sf.degree < 1:
         return []
@@ -142,7 +111,7 @@ def isolate_real_roots(f: PolyQ) -> list[RealRoot]:
     roots = [RealRoot(PolyQ.of((-r, 1)), r, r, True) for r in rats]
     irrational: list[RealRoot] = []
     if g.degree >= 1:
-        chain = sturm_chain(g)
+        chain = _signed_remainders(g, g.derivative())
         bound = root_bound(g)
         stack = [(-bound, bound, _count_between(chain, -bound, bound))]
         while stack:

@@ -17,11 +17,12 @@ The power sums of h's roots, p_w = Tr_{K/Q}(sqrt(theta)^w), which are
 Gram block.
 
 Each component also carries discriminant and determinant square classes, the
-profile of its real places (ramified = theta negative there), and a
-prime-splitting oracle.  For general components the modular splitting
-computation is exact at odd primes away from a finite documented gap set
-(primes dividing the data's discriminants/resultants, plus 2); at the gap
-primes the oracle abstains unless the user supplies an annotation.
+counts of its real places (ramified = theta negative there) from Tarski
+queries, and a prime-splitting oracle.  For general components the splitting
+is read off the distinct-degree blocks of f mod p, exactly at odd primes away
+from a finite documented gap set (primes dividing the data's
+discriminants/resultants, plus 2); at the gap primes the oracle abstains
+unless the user supplies an annotation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
 from torusembed.arith.places import Place
-from torusembed.arith.polyfp import factor_mod_p, ff_is_square
+from torusembed.arith.polyfp import PolyFp, distinct_degree
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
@@ -42,7 +43,7 @@ from torusembed.arith.polyq import (
     resultant,
     resultant_in_y,
 )
-from torusembed.arith.sturm import RealRoot, isolate_real_roots
+from torusembed.arith.sturm import tarski_query
 from torusembed.arith.symbols import hasse_bit, legendre_symbol
 from torusembed.errors import ComponentValidationError
 from torusembed.qform import pairwise_det_support
@@ -110,8 +111,8 @@ class Component:
     degree: int
     disc_class: SquareClass
     det_class: SquareClass
-    real_roots: list[RealRoot]
-    theta_signs: tuple[int, ...]
+    real_count: int
+    ramified_count: int
     exactness_gaps: frozenset[int]
 
     @property
@@ -123,16 +124,12 @@ class Component:
         return self.f.degree
 
     @property
-    def ramified_count(self) -> int:
-        return sum(1 for s in self.theta_signs if s < 0)
-
-    @property
     def unramified_real_count(self) -> int:
-        return sum(1 for s in self.theta_signs if s > 0)
+        return self.real_count - self.ramified_count
 
     @property
     def complex_pair_count(self) -> int:
-        return (self.fixed_degree - len(self.real_roots)) // 2
+        return (self.fixed_degree - self.real_count) // 2
 
     @property
     def real_profile(self) -> tuple[int, int, int]:
@@ -170,6 +167,8 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
+        # F = Q has one real place, ramified exactly when d < 0.
+        real_count, ramified_count = 1, int(d < 0)
     else:
         f, theta = spec.f, spec.theta
         if f.degree < 1:
@@ -181,15 +180,16 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
                 f"unsupported degree: [K:Q] = {2 * f.degree} exceeds "
                 f"{MAX_IRREDUCIBILITY_DEGREE}"
             )
-        if not is_irreducible(f):
-            raise ComponentValidationError("not a field component: f is reducible")
         theta = theta % f
-        if theta.is_zero:
-            raise ComponentValidationError("theta must be nonzero in F")
         # h is monic of degree 2m by construction; it is the minimal
-        # polynomial of sqrt(theta) over Q exactly when K is a field.
+        # polynomial of sqrt(theta) over Q exactly when K is a field.  It is
+        # reducible if f is or theta = 0, so f is tested only to name why.
         h = resultant_in_y(f, theta)
         if not is_irreducible(h):
+            if not is_irreducible(f):
+                raise ComponentValidationError("not a field component: f is reducible")
+            if theta.is_zero:
+                raise ComponentValidationError("theta must be nonzero in F")
             raise ComponentValidationError(
                 "not a field component: sqrt(theta) does not generate a field "
                 "of the full degree"
@@ -210,14 +210,13 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             *factor_rational(discriminant(h), bad)
         )
         gaps = frozenset(bad - {2})
+        # Ramified real places are the roots of f where theta < 0.
+        real_count = tarski_query(f, PolyQ.one())
+        ramified_count = (real_count - tarski_query(f, theta)) // 2
     assert all(h.coeff(j) == 0 for j in range(1, h.degree, 2)), "h must be even"
 
     det_sign = -1 if (h.degree // 2) % 2 else 1
     det_class = SquareClass.of(det_sign) * disc_class
-
-    real_roots = isolate_real_roots(f)
-    theta_signs = tuple(r.sign_of(theta) for r in real_roots)
-    assert all(s != 0 for s in theta_signs), "theta cannot vanish at a root of f"
 
     return Component(
         spec=spec,
@@ -228,8 +227,8 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         degree=h.degree,
         disc_class=disc_class,
         det_class=det_class,
-        real_roots=real_roots,
-        theta_signs=theta_signs,
+        real_count=real_count,
+        ramified_count=ramified_count,
         exactness_gaps=gaps,
     )
 
@@ -257,12 +256,15 @@ def component_split_at(
         if annotation == NONSPLIT:
             return SplitStatus.nonsplit()
         return SplitStatus.indeterminate()
-    fp = c.f.reduce_mod_p(p)
     theta_p = c.theta.reduce_mod_p(p)
-    for g, _ in factor_mod_p(fp):
-        e = theta_p % g
-        assert not e.is_zero, "theta is a unit at exact primes"
-        if not ff_is_square(e, g):
+    one = PolyFp.one(p)
+    # r = theta^((p^k - 1)/2) is 1 or -1 modulo each degree-k factor of f, and
+    # 1 where theta is a square; by the Chinese remainder theorem r is 1
+    # modulo the block exactly when it is 1 modulo every factor.
+    for block, k in distinct_degree(c.f.reduce_mod_p(p)):
+        r = theta_p.pow_mod((p**k - 1) // 2, block)
+        assert r * r % block == one, "theta is a unit at exact primes"
+        if r != one:
             return SplitStatus.nonsplit()
     return SplitStatus.split()
 

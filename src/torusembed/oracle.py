@@ -34,6 +34,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .arith import PolyQ, SquareClass
+from .arith.sturm import tarski_query
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
 from .qform import QFInvariants, QuadraticSpace, orthogonal_sum
@@ -50,7 +51,6 @@ __all__ = [
     "enumerate_symmetric_units",
     "search_realizing_element",
     "fixed_field_image",
-    "signs_at_ramified_embeddings",
     "ramified_sign_counts",
 ]
 
@@ -312,30 +312,23 @@ def fixed_field_image(component: Component, part: PolyQ) -> PolyQ:
     return result
 
 
-def signs_at_ramified_embeddings(component: Component, part: PolyQ) -> list[int]:
-    """Signs of an involution-fixed part at the component's ramified real
-    embeddings, in the order of the base polynomial's real roots."""
-    image = fixed_field_image(component, part)
-    signs = []
-    for root, theta_sign in zip(component.real_roots, component.theta_signs):
-        if theta_sign < 0:
-            signs.append(root.sign_of(image))
-    return signs
-
-
 def ramified_sign_counts(
     algebra: EtaleAlgebra, alpha: AlgebraElement
 ) -> tuple[int, int]:
     """(positive, negative) counts of ``alpha`` over all ramified real
     embeddings of the algebra.  The trace form's signature is then
-    (2*pos + w, 2*neg + w) with w the unramified real weight."""
+    (2*pos + w, 2*neg + w) with w the unramified real weight.
+
+    With a the part's image in F and T(g) = tarski_query(f, g), the roots
+    where theta < 0 and a has sign e number (T(1) - T(theta) + e*T(a) -
+    e*T(theta*a)) / 4, and T(1) - T(theta) = 2 * ramified_count.
+    """
     pos = neg = 0
     for comp, part in zip(algebra.components, alpha.parts):
-        for s in signs_at_ramified_embeddings(comp, part):
-            if s > 0:
-                pos += 1
-            elif s < 0:
-                neg += 1
-            else:  # pragma: no cover - units have no real roots in common
-                raise ValueError("element vanishes at a real embedding")
+        a = fixed_field_image(comp, part)
+        if a.is_zero:
+            raise ValueError("element vanishes at a real embedding")
+        signed = tarski_query(comp.f, a) - tarski_query(comp.f, comp.theta * a)
+        pos += (2 * comp.ramified_count + signed) // 4
+        neg += (2 * comp.ramified_count - signed) // 4
     return pos, neg

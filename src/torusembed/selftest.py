@@ -4,7 +4,8 @@ Seven fixed-input suites, each running one kernel once: Hilbert symbols and
 Hasse bits, integer factorization, factorization mod p, irreducibility over Q,
 real-root isolation, the trace-form identities, and four decisions.  The
 randomized and brute-force checks live in ``tests/``.  ``torusembed
-selftest`` drives :func:`run_all`.
+selftest`` drives :func:`run_all`.  The suites check with :func:`_check`, not
+``assert``, so they still check under ``python -O``.
 """
 
 from __future__ import annotations
@@ -25,39 +26,44 @@ from .qform import QuadraticSpace
 __all__ = ["run_all"]
 
 
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise AssertionError(what)
+
+
 def _suite_hilbert() -> None:
     # (a, b, place, bit): bit 1 means the symbol (a, b) is -1 there.
     known = [(-1, -1, None, 1), (-1, -1, 2, 1), (-1, -1, 3, 0), (2, 3, 2, 1),
              (2, 3, 3, 1), (5, 7, 5, 1), (5, 7, 7, 1), (3, 5, 7, 0)]
     for a, b, p, bit in known:
         v = INFINITY if p is None else Place(p)
-        assert hilbert_symbol(a, b, v) == bit, f"({a}, {b}) at {v}"
+        _check(hilbert_symbol(a, b, v) == bit, f"({a}, {b}) at {v}")
     entries = (-3, 2, 6, -10, 7)
     for v in (Place(2), Place(3), Place(5), Place(7), INFINITY):
         pairs = itertools.combinations(entries, 2)
         pairwise = sum(hilbert_symbol(a, b, v) for a, b in pairs)
-        assert hasse_bit(entries, v) == pairwise % 2, f"hasse bit at {v}"
+        _check(hasse_bit(entries, v) == pairwise % 2, f"hasse bit at {v}")
 
 
 def _suite_factor_integer() -> None:
     p, q = 10**9 + 7, 10**9 + 9
-    assert factor_integer(p * q) == (1, [(p, 1), (q, 1)]), "factors of pq"
+    _check(factor_integer(p * q) == (1, [(p, 1), (q, 1)]), "factors of pq")
     for n in (-360, 9_973, 2**61 - 1, -12 * p * q):
         sign, factors = factor_integer(n)
-        assert sign * prod(r**e for r, e in factors) == n, f"factors of {n}"
+        _check(sign * prod(r**e for r, e in factors) == n, f"factors of {n}")
 
 
 def _suite_factor_mod_p() -> None:
     f = PolyFp.of(7, [3, 0, 2, 5, 0, 1, 1])  # x^6 + x^5 + 5x^3 + 2x^2 + 3
     factors = factor_mod_p(f)
-    assert all(is_irreducible_mod_p(g) for g, _ in factors), "reducible factor"
+    _check(all(is_irreducible_mod_p(g) for g, _ in factors), "reducible factor")
     copies = (g for g, e in factors for _ in range(e))
-    assert prod(copies, start=PolyFp.one(7)) == f, "factors do not multiply back"
+    _check(prod(copies, start=PolyFp.one(7)) == f, "factors do not multiply back")
 
 
 def _suite_irreducible() -> None:
-    assert is_irreducible(PolyQ.of((1, 0, 0, 0, 1))), "x^4 + 1 is irreducible"
-    assert not is_irreducible(PolyQ.of((6, 0, -5, 0, 1))), "(x^2 - 2)(x^2 - 3)"
+    _check(is_irreducible(PolyQ.of((1, 0, 0, 0, 1))), "x^4 + 1 is irreducible")
+    _check(not is_irreducible(PolyQ.of((6, 0, -5, 0, 1))), "(x^2 - 2)(x^2 - 3)")
 
 
 def _suite_real_roots() -> None:
@@ -65,7 +71,7 @@ def _suite_real_roots() -> None:
     for coeffs in [(2, 0, 1), (-2, 0, 1), (0, -1, 0, 1), (-6, 11, -6, 1),
                    (-2, 0, 0, 0, 1)]:
         f = PolyQ.of(coeffs)
-        assert len(isolate_real_roots(f)) == real_root_count(f), f"roots of {f}"
+        _check(len(isolate_real_roots(f)) == real_root_count(f), f"roots of {f}")
 
 
 def _suite_trace_identities() -> None:
@@ -74,22 +80,24 @@ def _suite_trace_identities() -> None:
     w = algebra.unramified_real_weight
     for alpha in itertools.islice(enumerate_symmetric_units(algebra, 1), 8):
         inv = trace_form(algebra, alpha).invariants
-        assert inv.disc == algebra.disc_class, f"disc identity fails for {alpha}"
+        _check(inv.disc == algebra.disc_class, f"disc identity fails for {alpha}")
         pos, neg = ramified_sign_counts(algebra, alpha)
-        assert inv.signature == (2 * pos + w, 2 * neg + w), f"signature of {alpha}"
+        _check(inv.signature == (2 * pos + w, 2 * neg + w), f"signature of {alpha}")
 
 
 def _suite_decide() -> None:
     Qi = build_algebra([QuadSpec(-1)])
     pair = build_algebra([QuadSpec(-1), QuadSpec(-3)])
     d1 = decide(Qi, QuadraticSpace.of([1, 1]))
-    assert d1.verdict == "realizable" and d1.fast_path == "cm" and d1.parity == (0,)
+    _check((d1.verdict, d1.fast_path, d1.parity) == ("realizable", "cm", (0,)), "<1, 1>")
     d2 = decide(Qi, QuadraticSpace.of([1, -1]))
-    assert d2.verdict == "locally_fails" and d2.local.failing_condition == "signature"
+    _check(d2.verdict == "locally_fails", "<1, -1> fails")
+    _check(d2.local.failing_condition == "signature", "<1, -1> fails the signature")
     d3 = decide(pair, QuadraticSpace.of([1, 1, 1, 3]))
-    assert d3.verdict == "realizable" and sum(d3.parity) % 2 == 0
+    _check(d3.verdict == "realizable" and sum(d3.parity) % 2 == 0, "<1, 1, 1, 3>")
     d4 = decide(pair, QuadraticSpace.of([1, 1, 1, 1]))
-    assert d4.verdict == "locally_fails" and d4.local.failing_condition == "disc"
+    _check(d4.verdict == "locally_fails", "<1, 1, 1, 1> fails")
+    _check(d4.local.failing_condition == "disc", "<1, 1, 1, 1> fails the disc")
 
 
 _SUITES = [

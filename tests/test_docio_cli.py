@@ -677,5 +677,28 @@ def test_cli_selftest_needs_no_test_dependencies():
     assert proc.stdout == "[]\n"
 
 
+def test_selftest_still_checks_under_optimize():
+    # python -O strips assert statements; a broken kernel must still fail
+    # its suite there.
+    script = (
+        "import sys\n"
+        "import torusembed.selftest as st\n"
+        "assert False, 'asserts are live'\n"
+        "st.hilbert_symbol = lambda a, b, v: 0\n"
+        "print(st.run_all(quiet=True))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
 def test_cli_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

@@ -11,8 +11,10 @@ from torusembed.arith.integers import is_probable_prime, squarefree_part
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyfp import factor_mod_p
 from torusembed.arith.polyq import PolyQ, discriminant, resultant
+from torusembed.arith.sturm import isolate_real_roots
 from torusembed.errors import ComponentValidationError
 from torusembed.etale import build_algebra, build_component
+from torusembed.oracle import make_element, trace_form
 
 from helpers import algebra, diag, general, quad, random_general_spec
 
@@ -123,9 +125,84 @@ def test_h_is_the_resultant_of_f_and_x2_minus_theta():
             assert c.h.evaluate(x0) == expected, (c.f.coeffs, c.theta.coeffs, x0)
 
 
+def test_real_counts_match_isolation_and_trace_signature():
+    # real_count and ramified_count come from Tarski queries.  The references
+    # are the isolated real roots of f and the signature (r, s) of the trace
+    # form of alpha = 1, which is (2 * ramified + w, w).  The first 40 cases
+    # have deg f <= 4 and theta of any lower degree; the rest reach deg f = 5
+    # with a linear theta, since building a component factors disc(h), which
+    # can take seconds for deg h = 10 and a theta of full degree.
+    rng = random.Random(7)
+    seen = set()
+    for i in range(60):
+        spec = random_general_spec(rng) if i < 40 else random_general_spec(rng, 5, 2)
+        c = build_component(spec)
+        assert c.real_count == len(isolate_real_roots(c.f)), spec
+        alg = build_algebra([spec])
+        r, s = trace_form(alg, make_element(alg, [1])).invariants.signature
+        assert c.ramified_count == (r - s) // 2 and (r - s) % 2 == 0, spec
+        seen.add((c.fixed_degree, c.real_count, c.ramified_count))
+    assert {m for m, _, _ in seen} == {1, 2, 3, 4, 5}
+    assert len({(real, ram) for _, real, ram in seen}) >= 6
+
+
+def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
+    calls = []
+    real_is_irreducible = etale.is_irreducible
+
+    def counting(g):
+        calls.append(g)
+        return real_is_irreducible(g)
+
+    rng = random.Random(11)
+    specs = [random_general_spec(rng) for _ in range(20)]
+    monkeypatch.setattr(etale, "is_irreducible", counting)
+    for spec in specs:
+        calls.clear()
+        c = build_component(spec)
+        assert calls == [c.h], spec
+    # Each message for its own input, in the old precedence: a reducible f
+    # is named even when theta is also 0 mod f.
+    cases = [
+        (general([-1, 0, 1], [0, 1]), "f is reducible"),
+        (general([-1, 0, 1], [-1, 0, 1]), "f is reducible"),
+        (general([-2, 0, 1], [0]), "theta must be nonzero"),
+        (general([-2, 0, 1], [-2, 0, 1]), "theta must be nonzero"),
+        (general([-2, 0, 1], [1]), "does not generate a field"),
+    ]
+    for spec, message in cases:
+        with pytest.raises(ComponentValidationError, match=message):
+            build_component(spec)
+
+
+def test_block_rule_splitting_against_factor_counts():
+    # At a prime where f and h stay squarefree, every place above p splits
+    # iff h has twice as many irreducible factors mod p as f; random fields
+    # of degree up to 5 (with a linear theta in the last six) give blocks
+    # holding several factors.
+    rng = random.Random(5)
+    checked = multi = 0
+    for i in range(12):
+        spec = random_general_spec(rng) if i < 6 else random_general_spec(rng, 5, 2)
+        c = build_component(spec)
+        alg = build_algebra([spec])
+        bad = discriminant(c.f).numerator * discriminant(c.h).numerator
+        for p in primes_up_to(60):
+            if p == 2 or p in c.exactness_gaps or bad % p == 0:
+                continue
+            f_factors = factor_mod_p(c.f.reduce_mod_p(p))
+            h_factors = factor_mod_p(c.h.reduce_mod_p(p))
+            status = alg.component_split(0, Place.finite(p))
+            assert status.is_split == (len(h_factors) == 2 * len(f_factors)), (spec, p)
+            degrees = [g.degree for g, _ in f_factors]
+            multi += len(degrees) > len(set(degrees))
+            checked += 1
+    assert checked >= 100 and multi >= 20
+
+
 def test_quad_component_factors_d_once(monkeypatch):
-    # The squarefree check factors d; the real root of f = y - d is read off
-    # the linear polynomial, with no divisor search that factors d again.
+    # The squarefree check factors d; the real place is read off the sign of
+    # d, with no root search that factors d again.
     seen = []
     real_factor = integers.factor_integer
 
@@ -138,13 +215,12 @@ def test_quad_component_factors_d_once(monkeypatch):
     d = -7 * (10**6 + 3)
     c = build_component(quad(d))
     assert seen == [d]
-    assert [r.lo for r in c.real_roots] == [d]
     assert c.real_profile == (1, 0, 0)
 
 
 def test_quad_component_root_needs_no_squarefree_part(monkeypatch):
-    # f = y - d has the exact root d; isolating it needs no squarefree part
-    # and no Sturm chain.
+    # F = Q has one real place, ramified exactly when d < 0: no squarefree
+    # part and no Sturm chain.
     def refuse(self):
         raise AssertionError("squarefree_part called for a linear f")
 
@@ -153,10 +229,6 @@ def test_quad_component_root_needs_no_squarefree_part(monkeypatch):
         if squarefree_part(d) != d:
             continue
         c = build_component(quad(d))
-        [root] = c.real_roots
-        assert root.exact and root.lo == root.hi == d
-        assert root.poly.coeffs == (-d, 1)
-        assert c.theta_signs == ((1,) if d > 0 else (-1,))
         assert c.real_profile == ((0, 1, 0) if d > 0 else (1, 0, 0))
 
 

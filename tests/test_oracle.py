@@ -21,7 +21,6 @@ from torusembed.oracle import (
     ramified_sign_counts,
     search_realizing_element,
     sigma_apply,
-    signs_at_ramified_embeddings,
     trace_form,
 )
 from torusembed.qform import QuadraticSpace, equivalent_over_q, orthogonal_sum
@@ -270,13 +269,15 @@ def test_fixed_field_image():
 
 
 def test_signs_at_ramified_embeddings():
-    comp = algebra(general([-2, 0, 1], [0, 1])).components[0]
+    alg = algebra(general([-2, 0, 1], [0, 1]))
     # Only the embedding y -> -sqrt(2) is ramified (theta < 0 there).
-    assert signs_at_ramified_embeddings(comp, symmetric_part([1])) == [1]
-    assert signs_at_ramified_embeddings(comp, symmetric_part([0, 1])) == [-1]
-    cm = algebra(general([-2, 0, 1], [-2, 1])).components[0]
-    assert signs_at_ramified_embeddings(cm, symmetric_part([1])) == [1, 1]
-    assert signs_at_ramified_embeddings(cm, symmetric_part([-1])) == [-1, -1]
+    assert ramified_sign_counts(alg, make_element(alg, [symmetric_part([1])])) == (1, 0)
+    assert ramified_sign_counts(
+        alg, make_element(alg, [symmetric_part([0, 1])])
+    ) == (0, 1)
+    cm = algebra(general([-2, 0, 1], [-2, 1]))
+    assert ramified_sign_counts(cm, make_element(cm, [symmetric_part([1])])) == (2, 0)
+    assert ramified_sign_counts(cm, make_element(cm, [symmetric_part([-1])])) == (0, 2)
 
 
 def test_ramified_sign_counts_pairs():

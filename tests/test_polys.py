@@ -7,8 +7,8 @@ import pytest
 
 from torusembed.arith.polyfp import (
     PolyFp,
+    distinct_degree,
     factor_mod_p,
-    ff_is_square,
     is_irreducible_mod_p,
 )
 from torusembed.arith.polyq import (
@@ -26,6 +26,7 @@ from torusembed.arith.sturm import (
     isolate_real_roots,
     real_root_count,
     root_bound,
+    tarski_query,
 )
 
 P = PolyQ.of
@@ -205,15 +206,29 @@ def test_factor_mod_p_frozen_cases():
     assert not is_irreducible_mod_p(PolyFp.of(5, [1, 0, 1]))
 
 
+def square_at_every_factor(e: PolyFp, block: PolyFp, k: int) -> bool:
+    """The block rule: e^((p^k - 1)/2) is 1 modulo the whole block."""
+    return e.pow_mod((e.p**k - 1) // 2, block) == PolyFp.one(e.p)
+
+
 def test_ff_is_square_in_f9():
-    modulus = PolyFp.of(3, [1, 0, 1])  # F_9 = F_3[x]/(x^2+1)
-    assert ff_is_square(PolyFp.of(3, [2]), modulus)  # -1 has order 2
-    assert ff_is_square(PolyFp.of(3, [0, 1]), modulus)  # x has order 4
-    assert not ff_is_square(PolyFp.of(3, [1, 1]), modulus)  # x+1 generates
+    [(modulus, k)] = distinct_degree(PolyFp.of(3, [1, 0, 1]))  # F_9 = F_3[x]/(x^2+1)
+    assert k == 2
+    assert square_at_every_factor(PolyFp.of(3, [2]), modulus, k)  # -1 has order 2
+    assert square_at_every_factor(PolyFp.of(3, [0, 1]), modulus, k)  # x has order 4
+    assert not square_at_every_factor(PolyFp.of(3, [1, 1]), modulus, k)  # x+1 generates
     # Consistency with the prime field: squares mod 7 are {1, 2, 4}.
-    m7 = PolyFp.of(7, [3, 1])
+    [(m7, k)] = distinct_degree(PolyFp.of(7, [3, 1]))
     for a, expected in ((1, True), (2, True), (3, False), (4, True), (5, False)):
-        assert ff_is_square(PolyFp.of(7, [a]), m7) == expected
+        assert square_at_every_factor(PolyFp.of(7, [a]), m7, k) == expected
+    # A block of several factors: x is a square at the roots 1, 2 and 4 of
+    # (x - 1)(x - 2)(x - 4) mod 7, but not at the root 3 of (x - 1)(x - 3).
+    x7 = PolyFp.x(7)
+    [(block, k)] = distinct_degree(PolyFp.of(7, [-8, 14, -7, 1]))
+    assert (block.degree, k) == (3, 1)
+    assert square_at_every_factor(x7, block, k)
+    [(block, k)] = distinct_degree(PolyFp.of(7, [3, -4, 1]))
+    assert not square_at_every_factor(x7, block, k)
 
 
 def test_sturm_real_root_counts():
@@ -229,22 +244,22 @@ def test_isolate_and_refine_real_roots():
     f = P([-2, 0, 1]) * P([-3, 0, 1])
     roots = isolate_real_roots(f)
     assert len(roots) == 4
-    approxes = []
-    for r in roots:
-        r.refine(Fraction(1, 10**6))
-        approxes.append(float(r.approx()))
-    expected = [-(3**0.5), -(2**0.5), 2**0.5, 3**0.5]
-    for got, want in zip(approxes, expected, strict=True):
-        assert abs(got - want) < 1e-5
     bound = root_bound(f)
-    assert all(abs(a) <= float(bound) for a in approxes)
+    expected = [-(3**0.5), -(2**0.5), 2**0.5, 3**0.5]
+    for r, want in zip(roots, expected, strict=True):
+        assert -bound < r.lo < want < r.hi < bound
+        while r.hi - r.lo > Fraction(1, 10**6):
+            r.refine_once()
+            assert r.lo < want < r.hi
+        assert f.evaluate(r.lo) * f.evaluate(r.hi) < 0
 
 
 def test_real_root_sign_of():
     f = P([-2, 0, 1])
-    neg_root, pos_root = isolate_real_roots(f)
-    g = P([0, 1])  # evaluates the root itself
-    assert neg_root.sign_of(g) == -1
-    assert pos_root.sign_of(g) == 1
-    assert pos_root.sign_of(P([-2, 0, 1])) == 0  # vanishes at the root
-    assert neg_root.sign_of(P([5])) == 1
+    assert tarski_query(f, P([1])) == 2
+    assert tarski_query(f, P([0, 1])) == 0  # -1 at -sqrt(2), +1 at sqrt(2)
+    assert tarski_query(f, P([-2, 0, 1])) == 0  # vanishes at both roots
+    assert tarski_query(f, P([5])) == 2
+    assert tarski_query(f, P([-2, 1])) == -2  # y - 2 is negative at both roots
+    assert tarski_query(f, P([-1, 1])) == 0  # y - 1: -1, then +1
+    assert tarski_query(f * P([-1, 1]), P([0, 1])) == 1  # adds the root 1

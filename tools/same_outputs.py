@@ -1,0 +1,112 @@
+"""Check that two source trees give the same outputs on the benchmark corpus.
+
+Usage, from the repository root:
+
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC [--count N]
+
+Each ``*_SRC`` is a directory that holds the ``torusembed`` package (the
+``src/`` of a checkout).  The documents of all four workloads are generated
+by ``bench/corpus.py`` at seeds 1 and 2, ``bench/run.py``'s ``E2E_COUNT`` of
+them per workload (at most N with ``--count``).  Every document is run through
+``decide --json``, and every ``oracle-search`` document also through
+``oracle --json``.  Each tree runs all of them in one child process, as
+in-process ``torusembed.cli.main`` calls.  The tool exits 1 at the first run
+whose stdout or exit code differs, and 0 when every run agrees.  It uses only
+the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+sys.dont_write_bytecode = True  # leave bench/ as it is
+
+import corpus  # noqa: E402
+from run import E2E_COUNT  # noqa: E402
+
+# Runs every argv of the JSON list in argv[1] and writes [code, stdout] pairs
+# to argv[2], with the path of the cli module that ran them.
+_CHILD = r"""
+import contextlib, io, json, sys
+from torusembed import cli
+with open(sys.argv[1], encoding="utf-8") as fh:
+    runs = json.load(fh)
+out = []
+for argv in runs:
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        code = f"raised {type(exc).__name__}: {exc}"
+    out.append([code, buf.getvalue()])
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump({"module": cli.__file__, "runs": out}, fh)
+"""
+
+
+def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
+    """Write every generated document under ``work``; return the argv lists."""
+    goldens = corpus.load_goldens(ROOT)
+    runs = []
+    for workload in corpus.WORKLOADS:
+        n = E2E_COUNT[workload] if count is None else min(count, E2E_COUNT[workload])
+        for seed in (1, 2):
+            ops = corpus.generate(workload, seed, n, goldens)
+            manifest = corpus.write_corpus(ops, work / f"{workload}-{seed}")
+            for entry in manifest:
+                runs.append(["decide", entry["path"], "--json"])
+                if workload == "oracle-search":
+                    runs.append(["oracle", entry["path"], "--json"])
+    return runs
+
+
+def run_side(src: Path, runs_file: Path, out_file: Path) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c", _CHILD, str(runs_file), str(out_file)],
+        env=env,
+        check=True,
+    )
+    result = json.loads(out_file.read_text(encoding="utf-8"))
+    module = Path(result["module"]).resolve()
+    if src.resolve() not in module.parents:
+        raise SystemExit(f"{src}: imported torusembed from {module} instead")
+    return result["runs"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src", type=Path)
+    ap.add_argument("new_src", type=Path)
+    ap.add_argument("--count", type=int, default=None, help="documents per workload")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        runs = corpus_runs(work / "docs", args.count)
+        runs_file = work / "runs.json"
+        runs_file.write_text(json.dumps(runs), encoding="utf-8")
+        old = run_side(args.old_src, runs_file, work / "old.json")
+        new = run_side(args.new_src, runs_file, work / "new.json")
+        for argv_k, (code_a, out_a), (code_b, out_b) in zip(runs, old, new, strict=True):
+            if code_a != code_b or out_a != out_b:
+                name = Path(argv_k[1]).relative_to(work / "docs")
+                what = "exit code" if code_a != code_b else "stdout"
+                print(f"differs: {argv_k[0]} {name}: {what} ({code_a} vs {code_b})")
+                return 1
+    print(f"{len(runs)} runs: identical stdout and exit codes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
