@@ -27,7 +27,11 @@ class PolyQ:
 
     @classmethod
     def of(cls, coeffs) -> "PolyQ":
-        cs = [Fraction(c) for c in coeffs]
+        return cls._trusted([Fraction(c) for c in coeffs])
+
+    @classmethod
+    def _trusted(cls, cs: list[Fraction]) -> "PolyQ":
+        """Wrap a list that already holds Fractions, stripping trailing zeros."""
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -72,7 +76,7 @@ class PolyQ:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return PolyQ.of(out)
+        return PolyQ._trusted(out)
 
     def __neg__(self) -> "PolyQ":
         return PolyQ(tuple(-c for c in self.coeffs))
@@ -89,11 +93,11 @@ class PolyQ:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return PolyQ.of(out)
+        return PolyQ._trusted(out)
 
     def scale(self, c) -> "PolyQ":
         c = Fraction(c)
-        return PolyQ.of([c * a for a in self.coeffs])
+        return PolyQ._trusted([c * a for a in self.coeffs])
 
     def monic(self) -> "PolyQ":
         if self.is_zero:
@@ -114,7 +118,7 @@ class PolyQ:
                 rem[k + i] -= c * oc
             while rem and rem[-1] == 0:
                 rem.pop()
-        return PolyQ.of(q), PolyQ.of(rem)
+        return PolyQ._trusted(q), PolyQ._trusted(rem)
 
     def __mod__(self, other: "PolyQ") -> "PolyQ":
         return self.divmod(other)[1]
@@ -129,7 +133,7 @@ class PolyQ:
         return a.monic()
 
     def derivative(self) -> "PolyQ":
-        return PolyQ.of([i * c for i, c in enumerate(self.coeffs)][1:])
+        return PolyQ._trusted([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)

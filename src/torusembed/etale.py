@@ -16,21 +16,35 @@ The power sums of h's roots, p_w = Tr_{K/Q}(sqrt(theta)^w), which are
 2*Tr_{F/Q}(theta^(w/2)) for even w and 0 for odd w, give every trace-form
 Gram block.
 
+A general component is a field exactly when h is irreducible, that is, when
+chi is irreducible (theta generates F) and theta is not a square in F.  The
+second condition is settled by one good prime (an odd prime outside the gap
+set below) where theta is a non-square modulo a distinct-degree block of
+f mod p; h itself is factored only if theta is a square at the first few good
+primes.
+
 Each component also carries discriminant and determinant square classes, the
 counts of its real places (ramified = theta negative there) from Tarski
-queries, and a prime-splitting oracle.  For general components the splitting
-is read off the distinct-degree blocks of f mod p, exactly at odd primes away
-from a finite documented gap set (primes dividing the data's
-discriminants/resultants, plus 2); at the gap primes the oracle abstains
-unless the user supplies an annotation.
+queries, and a prime-splitting oracle.  The discriminant class is that of the
+norm Res(f, theta), since disc(h) = 4^m * Res(f, theta) * disc(chi)^2.  For
+general components the splitting is read off the distinct-degree blocks of
+f mod p by the same rule, exactly at odd primes away from a finite documented
+gap set (primes dividing the data's discriminants/resultants, plus 2); at the
+gap primes the oracle abstains unless the user supplies an annotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
+from torusembed.arith.integers import (
+    SquareClass,
+    factor_integer,
+    factor_rational,
+    iter_primes,
+)
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import PolyFp, distinct_degree
 from torusembed.arith.polyq import (
@@ -150,6 +164,11 @@ class Component:
         return self.unramified_real_count + self.complex_pair_count
 
 
+_NOT_FULL_DEGREE = (
+    "not a field component: sqrt(theta) does not generate a field of the full degree"
+)
+
+
 def build_component(spec: QuadSpec | GeneralSpec) -> Component:
     """Validate a component description and compute its derived data."""
     if isinstance(spec, QuadSpec):
@@ -164,6 +183,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         f = PolyQ.of((-d, 1))
         theta = PolyQ.of((d,))
         h = resultant_in_y(f, theta)
+        chi = f  # h = x^2 - d = chi(x^2)
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
@@ -181,39 +201,50 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
                 f"{MAX_IRREDUCIBILITY_DEGREE}"
             )
         theta = theta % f
-        # h is monic of degree 2m by construction; it is the minimal
-        # polynomial of sqrt(theta) over Q exactly when K is a field.  It is
-        # reducible if f is or theta = 0, so f is tested only to name why.
+        # h = chi(x^2) is monic of degree 2m; it is the minimal polynomial of
+        # sqrt(theta) over Q exactly when K is a field, that is, when theta
+        # generates F (chi irreducible, which needs f irreducible and theta
+        # nonzero) and theta is not a square in F.  f is tested only to name
+        # why chi is not irreducible.
         h = resultant_in_y(f, theta)
-        if not is_irreducible(h):
+        chi = PolyQ(h.coeffs[::2])
+        if theta.is_zero or not is_irreducible(chi):
             if not is_irreducible(f):
                 raise ComponentValidationError("not a field component: f is reducible")
             if theta.is_zero:
                 raise ComponentValidationError("theta must be nonzero in F")
-            raise ComponentValidationError(
-                "not a field component: sqrt(theta) does not generate a field "
-                "of the full degree"
-            )
+            raise ComponentValidationError(_NOT_FULL_DEGREE)
         # The gap set: odd primes of the denominators, disc(f) and
         # Res(f, t*theta).  Each number is factored after dividing out the
-        # primes already found, and so is disc(h).
+        # primes already found.
         t = integerize(theta)[1]
+        norm = resultant(f, theta.scale(t))
         bad: set[int] = set()
-        for x in (
-            integerize(f)[1],
-            discriminant(f),
-            t,
-            resultant(f, theta.scale(t)),
-        ):
+        for x in (integerize(f)[1], discriminant(f), t, norm):
             bad.update(factor_rational(x, bad)[1])
+        # A square root of theta in F would reduce to one at every good
+        # prime, where f stays squarefree and theta a unit: a good prime
+        # where theta is a non-square modulo one block proves that K is a
+        # field.  Only if none of the first few primes does is h factored.
+        good = (p for p in iter_primes() if p != 2 and p not in bad)
+        if all(_is_square_at(f, theta, p) for p in islice(good, 8)):
+            if not is_irreducible(h):
+                raise ComponentValidationError(_NOT_FULL_DEGREE)
+        # disc(h) = 4^m * Res(f, theta) * disc(chi)^2, and Res(f, t*theta)
+        # = t^m * Res(f, theta), so disc(h) is in the class of norm * t^m,
+        # whose primes are all in the gap set already.
         disc_class = SquareClass.from_factors(
-            *factor_rational(discriminant(h), bad)
+            *factor_rational(norm * t**f.degree, bad)
         )
         gaps = frozenset(bad - {2})
         # Ramified real places are the roots of f where theta < 0.
         real_count = tarski_query(f, PolyQ.one())
         ramified_count = (real_count - tarski_query(f, theta)) // 2
     assert all(h.coeff(j) == 0 for j in range(1, h.degree, 2)), "h must be even"
+    # The power sums of h's roots, p_0 .. p_(6m-4): p_(2k) = 2 * s_k(chi), and
+    # the odd ones are 0.
+    zero = Fraction(0)
+    sums = [c for s in power_sums(chi, 3 * f.degree - 1) for c in (2 * s, zero)]
 
     det_sign = -1 if (h.degree // 2) % 2 else 1
     det_class = SquareClass.of(det_sign) * disc_class
@@ -223,7 +254,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         f=f,
         theta=theta,
         h=h,
-        power_sums=tuple(power_sums(h, 3 * h.degree - 3)),
+        power_sums=tuple(sums[:-1]),
         degree=h.degree,
         disc_class=disc_class,
         det_class=det_class,
@@ -231,6 +262,23 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         ramified_count=ramified_count,
         exactness_gaps=gaps,
     )
+
+
+def _is_square_at(f: PolyQ, theta: PolyQ, p: int) -> bool:
+    """Whether theta is a square at every place of F above the good prime p.
+
+    r = theta^((p^k - 1)/2) is 1 or -1 modulo each degree-k factor of f, and
+    1 where theta is a square; by the Chinese remainder theorem r is 1
+    modulo the block exactly when it is 1 modulo every factor.
+    """
+    theta_p = theta.reduce_mod_p(p)
+    one = PolyFp.one(p)
+    for block, k in distinct_degree(f.reduce_mod_p(p)):
+        r = theta_p.pow_mod((p**k - 1) // 2, block)
+        assert r * r % block == one, "theta is a unit at good primes"
+        if r != one:
+            return False
+    return True
 
 
 def component_split_at(
@@ -256,17 +304,9 @@ def component_split_at(
         if annotation == NONSPLIT:
             return SplitStatus.nonsplit()
         return SplitStatus.indeterminate()
-    theta_p = c.theta.reduce_mod_p(p)
-    one = PolyFp.one(p)
-    # r = theta^((p^k - 1)/2) is 1 or -1 modulo each degree-k factor of f, and
-    # 1 where theta is a square; by the Chinese remainder theorem r is 1
-    # modulo the block exactly when it is 1 modulo every factor.
-    for block, k in distinct_degree(c.f.reduce_mod_p(p)):
-        r = theta_p.pow_mod((p**k - 1) // 2, block)
-        assert r * r % block == one, "theta is a unit at exact primes"
-        if r != one:
-            return SplitStatus.nonsplit()
-    return SplitStatus.split()
+    if _is_square_at(c.f, c.theta, p):
+        return SplitStatus.split()
+    return SplitStatus.nonsplit()
 
 
 def component_split_at_infinity(c: Component) -> SplitStatus:

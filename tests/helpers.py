@@ -37,17 +37,13 @@ def algebra(*specs, annotations=None) -> EtaleAlgebra:
     return build_algebra(specs, annotations)
 
 
-def random_general_spec(
-    rng: random.Random, max_degree: int = 4, theta_terms: int | None = None
-) -> GeneralSpec:
+def random_general_spec(rng: random.Random, max_degree: int = 4) -> GeneralSpec:
     """A valid general component: f monic of degree 1..max_degree and theta of
-    lower degree (below theta_terms when given), both with small rational
-    coefficients."""
+    lower degree, both with small rational coefficients."""
     while True:
         m = rng.randint(1, max_degree)
         f = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2))) for _ in range(m)]
-        k = m if theta_terms is None else min(m, theta_terms)
-        theta = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3))) for _ in range(k)]
+        theta = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3))) for _ in range(m)]
         spec = general(f + [1], theta)
         try:
             build_component(spec)

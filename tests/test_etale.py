@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,10 +12,16 @@ from torusembed.arith import integers
 from torusembed.arith.integers import is_probable_prime, squarefree_part
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyfp import factor_mod_p
-from torusembed.arith.polyq import PolyQ, discriminant, resultant
+from torusembed.arith.polyq import (
+    PolyQ,
+    discriminant,
+    is_irreducible,
+    resultant,
+    resultant_in_y,
+)
 from torusembed.arith.sturm import isolate_real_roots
 from torusembed.errors import ComponentValidationError
-from torusembed.etale import build_algebra, build_component
+from torusembed.etale import GeneralSpec, build_algebra, build_component
 from torusembed.oracle import make_element, trace_form
 
 from helpers import algebra, diag, general, quad, random_general_spec
@@ -129,17 +137,19 @@ def test_real_counts_match_isolation_and_trace_signature():
     # real_count and ramified_count come from Tarski queries.  The references
     # are the isolated real roots of f and the signature (r, s) of the trace
     # form of alpha = 1, which is (2 * ramified + w, w).  The first 40 cases
-    # have deg f <= 4 and theta of any lower degree; the rest reach deg f = 5
-    # with a linear theta, since building a component factors disc(h), which
-    # can take seconds for deg h = 10 and a theta of full degree.
+    # have deg f <= 4, the rest reach deg f = 5; theta has any lower degree.
     rng = random.Random(7)
     seen = set()
     for i in range(60):
-        spec = random_general_spec(rng) if i < 40 else random_general_spec(rng, 5, 2)
+        spec = random_general_spec(rng) if i < 40 else random_general_spec(rng, 5)
         c = build_component(spec)
         assert c.real_count == len(isolate_real_roots(c.f)), spec
         alg = build_algebra([spec])
-        r, s = trace_form(alg, make_element(alg, [1])).invariants.signature
+        # The signature from the signs of the diagonal: the full invariants
+        # would factor its entries, which can be large at degree 10.
+        diagonal = trace_form(alg, make_element(alg, [1])).space.diagonal
+        r = sum(a > 0 for a in diagonal)
+        s = len(diagonal) - r
         assert c.ramified_count == (r - s) // 2 and (r - s) % 2 == 0, spec
         seen.add((c.fixed_degree, c.real_count, c.ramified_count))
     assert {m for m, _, _ in seen} == {1, 2, 3, 4, 5}
@@ -147,6 +157,9 @@ def test_real_counts_match_isolation_and_trace_signature():
 
 
 def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
+    # A valid component is checked through chi = h's even coefficients and
+    # a good prime where theta is a non-square; h is factored only when
+    # theta is a square at every prime tried, and f only to name an error.
     calls = []
     real_is_irreducible = etale.is_irreducible
 
@@ -160,30 +173,135 @@ def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
     for spec in specs:
         calls.clear()
         c = build_component(spec)
-        assert calls == [c.h], spec
+        assert calls == [PolyQ(c.h.coeffs[::2])], spec
     # Each message for its own input, in the old precedence: a reducible f
     # is named even when theta is also 0 mod f.
+    f2 = [-2, 0, 1]
     cases = [
-        (general([-1, 0, 1], [0, 1]), "f is reducible"),
-        (general([-1, 0, 1], [-1, 0, 1]), "f is reducible"),
-        (general([-2, 0, 1], [0]), "theta must be nonzero"),
-        (general([-2, 0, 1], [-2, 0, 1]), "theta must be nonzero"),
-        (general([-2, 0, 1], [1]), "does not generate a field"),
+        ([-1, 0, 1], [0, 1], "f is reducible", ["chi", "f"]),
+        ([-1, 0, 1], [-1, 0, 1], "f is reducible", ["f"]),
+        (f2, [0], "theta must be nonzero", ["f"]),
+        (f2, [-2, 0, 1], "theta must be nonzero", ["f"]),
+        (f2, [1], "does not generate a field", ["chi", "f"]),
+        # theta = 3 is a non-square but rational, so chi = (x - 3)^2.
+        (f2, [3], "does not generate a field", ["chi", "f"]),
+        # theta = (1 + y)^2 = 3 + 2y generates F (chi = x^2 - 6x + 1) and is
+        # a square at every prime, so only h decides.
+        (f2, [3, 2], "does not generate a field", ["chi", "h"]),
     ]
-    for spec, message in cases:
+    for f_coeffs, theta_coeffs, message, names in cases:
+        f = PolyQ.of(f_coeffs)
+        h = resultant_in_y(f, PolyQ.of(theta_coeffs) % f)
+        polys = {"f": f, "h": h, "chi": PolyQ(h.coeffs[::2])}
+        calls.clear()
         with pytest.raises(ComponentValidationError, match=message):
-            build_component(spec)
+            build_component(general(f_coeffs, theta_coeffs))
+        assert calls == [polys[n] for n in names], (f_coeffs, theta_coeffs)
+    assert polys["chi"] == PolyQ.of([1, -6, 1])
+
+
+def _reference_validation(f: PolyQ, theta: PolyQ) -> str | None:
+    """Validation by h alone: None when h is irreducible, else the message
+    naming why, with a reducible f named first."""
+    theta = theta % f
+    if is_irreducible(resultant_in_y(f, theta)):
+        return None
+    if not is_irreducible(f):
+        return "f is reducible"
+    if theta.is_zero:
+        return "theta must be nonzero"
+    return "does not generate a field"
+
+
+def test_field_check_matches_irreducibility_of_h():
+    # Seeded random specs: a component is accepted exactly when h = chi(x^2)
+    # is irreducible, and otherwise fails with the message of that rule.
+    rng = random.Random(23)
+
+    def small(n):
+        return [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n)]
+
+    kinds = {}
+    square_generators = 0  # square theta with chi irreducible: h decides
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        if m >= 2 and rng.random() < 0.2:  # reducible f
+            k = rng.randint(1, m - 1)
+            f = PolyQ.of(small(k) + [1]) * PolyQ.of(small(m - k) + [1])
+        else:
+            f = PolyQ.of(small(m) + [1])
+        kind = rng.choice(("random", "random", "zero", "rational", "square"))
+        if kind == "zero":
+            theta = f * PolyQ.of(small(2))
+        elif kind == "rational":
+            theta = PolyQ.of(small(1))
+        elif kind == "square":
+            beta = PolyQ.of(small(m))
+            theta = beta * beta
+        else:
+            theta = PolyQ.of(small(m))
+        expected = _reference_validation(f, theta)
+        kinds[kind, expected] = kinds.get((kind, expected), 0) + 1
+        if kind == "square" and not (theta % f).is_zero:
+            chi = resultant_in_y(f, theta % f).coeffs[::2]
+            square_generators += is_irreducible(PolyQ(chi))
+        if expected is None:
+            build_component(GeneralSpec(f, theta))
+        else:
+            with pytest.raises(ComponentValidationError, match=expected):
+                build_component(GeneralSpec(f, theta))
+    assert {e for _, e in kinds} == {
+        None,
+        "f is reducible",
+        "theta must be nonzero",
+        "does not generate a field",
+    }
+    assert square_generators >= 10
+    assert kinds.get(("rational", "does not generate a field"), 0) >= 10
+
+
+def test_degree_five_disc_class_needs_no_large_factoring(monkeypatch):
+    # disc(h) has 87 digits here; its class comes from the norm Res(f, theta),
+    # whose primes the gap set already holds, so nothing large is factored.
+    real_factor = integers.factor_integer
+
+    def small_only(n):
+        assert len(str(abs(n))) <= 20, n
+        return real_factor(n)
+
+    monkeypatch.setattr(integers, "factor_integer", small_only)
+    monkeypatch.setattr(etale, "factor_integer", small_only)
+    f = [1, 0, 2, Fraction(-5, 2), -2, 1]
+    theta = [1, Fraction(1, 3), 1, 3, -3]
+    start = time.perf_counter()
+    c = build_component(general(f, theta))
+    assert time.perf_counter() - start < 1.0
+    assert c.disc_class.rep == 597993
+    assert len(str(discriminant(c.h).numerator)) == 87
+
+
+def test_disc_h_is_the_norm_times_a_square():
+    # disc(chi(x^2)) = 4^m * Res(f, theta) * disc(chi)^2, exactly.
+    rng = random.Random(29)
+    degrees = set()
+    for _ in range(60):
+        c = build_component(random_general_spec(rng, 5))
+        m = c.fixed_degree
+        chi = PolyQ(c.h.coeffs[::2])
+        expected = 4**m * resultant(c.f, c.theta) * discriminant(chi) ** 2
+        assert discriminant(c.h) == expected, (c.f, c.theta)
+        degrees.add((m, c.theta.degree))
+    assert {(m, m - 1) for m in range(1, 6)} <= degrees
 
 
 def test_block_rule_splitting_against_factor_counts():
     # At a prime where f and h stay squarefree, every place above p splits
     # iff h has twice as many irreducible factors mod p as f; random fields
-    # of degree up to 5 (with a linear theta in the last six) give blocks
-    # holding several factors.
+    # of degree up to 5 give blocks holding several factors.
     rng = random.Random(5)
     checked = multi = 0
     for i in range(12):
-        spec = random_general_spec(rng) if i < 6 else random_general_spec(rng, 5, 2)
+        spec = random_general_spec(rng) if i < 6 else random_general_spec(rng, 5)
         c = build_component(spec)
         alg = build_algebra([spec])
         bad = discriminant(c.f).numerator * discriminant(c.h).numerator

@@ -263,3 +263,37 @@ def test_real_root_sign_of():
     assert tarski_query(f, P([-2, 1])) == -2  # y - 2 is negative at both roots
     assert tarski_query(f, P([-1, 1])) == 0  # y - 1: -1, then +1
     assert tarski_query(f * P([-1, 1]), P([0, 1])) == 1  # adds the root 1
+
+
+def _rational_tarski_query(f: PolyQ, g: PolyQ) -> int:
+    """The signed remainder count over Q, the reference for the integer one."""
+    chain = [f]
+    a, b = f, f.derivative() * g % f
+    while not b.is_zero:
+        chain.append(b)
+        a, b = b, -(a % b)
+
+    def variations(direction: int) -> int:
+        signs = [(1 if c.lc > 0 else -1) * direction**c.degree for c in chain]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return variations(-1) - variations(+1)
+
+
+def test_integer_tarski_query_matches_the_rational_sequence():
+    # f squarefree, never monic, with rational coefficients and a leading
+    # coefficient of either sign; g of either sign and any degree, half of
+    # the time sharing a factor (so roots) with f.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(300):
+        f1 = random_poly(rng, rng.randint(1, 3))
+        f2 = random_poly(rng, rng.randint(0, 3))
+        f = (f1 * f2).squarefree_part().scale(Fraction(rng.choice((-3, -1, 2, 5)), 7))
+        g = random_poly(rng, rng.randint(0, f.degree + 2))
+        shares = rng.random() < 0.5
+        if shares:
+            g = g * f1
+        assert tarski_query(f, g) == _rational_tarski_query(f, g), (f, g)
+        seen.add((f.lc < 0, g.lc < 0, g.degree >= f.degree, shares))
+    assert len(seen) == 16
