@@ -140,12 +140,6 @@ class PolyFp:
     def derivative(self) -> "PolyFp":
         return PolyFp.of(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
 
 def _seed_from(f: PolyFp) -> int:
     acc = f.p

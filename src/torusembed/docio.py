@@ -34,7 +34,15 @@ from .arith import PolyQ
 from .arith.places import Place
 from .engine import DEFAULT_PRIME_BOUND, DecisionReport, LocalCheckResult
 from .errors import AuditError, ComponentValidationError, InputDocumentError
-from .etale import EtaleAlgebra, GeneralSpec, QuadSpec, build_algebra, build_component
+from .etale import (
+    NONSPLIT,
+    SPLIT,
+    EtaleAlgebra,
+    GeneralSpec,
+    QuadSpec,
+    build_algebra,
+    build_component,
+)
 from .oracle import SearchResult
 from .qform import QuadraticSpace, signature_hasse_bit
 
@@ -52,8 +60,6 @@ __all__ = [
     "render_oracle_report",
     "render_error",
 ]
-
-_STATUSES = ("split", "nonsplit")
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
@@ -200,9 +206,10 @@ def _parse_annotations(
         if p < 2:
             raise InputDocumentError(f"{epath}.prime", "prime must be at least 2")
         status = obj["status"]
-        if status not in _STATUSES:
+        if status not in (SPLIT.value, NONSPLIT.value):
             raise InputDocumentError(
-                f"{epath}.status", "status must be 'split' or 'nonsplit'"
+                f"{epath}.status",
+                f"status must be '{SPLIT.value}' or '{NONSPLIT.value}'",
             )
         if (i, p) in annotations:
             raise InputDocumentError(

@@ -13,7 +13,10 @@ equivalent to some trace form of ``E`` by purely local bookkeeping:
    data over the bad places whose bit sums match ``q``'s local invariants.
 4. ``build_graph`` — for each pair of components, a witness place where both
    are non-split; such a witness lets local data flow between the two
-   components in pairs.
+   components in pairs.  One walk over the places (infinity, then primes in
+   increasing order) settles, at each place, every pending pair whose two
+   components are both non-split there, so each witness is the pair's
+   smallest.
 5. ``decide`` — the parity criterion: the baseline can be corrected to an
    everywhere-consistent collection exactly when every connected component of
    the witness graph carries an even number of odd-parity vertices.
@@ -28,6 +31,7 @@ criterion still runs as an internal audit whenever it is computable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .arith import iter_primes
 from .arith.places import INFINITY, TWO, Place, sorted_places
@@ -217,10 +221,11 @@ def construct_baseline(
     """Build the lexicographically minimal baseline collection.
 
     At each finite bad place the parity of the component bit-sum is pinned by
-    the form's Hasse bit and the pairwise determinant bit; split components
-    have forced bits, the rest default to 0, and the last free component
-    flips when the pinned parity demands it.  At infinity the positive
-    ramified slots are distributed greedily left to right.
+    the form's Hasse bit and the pairwise determinant bit, read off the
+    form's Hasse support and the pairwise determinant support; split
+    components have forced bits, the rest default to 0, and the last free
+    component flips when the pinned parity demands it.  At infinity the
+    positive ramified slots are distributed greedily left to right.
 
     Raises :class:`NeedAnnotations` when undetermined splitting statuses
     block some place, and :class:`AuditError` on any infeasibility (which the
@@ -228,6 +233,7 @@ def construct_baseline(
     """
     places = bad_places(algebra, form)
     comps = algebra.components
+    odd = form.invariants.hasse_support ^ algebra.pairwise_det_support()
     pending: list[tuple[int, int]] = []
     finite_entries: list[tuple[Place, tuple[int, ...]]] = []
     for v in places:
@@ -249,8 +255,7 @@ def construct_baseline(
                 free.append(i)
         if blocked:
             continue
-        target = (form.local_hasse_bit(v) + algebra.pairwise_det_bit(v)) % 2
-        if sum(bits) % 2 != target:
+        if sum(bits) % 2 != (v in odd):
             if not free:
                 raise AuditError(
                     f"no feasible local data at {v}: every bit is forced"
@@ -349,51 +354,46 @@ class WitnessGraph:
         return None
 
 
-def _find_witness(
-    algebra: EtaleAlgebra, i: int, j: int, bound: int
-) -> Place | None:
-    """First place (infinity, then primes ascending) where both components
-    are verified non-split.  Pairs of rational quadratic components provably
-    admit a witness, so their search continues past the bound."""
-    if (
-        algebra.component_split(i, INFINITY).is_nonsplit
-        and algebra.component_split(j, INFINITY).is_nonsplit
-    ):
-        return INFINITY
-    exact_pair = algebra.components[i].is_quad and algebra.components[j].is_quad
-    cap = max(bound, _QUAD_PAIR_PRIME_CAP) if exact_pair else bound
-    for p in iter_primes():
-        if p > cap:
-            if exact_pair:
+def build_graph(algebra: EtaleAlgebra, bound: int) -> WitnessGraph:
+    """Find every component pair's witness in one walk over the places:
+    infinity, then primes in increasing order.  At each place every pending
+    pair whose components are both non-split there is settled.  Past the
+    bound only pairs of rational quadratic components stay pending: they
+    provably admit a witness, so their search runs on to a cap."""
+    comps = algebra.components
+    n = len(comps)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    witness: dict[tuple[int, int], Place] = {}
+    pending = pairs
+    cap = max(bound, _QUAD_PAIR_PRIME_CAP)
+    # iter_primes has already tested each p, so Place(p) needs no check.
+    for v in chain([INFINITY], map(Place, iter_primes())):
+        if not v.is_infinite and v.p > bound:
+            pending = [
+                (i, j) for i, j in pending if comps[i].is_quad and comps[j].is_quad
+            ]
+            if pending and v.p > cap:
+                i, j = pending[0]
                 raise AuditError(
                     f"no shared non-split prime below {cap} for quadratic pair "
                     f"({i}, {j}); this contradicts character independence"
                 )
-            return None
-        v = Place(p)  # iter_primes has already tested p
-        if (
-            algebra.component_split(i, v).is_nonsplit
-            and algebra.component_split(j, v).is_nonsplit
-        ):
-            return v
-    raise AssertionError("unreachable: prime stream is infinite")
-
-
-def build_graph(algebra: EtaleAlgebra, bound: int) -> WitnessGraph:
-    """Search a witness for every component pair: infinity first, then
-    primes in increasing order up to the bound."""
-    n = len(algebra.components)
-    edges: list[tuple[int, int, Place]] = []
-    unresolved: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = _find_witness(algebra, i, j, bound)
-            if w is None:
-                unresolved.append((i, j))
+        if not pending:
+            break
+        unsettled = []
+        for i, j in pending:
+            if (
+                algebra.component_split(i, v).is_nonsplit
+                and algebra.component_split(j, v).is_nonsplit
+            ):
+                witness[i, j] = v
             else:
-                edges.append((i, j, w))
+                unsettled.append((i, j))
+        pending = unsettled
     return WitnessGraph(
-        vertex_count=n, edges=tuple(edges), unresolved=tuple(unresolved)
+        vertex_count=n,
+        edges=tuple((i, j, witness[i, j]) for i, j in pairs if (i, j) in witness),
+        unresolved=tuple(pair for pair in pairs if pair not in witness),
     )
 
 
@@ -404,14 +404,14 @@ class DecisionReport:
     verdict: str
     bound: int
     local: LocalCheckResult
-    bad_places: tuple[Place, ...] | None
-    baseline: BaselineCollection | None
-    parity: tuple[int, ...] | None
-    graph: WitnessGraph | None
-    fast_path: str | None
-    star_vertex: int | None
-    needed_annotations: tuple[tuple[int, int], ...]
-    notes: tuple[str, ...]
+    bad_places: tuple[Place, ...] | None = None
+    baseline: BaselineCollection | None = None
+    parity: tuple[int, ...] | None = None
+    graph: WitnessGraph | None = None
+    fast_path: str | None = None
+    star_vertex: int | None = None
+    needed_annotations: tuple[tuple[int, int], ...] = ()
+    notes: tuple[str, ...] = ()
 
 
 def decide(
@@ -433,30 +433,12 @@ def decide(
         raise ValueError("witness search bound must be at least 2")
     local = check_local(algebra, form)
     if local.failed:
-        return DecisionReport(
-            verdict=VERDICT_LOCALLY_FAILS,
-            bound=bound,
-            local=local,
-            bad_places=None,
-            baseline=None,
-            parity=None,
-            graph=None,
-            fast_path=None,
-            star_vertex=None,
-            needed_annotations=(),
-            notes=(),
-        )
+        return DecisionReport(VERDICT_LOCALLY_FAILS, bound, local)
     if not local.passed:
         return DecisionReport(
-            verdict=VERDICT_INCONCLUSIVE,
-            bound=bound,
-            local=local,
-            bad_places=None,
-            baseline=None,
-            parity=None,
-            graph=None,
-            fast_path=None,
-            star_vertex=None,
+            VERDICT_INCONCLUSIVE,
+            bound,
+            local,
             needed_annotations=local.pending,
             notes=(
                 "hyperbolicity check needs annotations: "

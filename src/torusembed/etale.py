@@ -26,16 +26,21 @@ primes.
 Each component also carries discriminant and determinant square classes, the
 counts of its real places (ramified = theta negative there) from Tarski
 queries, and a prime-splitting oracle.  The discriminant class is that of the
-norm Res(f, theta), since disc(h) = 4^m * Res(f, theta) * disc(chi)^2.  For
-general components the splitting is read off the distinct-degree blocks of
-f mod p by the same rule, exactly at odd primes away from a finite documented
-gap set (primes dividing the data's discriminants/resultants, plus 2); at the
-gap primes the oracle abstains unless the user supplies an annotation.
+norm Res(f, theta) = (-1)^m * chi(0), since disc(h) = 4^m * Res(f, theta) *
+disc(chi)^2.  For general components the splitting is read off the
+distinct-degree blocks of f mod p by the same rule, exactly at odd primes away
+from a finite documented gap set (primes dividing the data's discriminants
+and norm, plus 2); at the gap primes the oracle abstains unless the user
+supplies an annotation.  The block rule is the only splitting answer that
+costs more than O(1), so each component keeps its answers in
+``Component.square_at``: the field check's primes and every prime the engine
+asks about, each evaluated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from itertools import islice
 
@@ -54,48 +59,38 @@ from torusembed.arith.polyq import (
     integerize,
     is_irreducible,
     power_sums,
-    resultant,
     resultant_in_y,
 )
 from torusembed.arith.sturm import tarski_query
-from torusembed.arith.symbols import hasse_bit, legendre_symbol
+from torusembed.arith.symbols import legendre_symbol
 from torusembed.errors import ComponentValidationError
 from torusembed.qform import pairwise_det_support
 
-SPLIT = "split"
-NONSPLIT = "nonsplit"
-INDETERMINATE = "indeterminate"
 
+class SplitStatus(Enum):
+    """Result of a splitting query: split, nonsplit, or an abstention.
 
-@dataclass(frozen=True)
-class SplitStatus:
-    """Result of a splitting query: split, nonsplit, or an abstention."""
+    The values are the wire format of a splitting annotation, which accepts
+    the first two."""
 
-    kind: str
-
-    @classmethod
-    def split(cls) -> "SplitStatus":
-        return cls(SPLIT)
-
-    @classmethod
-    def nonsplit(cls) -> "SplitStatus":
-        return cls(NONSPLIT)
-
-    @classmethod
-    def indeterminate(cls) -> "SplitStatus":
-        return cls(INDETERMINATE)
+    SPLIT = "split"
+    NONSPLIT = "nonsplit"
+    INDETERMINATE = "indeterminate"
 
     @property
     def is_split(self) -> bool:
-        return self.kind == SPLIT
+        return self is SplitStatus.SPLIT
 
     @property
     def is_nonsplit(self) -> bool:
-        return self.kind == NONSPLIT
+        return self is SplitStatus.NONSPLIT
 
     @property
     def is_indeterminate(self) -> bool:
-        return self.kind == INDETERMINATE
+        return self is SplitStatus.INDETERMINATE
+
+
+SPLIT, NONSPLIT, INDETERMINATE = SplitStatus
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,11 @@ class Component:
     real_count: int
     ramified_count: int
     exactness_gaps: frozenset[int]
+    # The block rule's answer (theta a square above p) at the good primes
+    # asked so far, by the field check and by component_split_at.
+    square_at: dict[int, bool] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def is_quad(self) -> bool:
@@ -187,6 +187,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
+        square_at: dict[int, bool] = {}
         # F = Q has one real place, ramified exactly when d < 0.
         real_count, ramified_count = 1, int(d < 0)
     else:
@@ -214,11 +215,11 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             if theta.is_zero:
                 raise ComponentValidationError("theta must be nonzero in F")
             raise ComponentValidationError(_NOT_FULL_DEGREE)
-        # The gap set: odd primes of the denominators, disc(f) and
-        # Res(f, t*theta).  Each number is factored after dividing out the
-        # primes already found.
+        # The gap set: odd primes of the denominators, disc(f) and the norm
+        # Res(f, theta) = (-1)^m * chi(0).  Each number is factored after
+        # dividing out the primes already found.
         t = integerize(theta)[1]
-        norm = resultant(f, theta.scale(t))
+        norm = (-1) ** f.degree * chi.coeff(0)
         bad: set[int] = set()
         for x in (integerize(f)[1], discriminant(f), t, norm):
             bad.update(factor_rational(x, bad)[1])
@@ -226,16 +227,18 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # prime, where f stays squarefree and theta a unit: a good prime
         # where theta is a non-square modulo one block proves that K is a
         # field.  Only if none of the first few primes does is h factored.
+        # The answers are kept for component_split_at.
         good = (p for p in iter_primes() if p != 2 and p not in bad)
-        if all(_is_square_at(f, theta, p) for p in islice(good, 8)):
-            if not is_irreducible(h):
-                raise ComponentValidationError(_NOT_FULL_DEGREE)
-        # disc(h) = 4^m * Res(f, theta) * disc(chi)^2, and Res(f, t*theta)
-        # = t^m * Res(f, theta), so disc(h) is in the class of norm * t^m,
-        # whose primes are all in the gap set already.
-        disc_class = SquareClass.from_factors(
-            *factor_rational(norm * t**f.degree, bad)
-        )
+        square_at = {}
+        for p in islice(good, 8):
+            square_at[p] = _is_square_at(f, theta, p)
+            if not square_at[p]:
+                break
+        if all(square_at.values()) and not is_irreducible(h):
+            raise ComponentValidationError(_NOT_FULL_DEGREE)
+        # disc(h) = 4^m * Res(f, theta) * disc(chi)^2 is in the class of the
+        # norm, whose primes are all in the gap set already.
+        disc_class = SquareClass.from_factors(*factor_rational(norm, bad))
         gaps = frozenset(bad - {2})
         # Ramified real places are the roots of f where theta < 0.
         real_count = tarski_query(f, PolyQ.one())
@@ -261,6 +264,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         real_count=real_count,
         ramified_count=ramified_count,
         exactness_gaps=gaps,
+        square_at=square_at,
     )
 
 
@@ -288,41 +292,28 @@ def component_split_at(
 
     Quadratic-over-Q components are decided exactly at every prime.  General
     components are decided exactly at odd primes outside the component's gap
-    set; at 2 and at gap primes the supplied annotation is used, and the
-    oracle abstains when there is none.
+    set, by the block rule kept in ``c.square_at``; at 2 and at gap primes the
+    supplied annotation is used, and the oracle abstains when there is none.
     """
     if c.is_quad:
         d = c.spec.d
         if p == 2:
-            return SplitStatus.split() if d % 8 == 1 else SplitStatus.nonsplit()
-        if legendre_symbol(d, p) == 1:
-            return SplitStatus.split()
-        return SplitStatus.nonsplit()
+            return SPLIT if d % 8 == 1 else NONSPLIT
+        return SPLIT if legendre_symbol(d, p) == 1 else NONSPLIT
     if p == 2 or p in c.exactness_gaps:
-        if annotation == SPLIT:
-            return SplitStatus.split()
-        if annotation == NONSPLIT:
-            return SplitStatus.nonsplit()
-        return SplitStatus.indeterminate()
-    if _is_square_at(c.f, c.theta, p):
-        return SplitStatus.split()
-    return SplitStatus.nonsplit()
-
-
-def component_split_at_infinity(c: Component) -> SplitStatus:
-    """Split iff theta is positive at every real embedding of F."""
-    return SplitStatus.split() if c.ramified_count == 0 else SplitStatus.nonsplit()
+        return SplitStatus(annotation) if annotation else INDETERMINATE
+    square = c.square_at.get(p)
+    if square is None:
+        square = c.square_at[p] = _is_square_at(c.f, c.theta, p)
+    return SPLIT if square else NONSPLIT
 
 
 @dataclass
 class EtaleAlgebra:
-    """A validated product of components, with a memoized splitting oracle."""
+    """A validated product of components, with their splitting annotations."""
 
     components: tuple[Component, ...]
     annotations: dict[tuple[int, int], str] = field(default_factory=dict)
-    _split_memo: dict[tuple[int, Place], SplitStatus] = field(
-        default_factory=dict, repr=False
-    )
 
     @property
     def rank(self) -> int:
@@ -359,28 +350,22 @@ class EtaleAlgebra:
         return any(c.fixed_degree >= 2 for c in self.components)
 
     def component_split(self, i: int, v: Place) -> SplitStatus:
-        key = (i, v)
-        cached = self._split_memo.get(key)
-        if cached is not None:
-            return cached
+        """Whether component i splits at v; at infinity, split iff theta is
+        positive at every real embedding of F."""
         c = self.components[i]
         if v.is_infinite:
-            status = component_split_at_infinity(c)
-        else:
-            status = component_split_at(c, v.p, self.annotations.get((i, v.p)))
-        self._split_memo[key] = status
-        return status
+            return SPLIT if c.ramified_count == 0 else NONSPLIT
+        return component_split_at(c, v.p, self.annotations.get((i, v.p)))
 
     def split_at(self, v: Place) -> SplitStatus:
         """Three-valued conjunction over the components."""
-        indeterminate = None
+        indeterminate = False
         for i in range(len(self.components)):
             st = self.component_split(i, v)
             if st.is_nonsplit:
                 return st
-            if st.is_indeterminate and indeterminate is None:
-                indeterminate = st
-        return indeterminate or SplitStatus.split()
+            indeterminate |= st.is_indeterminate
+        return INDETERMINATE if indeterminate else SPLIT
 
     def indeterminate_pairs_at(self, v: Place) -> list[tuple[int, int]]:
         """(component, prime) annotation keys that abstain at the finite place v."""
@@ -391,10 +376,6 @@ class EtaleAlgebra:
             for i in range(len(self.components))
             if self.component_split(i, v).is_indeterminate
         ]
-
-    def pairwise_det_bit(self, v: Place) -> int:
-        """Sum over i < j of the symbol of (det_i, det_j) at v, mod 2."""
-        return hasse_bit([c.det_class.rep for c in self.components], v)
 
     def pairwise_det_support(self) -> frozenset[Place]:
         """Places where the pairwise determinant-class symbol sum is odd."""
@@ -413,9 +394,9 @@ def build_algebra(
     for (i, p), status in sorted(ann.items()):
         if not 0 <= i < len(components):
             raise ComponentValidationError(f"annotation for unknown component {i}")
-        if status not in (SPLIT, NONSPLIT):
+        if status not in (SPLIT.value, NONSPLIT.value):
             raise ComponentValidationError(
-                f"annotation status must be '{SPLIT}' or '{NONSPLIT}'"
+                f"annotation status must be '{SPLIT.value}' or '{NONSPLIT.value}'"
             )
         c = components[i]
         if c.is_quad:

@@ -18,7 +18,11 @@ candidate is a choice of one part per component.  The search therefore walks
 each component's parts once and computes a block's invariants the first time
 a candidate uses it; a candidate's invariants are the blocks' invariants
 combined by ``qform.orthogonal_sum`` (signatures add, determinants multiply,
-Hasse invariants add up with the pairwise determinant symbols).  The full
+Hasse invariants add up with the pairwise determinant symbols).  A block's
+determinant class never varies: the Gram matrix of Tr(alpha * x * sigma(x))
+has determinant N_{K/Q}(alpha) * det(q_1), and N_{K/Q}(alpha) = N_{F/Q}(alpha)^2
+for a fixed alpha, so it is the component's ``det_class``.  A target with
+another determinant class is therefore exhausted without a candidate.  The full
 trace form of a candidate whose combined invariants equal the target's is
 still computed and compared, so every match is certified by the same exact
 invariant comparison as a candidate-by-candidate search.
@@ -260,9 +264,11 @@ def search_realizing_element(
 ) -> SearchResult:
     """First enumerated element whose trace form is equivalent to ``target``.
 
-    Candidates are screened by their blocks' invariants: the signature, then
-    the determinant class, then the whole orthogonal sum.  A candidate that
-    passes is confirmed by its full trace form, which is the one returned.
+    Every candidate's determinant class is the algebra's, so a target with
+    another one is exhausted at once.  Candidates are screened by their
+    blocks' invariants: the signature, then the whole orthogonal sum.  A
+    candidate that passes is confirmed by its full trace form, which is the
+    one returned.
     An exhausted search is a bounded outcome only: it never proves that no
     realizing element exists.
     """
@@ -271,12 +277,13 @@ def search_realizing_element(
             f"form dimension {target.dim} does not match algebra rank {algebra.rank}"
         )
     want = target.invariants
-    one = SquareClass.of(1)
-    for blocks in itertools.product(*_streams(algebra, height)):
+    streams = _streams(algebra, height)
+    dets = (c.det_class for c in algebra.components)
+    if prod(dets, start=SquareClass.of(1)) != want.det:
+        return SearchResult(element=None, form=None, height=height)
+    for blocks in itertools.product(*streams):
         invs = [b.invariants for b in blocks]
         if sum(i.signature[0] for i in invs) != want.signature[0]:
-            continue
-        if prod((i.det for i in invs), start=one) != want.det:
             continue
         if orthogonal_sum(invs) != want:
             continue

@@ -1,7 +1,12 @@
 """The decision pipeline: local checks, baselines, witness graphs, verdicts."""
 
+import random
+from itertools import chain
+
 import pytest
 
+from torusembed import engine, etale
+from torusembed.arith.integers import is_probable_prime
 from torusembed.arith.places import INFINITY, TWO, Place
 from torusembed.engine import (
     CONDITION_DISC,
@@ -12,6 +17,7 @@ from torusembed.engine import (
     VERDICT_LOCALLY_FAILS,
     VERDICT_NOT_REALIZABLE_UP_TO_BOUND,
     VERDICT_REALIZABLE,
+    WitnessGraph,
     achievable_bits,
     bad_places,
     build_graph,
@@ -21,10 +27,20 @@ from torusembed.engine import (
     parity_vector,
 )
 from torusembed.errors import AuditError, NeedAnnotations
+from torusembed.oracle import trace_form
 from torusembed.qform import QuadraticSpace
 
 import helpers
-from helpers import algebra, demo_algebra, demo_form, diag, general, quad
+from helpers import (
+    algebra,
+    demo_algebra,
+    demo_form,
+    diag,
+    general,
+    quad,
+    random_general_spec,
+    random_symmetric_unit,
+)
 
 V2, V3, V5, V7 = (Place.finite(p) for p in (2, 3, 5, 7))
 
@@ -213,6 +229,119 @@ def test_witness_prefers_infinity_then_small_primes():
     gr = build_graph(real_pair, DEFAULT_PRIME_BOUND)
     # Both components split at infinity, so the witness must be finite.
     assert gr.witness(0, 1) is not None and not gr.witness(0, 1).is_infinite
+
+
+def _reference_graph(alg, bound, cap):
+    """Each pair's smallest witness, searched pair by pair: infinity, then
+    primes up to the bound, or up to max(bound, cap) for two quad components."""
+    n = len(alg.components)
+    edges, unresolved = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            quad_pair = alg.components[i].is_quad and alg.components[j].is_quad
+            limit = max(bound, cap) if quad_pair else bound
+            primes = (p for p in range(2, limit + 1) if is_probable_prime(p))
+            places = chain([INFINITY], map(Place.finite, primes))
+            witness = next(
+                (
+                    v
+                    for v in places
+                    if alg.component_split(i, v).is_nonsplit
+                    and alg.component_split(j, v).is_nonsplit
+                ),
+                None,
+            )
+            if witness is not None:
+                edges.append((i, j, witness))
+            elif quad_pair:
+                raise AuditError(
+                    f"no shared non-split prime below {limit} for quadratic pair "
+                    f"({i}, {j}); this contradicts character independence"
+                )
+            else:
+                unresolved.append((i, j))
+    return WitnessGraph(n, tuple(edges), tuple(unresolved))
+
+
+def _random_annotated_algebra(rng):
+    """2-4 quad and general components; general ones are annotated at some
+    of 2 and their gap primes below 60."""
+    specs = []
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < 0.5:
+            specs.append(quad(rng.choice([-7, -3, -1, 2, 5, 7, 17, 41, 73, 97])))
+        else:
+            specs.append(random_general_spec(rng, 3))
+    alg = algebra(*specs)
+    annotations = {}
+    if rng.random() < 0.5:
+        for i, c in enumerate(alg.components):
+            if c.is_quad:
+                continue
+            for p in sorted({2} | c.exactness_gaps):
+                if p < 60 and rng.random() < 0.7:
+                    annotations[i, p] = rng.choice(("split", "nonsplit"))
+    return algebra(*specs, annotations=annotations)
+
+
+def test_witness_walk_matches_a_per_pair_search(monkeypatch):
+    rng = random.Random(47)
+    # Three quad components split at infinity and at 2, so with cap 2 every
+    # pair exhausts it at once; the error names the first.
+    cases = [(algebra(quad(17), quad(41), quad(73)), 2, 2)]
+    for k in range(160):
+        alg = _random_annotated_algebra(rng)
+        bound = rng.randint(2, 60)
+        # A small cap makes some quad pairs exhaust it, as in the reference.
+        cap = engine._QUAD_PAIR_PRIME_CAP if k % 4 else rng.choice((3, 7, 13))
+        cases.append((alg, bound, cap))
+    outcomes = set()
+    for alg, bound, cap in cases:
+        monkeypatch.setattr(engine, "_QUAD_PAIR_PRIME_CAP", cap)
+        try:
+            want = _reference_graph(alg, bound, cap)
+        except AuditError as exc:
+            with pytest.raises(AuditError) as got:
+                build_graph(alg, bound)
+            assert str(got.value) == str(exc)
+            outcomes.add("audit")
+            continue
+        assert build_graph(alg, bound) == want, (alg, bound)
+        outcomes.add("unresolved" if want.unresolved else "complete")
+        outcomes.update("finite" for *_, v in want.edges if not v.is_infinite)
+    assert outcomes == {"audit", "unresolved", "complete", "finite"}
+
+
+def test_decide_evaluates_each_block_rule_once(monkeypatch):
+    # Within one document the field check and the engine share one answer
+    # per (component, prime); components are told apart by f and theta.
+    rng = random.Random(53)
+    evaluations: list[tuple[int, int, int]] = []
+    queries: set[tuple[int, int, int]] = set()
+    is_square_at, split_at = etale._is_square_at, etale.component_split_at
+
+    def counting(f, theta, p):
+        evaluations.append((id(f), id(theta), p))
+        return is_square_at(f, theta, p)
+
+    def asking(c, p, annotation=None):
+        queries.add((id(c.f), id(c.theta), p))
+        return split_at(c, p, annotation)
+
+    monkeypatch.setattr(etale, "_is_square_at", counting)
+    monkeypatch.setattr(etale, "component_split_at", asking)
+    shared = 0
+    for _ in range(30):
+        specs = [random_general_spec(rng, 3) for _ in range(rng.randint(2, 3))]
+        evaluations.clear()
+        queries.clear()
+        alg = algebra(*specs)
+        validated = set(evaluations)
+        form = trace_form(alg, random_symmetric_unit(alg, rng)).space
+        decide(alg, form, 60)
+        assert len(set(evaluations)) == len(evaluations)
+        shared += len(validated & queries)
+    assert shared >= 10
 
 
 # ------------------------------------------------------------------- decide

@@ -386,3 +386,43 @@ def test_streams_keep_every_nonzero_vector_and_run_no_gcd(monkeypatch):
             ]
             for comp, blocks in zip(alg.components, streams):
                 assert all(b.part.gcd(comp.h).degree == 0 for b in blocks)
+
+
+def test_block_det_class_is_the_component_det_class():
+    # det Gram(Tr(alpha x sigma(x))) = N_{K/Q}(alpha) det(q_1), and the norm
+    # of a fixed alpha is N_{F/Q}(alpha)^2, a square.
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(40):
+        alg = _random_small_algebra(rng)
+        for _ in range(3):
+            alpha = random_symmetric_unit(alg, rng, height=3, halves=True)
+            for comp, part in zip(alg.components, alpha.parts):
+                block = oracle._Block(comp, part)
+                assert block.invariants.det == comp.det_class, (comp.spec, part)
+                checked += 1
+    assert checked >= 200
+
+
+def test_det_mismatched_search_computes_no_block_invariants(monkeypatch):
+    rng = random.Random(41)
+    grams = []
+    component_gram = oracle._component_gram
+
+    def counting_gram(comp, part):
+        grams.append(part)
+        return component_gram(comp, part)
+
+    monkeypatch.setattr(oracle, "_component_gram", counting_gram)
+    for _ in range(12):
+        alg = _random_small_algebra(rng, 2)
+        planted = random_symmetric_unit(alg, rng, height=2)
+        entries = list(trace_form(alg, planted).space.diagonal)
+        entries[rng.randrange(len(entries))] *= rng.choice((3, 5, 7))
+        target = QuadraticSpace.of(entries)
+        assert target.invariants.det != trace_form(alg, planted).invariants.det
+        grams.clear()
+        assert not search_realizing_element(alg, target, 2).found
+        assert grams == []
+    with pytest.raises(ValueError, match="height"):
+        search_realizing_element(alg, target, 0)
