@@ -106,20 +106,28 @@ def factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > m:
+            # No prime up to sqrt(m) divides m, so m is 1 or a prime.
+            if m > 1:
+                counts[m] = 1
+                m = 1
             break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
     if m > 1:
-        # The pseudo-random stream is local to this call and seeded from n,
-        # so repeated factorizations are reproducible.
-        rng = random.Random(m ^ 0x5DEECE66D)
+        # Trial division stopped below sqrt(m).  The pseudo-random stream is
+        # local to this call and seeded from n, so repeated factorizations
+        # are reproducible; it is built only when Pollard-Brent first runs.
+        seed = m ^ 0x5DEECE66D
+        rng = None
         stack = [m]
         while stack:
             x = stack.pop()
             if is_probable_prime(x):
                 counts[x] = counts.get(x, 0) + 1
                 continue
+            if rng is None:
+                rng = random.Random(seed)
             d = _pollard_brent(x, rng)
             stack.append(d)
             stack.append(x // d)

@@ -1,5 +1,14 @@
 """Dense univariate polynomial arithmetic over prime fields F_p.
 
+One kernel of module-level functions on ascending int lists does the
+arithmetic: a polynomial is the list of its coefficients in [0, p), constant
+term first, with no trailing zeros.  Products are accumulated over the
+integers and reduced with one ``% p`` per output coefficient, also inside
+``fp_mulmod``, where the division by the modulus runs on the unreduced
+product; ``fp_rem``, ``fp_divmod`` and ``fp_div_exact`` share one division
+loop.  ``PolyFp`` is the value type the rest of the package and the tests
+build; its methods are thin wrappers over the kernel.
+
 Factorization is squarefree decomposition + distinct-degree + Cantor-Zassenhaus
 equal-degree splitting (Cohen, GTM 138, 3.4); the distinct-degree blocks alone
 count factors and decide splitting.  The random stream used by the splitting
@@ -15,6 +24,125 @@ from dataclasses import dataclass
 from torusembed.arith.integers import factor_integer, is_probable_prime
 
 
+def _strip(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fp_reduce(coeffs, p: int) -> list[int]:
+    """The kernel form of any integer coefficients: reduced mod p, stripped."""
+    return _strip([c % p for c in coeffs])
+
+
+def _raw_mul(a, b) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _divide(r: list[int], b, p: int) -> list[int]:
+    """Divide the integer list r by nonzero b over F_p, in place.
+
+    Returns the quotient and leaves r[:deg b] congruent mod p to the
+    remainder; r's entries need not be reduced."""
+    db = len(b) - 1
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] * inv % p
+        if c:
+            for j, y in enumerate(b, k):
+                r[j] -= c * y
+    return q
+
+
+def fp_mul(a, b, p: int) -> list[int]:
+    return [c % p for c in _raw_mul(a, b)]
+
+
+def fp_mulmod(a, b, m, p: int) -> list[int]:
+    """a * b mod m: the unreduced product, divided by m."""
+    r = _raw_mul(a, b)
+    _divide(r, m, p)
+    return fp_reduce(r[: len(m) - 1], p)
+
+
+def fp_rem(a, m, p: int) -> list[int]:
+    r = list(a)
+    _divide(r, m, p)
+    return fp_reduce(r[: len(m) - 1], p)
+
+
+def fp_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    r = list(a)
+    q = _divide(r, b, p)
+    return q, fp_reduce(r[: len(b) - 1], p)
+
+
+def fp_div_exact(a, b, p: int) -> list[int]:
+    """a / b for b dividing a: the quotient, with no remainder formed."""
+    return _divide(list(a), b, p)
+
+
+def fp_monic(a, p: int) -> list[int]:
+    if not a or a[-1] == 1:
+        return list(a)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def fp_gcd(a, b, p: int) -> list[int]:
+    """The monic gcd (empty when a and b are both zero)."""
+    while b:
+        a, b = b, fp_rem(a, b, p)
+    return fp_monic(a, p)
+
+
+def fp_pow_mod(a, e: int, m, p: int) -> list[int]:
+    """a^e mod m by left-to-right square and multiply (1 for e = 0)."""
+    if e == 0:
+        return [1]
+    base = r = fp_rem(a, m, p)
+    for bit in bin(e)[3:]:
+        r = fp_mulmod(r, r, m, p)
+        if bit == "1":
+            r = fp_mulmod(r, base, m, p)
+    return r
+
+
+def fp_derivative(a, p: int) -> list[int]:
+    return fp_reduce([i * c for i, c in enumerate(a)][1:], p)
+
+
+def fp_distinct_degree(f, p: int) -> list[tuple[list[int], int]]:
+    """Split squarefree monic f into (block, k): each block the product of
+    f's irreducible factors of degree k, in ascending k."""
+    out = []
+    h = [0, 1]
+    i = 1
+    rest = f
+    while len(rest) - 1 >= 2 * i:
+        # h = x^(p^i) mod rest; the factors of degree i divide x^(p^i) - x.
+        h = fp_pow_mod(h, p, rest, p)
+        hx = h + [0] * (2 - len(h))
+        hx[1] = (hx[1] - 1) % p
+        g = fp_gcd(rest, _strip(hx), p)
+        if len(g) > 1:
+            out.append((g, i))
+            rest = fp_div_exact(rest, g, p)
+            h = fp_rem(h, rest, p)
+        i += 1
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
 @dataclass(frozen=True)
 class PolyFp:
     """Polynomial over F_p, coefficients ascending, no trailing zeros."""
@@ -24,10 +152,7 @@ class PolyFp:
 
     @classmethod
     def of(cls, p: int, coeffs) -> "PolyFp":
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(p, tuple(cs))
+        return cls(p, tuple(fp_reduce(coeffs, p)))
 
     @classmethod
     def zero(cls, p: int) -> "PolyFp":
@@ -59,6 +184,9 @@ class PolyFp:
         if self.p != other.p:
             raise ValueError("mixed characteristics")
 
+    def _wrap(self, coeffs: list[int]) -> "PolyFp":
+        return PolyFp(self.p, tuple(coeffs))
+
     def __add__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -66,7 +194,7 @@ class PolyFp:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
+            out[i] += c
         return PolyFp.of(self.p, out)
 
     def __neg__(self) -> "PolyFp":
@@ -77,43 +205,20 @@ class PolyFp:
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return PolyFp.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return PolyFp.of(self.p, out)
+        return self._wrap(fp_mul(self.coeffs, other.coeffs, self.p))
 
     def scale(self, c: int) -> "PolyFp":
         return PolyFp.of(self.p, [c * a for a in self.coeffs])
 
     def monic(self) -> "PolyFp":
-        if self.is_zero:
-            return self
-        inv = pow(self.lc, -1, self.p)
-        return self.scale(inv)
+        return self._wrap(fp_monic(self.coeffs, self.p))
 
     def divmod(self, other: "PolyFp") -> tuple["PolyFp", "PolyFp"]:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        q = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dinv = pow(other.lc, -1, p)
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            c = rem[-1] * dinv % p
-            q[k] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] = (rem[k + i] - c * oc) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return PolyFp.of(p, q), PolyFp.of(p, rem)
+        q, r = fp_divmod(self.coeffs, other.coeffs, self.p)
+        return self._wrap(q), self._wrap(r)
 
     def __mod__(self, other: "PolyFp") -> "PolyFp":
         return self.divmod(other)[1]
@@ -122,23 +227,17 @@ class PolyFp:
         return self.divmod(other)[0]
 
     def gcd(self, other: "PolyFp") -> "PolyFp":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        self._check(other)
+        return self._wrap(fp_gcd(self.coeffs, other.coeffs, self.p))
 
     def pow_mod(self, e: int, modulus: "PolyFp") -> "PolyFp":
-        result = PolyFp.one(self.p)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = result * base % modulus
-            base = base * base % modulus
-            e >>= 1
-        return result
+        self._check(modulus)
+        if modulus.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._wrap(fp_pow_mod(self.coeffs, e, modulus.coeffs, self.p))
 
     def derivative(self) -> "PolyFp":
-        return PolyFp.of(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return self._wrap(fp_derivative(self.coeffs, self.p))
 
 
 def _seed_from(f: PolyFp) -> int:
@@ -180,25 +279,8 @@ def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
 
 
 def distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Split squarefree monic f into (block, k): each block the product of
-    f's irreducible factors of degree k, in ascending k."""
-    p = f.p
-    out = []
-    h = PolyFp.x(p)
-    x = PolyFp.x(p)
-    i = 1
-    rest = f
-    while rest.degree >= 2 * i:
-        h = h.pow_mod(p, rest)
-        g = rest.gcd(h - x)
-        if g.degree > 0:
-            out.append((g, i))
-            rest = (rest // g).monic()
-            h = h % rest
-        i += 1
-    if rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
+    """``fp_distinct_degree`` on a squarefree monic ``PolyFp``."""
+    return [(f._wrap(g), k) for g, k in fp_distinct_degree(f.coeffs, f.p)]
 
 
 def _equal_degree(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:

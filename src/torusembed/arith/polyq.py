@@ -14,7 +14,14 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from torusembed.arith.integers import divisors, iter_primes
-from torusembed.arith.polyfp import PolyFp, distinct_degree, factor_mod_p
+from torusembed.arith.polyfp import (
+    PolyFp,
+    factor_mod_p,
+    fp_derivative,
+    fp_distinct_degree,
+    fp_gcd,
+    fp_reduce,
+)
 
 MAX_IRREDUCIBILITY_DEGREE = 12
 
@@ -445,25 +452,27 @@ def is_irreducible(f: PolyQ) -> bool:
         return False
     if n == 1:
         return True
-    if f.gcd(f.derivative()).degree > 0:
-        return False
     A, _ = integerize(f)
     if A[0] == 0:
         return False
     g = _monicize(A)
+    # g is squarefree exactly when f is; then g mod p is squarefree at all
+    # but finitely many p, so the prime loop below ends.
+    if _int_resultant(g, [i * c for i, c in enumerate(g)][1:]) == 0:
+        return False
 
     # An irreducible reduction mod any good prime settles it; otherwise keep
     # the prime giving the fewest modular factors (counted from the
     # distinct-degree blocks) to minimize recombination.
-    best: tuple[int, int, PolyFp] | None = None
+    best: tuple[int, int, list[int]] | None = None
     tried = 0
     for p in iter_primes():
         if p == 2:
             continue
-        gp = PolyFp.of(p, g)
-        if gp.degree != n or gp.gcd(gp.derivative()).degree != 0:
+        gp = fp_reduce(g, p)
+        if len(fp_gcd(gp, fp_derivative(gp, p), p)) != 1:
             continue
-        count = sum(block.degree // k for block, k in distinct_degree(gp))
+        count = sum((len(b) - 1) // k for b, k in fp_distinct_degree(gp, p))
         if count == 1:
             return True
         if best is None or count < best[0]:
@@ -473,7 +482,7 @@ def is_irreducible(f: PolyQ) -> bool:
             break
     assert best is not None
     _, p, gp = best
-    facs = [fac for fac, _ in factor_mod_p(gp)]
+    facs = [fac for fac, _ in factor_mod_p(PolyFp(p, tuple(gp)))]
 
     # Landau-Mignotte style bound on coefficients of any monic factor of g.
     bound = (2**n) * (isqrt(sum(x * x for x in g)) + 1)

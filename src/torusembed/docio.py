@@ -362,7 +362,7 @@ def _invariants_block(algebra: EtaleAlgebra, form: QuadraticSpace) -> dict:
             "ramified_real_count": algebra.ramified_real_count,
             "cm": algebra.is_cm,
             "pairwise_det_support": _places_json(
-                sorted(algebra.pairwise_det_support(), key=Place.sort_key)
+                sorted(algebra.pairwise_det_support, key=Place.sort_key)
             ),
             "components": [
                 {

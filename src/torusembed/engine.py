@@ -174,7 +174,7 @@ def bad_places(algebra: EtaleAlgebra, form: QuadraticSpace) -> tuple[Place, ...]
     form's hyperbolic deviation set, the support of the pairwise determinant
     pairing, and always 2 and infinity."""
     places = set(hyperbolic_deviation_set(form))
-    places |= set(algebra.pairwise_det_support())
+    places |= algebra.pairwise_det_support
     places.add(TWO)
     places.add(INFINITY)
     return tuple(sorted_places(places))
@@ -216,9 +216,12 @@ class BaselineCollection:
 
 
 def construct_baseline(
-    algebra: EtaleAlgebra, form: QuadraticSpace
+    algebra: EtaleAlgebra,
+    form: QuadraticSpace,
+    places: tuple[Place, ...] | None = None,
 ) -> BaselineCollection:
-    """Build the lexicographically minimal baseline collection.
+    """Build the lexicographically minimal baseline collection over
+    ``places``, by default ``bad_places(algebra, form)``.
 
     At each finite bad place the parity of the component bit-sum is pinned by
     the form's Hasse bit and the pairwise determinant bit, read off the
@@ -231,9 +234,10 @@ def construct_baseline(
     block some place, and :class:`AuditError` on any infeasibility (which the
     prior local checks are supposed to exclude).
     """
-    places = bad_places(algebra, form)
+    if places is None:
+        places = bad_places(algebra, form)
     comps = algebra.components
-    odd = form.invariants.hasse_support ^ algebra.pairwise_det_support()
+    odd = form.invariants.hasse_support ^ algebra.pairwise_det_support
     pending: list[tuple[int, int]] = []
     finite_entries: list[tuple[Place, tuple[int, ...]]] = []
     for v in places:
@@ -472,7 +476,7 @@ def decide(
     parity: tuple[int, ...] | None = None
     needed: tuple[tuple[int, int], ...] = ()
     try:
-        baseline = construct_baseline(algebra, form)
+        baseline = construct_baseline(algebra, form, places)
         parity = parity_vector(baseline)
     except NeedAnnotations as exc:
         needed = exc.pending

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 from torusembed.arith.integers import (
@@ -51,7 +52,7 @@ from torusembed.arith.integers import (
     iter_primes,
 )
 from torusembed.arith.places import Place
-from torusembed.arith.polyfp import PolyFp, distinct_degree
+from torusembed.arith.polyfp import fp_distinct_degree, fp_mulmod, fp_pow_mod
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
@@ -182,8 +183,9 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             raise ComponentValidationError(f"d = {d} must be squarefree")
         f = PolyQ.of((-d, 1))
         theta = PolyQ.of((d,))
-        h = resultant_in_y(f, theta)
-        chi = f  # h = x^2 - d = chi(x^2)
+        # h = x^2 - d, whose roots +-sqrt(d) have the power sums 2, 0, 2d.
+        h = PolyQ.of((-d, 0, 1))
+        sums = (Fraction(2), Fraction(0), Fraction(2 * d))
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
@@ -208,6 +210,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # nonzero) and theta is not a square in F.  f is tested only to name
         # why chi is not irreducible.
         h = resultant_in_y(f, theta)
+        assert all(h.coeff(j) == 0 for j in range(1, h.degree, 2)), "h must be even"
         chi = PolyQ(h.coeffs[::2])
         if theta.is_zero or not is_irreducible(chi):
             if not is_irreducible(f):
@@ -243,11 +246,12 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # Ramified real places are the roots of f where theta < 0.
         real_count = tarski_query(f, PolyQ.one())
         ramified_count = (real_count - tarski_query(f, theta)) // 2
-    assert all(h.coeff(j) == 0 for j in range(1, h.degree, 2)), "h must be even"
-    # The power sums of h's roots, p_0 .. p_(6m-4): p_(2k) = 2 * s_k(chi), and
-    # the odd ones are 0.
-    zero = Fraction(0)
-    sums = [c for s in power_sums(chi, 3 * f.degree - 1) for c in (2 * s, zero)]
+        # The power sums of h's roots, p_0 .. p_(6m-4): p_(2k) = 2 * s_k(chi),
+        # and the odd ones are 0.
+        zero = Fraction(0)
+        sums = tuple(
+            c for s in power_sums(chi, 3 * f.degree - 1) for c in (2 * s, zero)
+        )[:-1]
 
     det_sign = -1 if (h.degree // 2) % 2 else 1
     det_class = SquareClass.of(det_sign) * disc_class
@@ -257,7 +261,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         f=f,
         theta=theta,
         h=h,
-        power_sums=tuple(sums[:-1]),
+        power_sums=sums,
         degree=h.degree,
         disc_class=disc_class,
         det_class=det_class,
@@ -275,12 +279,11 @@ def _is_square_at(f: PolyQ, theta: PolyQ, p: int) -> bool:
     1 where theta is a square; by the Chinese remainder theorem r is 1
     modulo the block exactly when it is 1 modulo every factor.
     """
-    theta_p = theta.reduce_mod_p(p)
-    one = PolyFp.one(p)
-    for block, k in distinct_degree(f.reduce_mod_p(p)):
-        r = theta_p.pow_mod((p**k - 1) // 2, block)
-        assert r * r % block == one, "theta is a unit at good primes"
-        if r != one:
+    theta_p = theta.reduce_mod_p(p).coeffs
+    for block, k in fp_distinct_degree(f.reduce_mod_p(p).coeffs, p):
+        r = fp_pow_mod(theta_p, (p**k - 1) // 2, block, p)
+        assert fp_mulmod(r, r, block, p) == [1], "theta is a unit at good primes"
+        if r != [1]:
             return False
     return True
 
@@ -377,6 +380,7 @@ class EtaleAlgebra:
             if self.component_split(i, v).is_indeterminate
         ]
 
+    @cached_property
     def pairwise_det_support(self) -> frozenset[Place]:
         """Places where the pairwise determinant-class symbol sum is odd."""
         return pairwise_det_support([c.det_class for c in self.components])

@@ -5,6 +5,13 @@ Diagonalization by symmetric congruence, the complete invariant tuple
 local hyperbolicity tests, and equivalence over Q by the local-global
 principle (two forms are equivalent iff their invariant tuples agree).
 
+A Gram matrix is diagonalized fraction-free: Bareiss elimination runs over
+the integers on the matrix scaled by L, the lcm of its denominators, and
+each diagonal entry is a pivot over L times the previous pivot.  When no
+pivot is zero these are the ratios D_k / D_(k-1) of the leading principal
+minors D_k (Bareiss, Math. Comp. 22, 1968).  Only the n diagonal entries are
+Fractions.
+
 The Hasse invariant is represented by its support: the finite set of places
 where the pairwise symbol sum is odd.  Away from 2, infinity, and primes
 dividing a diagonal entry, every symbol is trivial, so the support is
@@ -27,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from torusembed.arith.integers import SquareClass, factor_rational
@@ -49,46 +56,60 @@ class QFInvariants:
 def diagonalize_gram(gram) -> tuple[Fraction, ...]:
     """Diagonal entries of a form congruent to the symmetric matrix ``gram``.
 
-    Symmetric row/column elimination; when every remaining diagonal entry is
-    zero, a basis change x -> x + y manufactures a pivot.  Raises ValueError
-    ("degenerate form") when the matrix is singular.
+    Symmetric elimination, fraction-free (Bareiss): the matrix is scaled by
+    L, the lcm of its denominators, and step k replaces the trailing block by
+    (a * B[i][j] - B[i][k] * B[k][j]) / prev, an exact integer division, with
+    a the pivot and prev the previous one.  The trailing block is then L * a
+    times the rational Schur complement, so the k-th diagonal entry is
+    a / (L * prev); without a basis change these entries are the ratios
+    D_k / D_(k-1) of leading principal minors.  When the pivot is zero, a
+    later nonzero diagonal entry is swapped in, and when every remaining
+    diagonal entry is zero, a basis change x -> x + y manufactures a pivot;
+    the scaled block has the rational one's zero pattern, so the choices are
+    the same.  Raises ValueError ("degenerate form") when the matrix is
+    singular.
     """
-    m = [[Fraction(v) for v in row] for row in gram]
+    # Integers and Fractions already carry numerator and denominator.
+    m = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+         for row in gram]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("gram matrix must be square")
+    scale = lcm(*(v.denominator for row in m for v in row))
+    b = [[v.numerator * (scale // v.denominator) for v in row] for row in m]
     for i in range(n):
         for j in range(i):
-            if m[i][j] != m[j][i]:
+            if b[i][j] != b[j][i]:
                 raise ValueError("gram matrix must be symmetric")
     diag: list[Fraction] = []
+    prev = 1
+    # Only the trailing block b[k:][k:] is live at step k; it stays symmetric.
     for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((l for l in range(k + 1, n) if m[l][l] != 0), None)
+        if b[k][k] == 0:
+            pivot = next((l for l in range(k + 1, n) if b[l][l] != 0), None)
             if pivot is not None:
-                m[k], m[pivot] = m[pivot], m[k]
-                for row in m:
+                b[k], b[pivot] = b[pivot], b[k]
+                for row in b:
                     row[k], row[pivot] = row[pivot], row[k]
             else:
-                off = next((l for l in range(k + 1, n) if m[k][l] != 0), None)
+                off = next((l for l in range(k + 1, n) if b[k][l] != 0), None)
                 if off is None:
                     raise ValueError("degenerate form")
-                for j in range(n):
-                    m[k][j] += m[off][j]
-                for i in range(n):
-                    m[i][k] += m[i][off]
-        a = m[k][k]
+                for j in range(k, n):
+                    b[k][j] += b[off][j]
+                for i in range(k, n):
+                    b[i][k] += b[i][off]
+        a = b[k][k]
         if a == 0:
             raise ValueError("degenerate form")
-        diag.append(a)
+        diag.append(Fraction(a, scale * prev))
+        row_k = b[k]
         for i in range(k + 1, n):
-            c = m[i][k] / a
-            if c == 0:
-                continue
-            for j in range(n):
-                m[i][j] -= c * m[k][j]
-            for j in range(n):
-                m[j][i] -= c * m[j][k]
+            row_i = b[i]
+            c = row_i[k]
+            for j in range(i, n):
+                row_i[j] = b[j][i] = (a * row_i[j] - c * row_k[j]) // prev
+        prev = a
     return tuple(diag)
 
 

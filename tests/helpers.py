@@ -52,6 +52,56 @@ def random_general_spec(rng: random.Random, max_degree: int = 4) -> GeneralSpec:
         return spec
 
 
+def fraction_diagonalize(gram, branches: list[str] | None = None):
+    """Symmetric elimination over Q, the reference for ``diagonalize_gram``.
+
+    It pivots like the fraction-free elimination: a zero pivot is swapped
+    for a later nonzero diagonal entry, and when there is none the basis
+    change x -> x + y makes one.  Each such step appends "swap" or "sum" to
+    ``branches``."""
+    m = [[Fraction(v) for v in row] for row in gram]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("gram matrix must be square")
+    for i in range(n):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                raise ValueError("gram matrix must be symmetric")
+    out: list[Fraction] = []
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((l for l in range(k + 1, n) if m[l][l] != 0), None)
+            if pivot is not None:
+                m[k], m[pivot] = m[pivot], m[k]
+                for row in m:
+                    row[k], row[pivot] = row[pivot], row[k]
+                step = "swap"
+            else:
+                off = next((l for l in range(k + 1, n) if m[k][l] != 0), None)
+                if off is None:
+                    raise ValueError("degenerate form")
+                for j in range(n):
+                    m[k][j] += m[off][j]
+                for i in range(n):
+                    m[i][k] += m[i][off]
+                step = "sum"
+            if branches is not None:
+                branches.append(step)
+        a = m[k][k]
+        if a == 0:
+            raise ValueError("degenerate form")
+        out.append(a)
+        for i in range(k + 1, n):
+            c = m[i][k] / a
+            if c == 0:
+                continue
+            for j in range(n):
+                m[i][j] -= c * m[k][j]
+            for j in range(n):
+                m[j][i] -= c * m[j][k]
+    return tuple(out)
+
+
 def diag(*entries) -> QuadraticSpace:
     return QuadraticSpace.of(entries)
 

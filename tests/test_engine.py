@@ -344,6 +344,49 @@ def test_decide_evaluates_each_block_rule_once(monkeypatch):
     assert shared >= 10
 
 
+def test_decide_builds_bad_places_and_det_support_once(monkeypatch):
+    # decide hands its bad places to construct_baseline, and the algebra
+    # keeps its pairwise determinant support for every later reader.
+    rng = random.Random(59)
+    calls = {"bad_places": 0, "det_support": 0}
+    bad, support = engine.bad_places, etale.pairwise_det_support
+
+    def counting_bad(alg, form):
+        calls["bad_places"] += 1
+        return bad(alg, form)
+
+    def counting_support(dets):
+        calls["det_support"] += 1
+        return support(dets)
+
+    monkeypatch.setattr(engine, "bad_places", counting_bad)
+    monkeypatch.setattr(etale, "pairwise_det_support", counting_support)
+    full = baselines = 0
+    for _ in range(30):
+        specs = [
+            random_general_spec(rng, 2)
+            if rng.random() < 0.5
+            else quad(rng.choice((-7, -3, -1, 2, 3, 5)))
+            for _ in range(rng.randint(2, 3))
+        ]
+        alg = algebra(*specs)
+        form = trace_form(alg, random_symmetric_unit(alg, rng)).space
+        calls.update(bad_places=0, det_support=0)
+        report = decide(alg, form, 60)
+        if report.bad_places is None:
+            assert calls == {"bad_places": 0, "det_support": 0}
+            continue
+        assert calls == {"bad_places": 1, "det_support": 1}
+        # A later reader, such as the report, reuses the algebra's support.
+        assert alg.pairwise_det_support <= frozenset(report.bad_places)
+        assert calls["det_support"] == 1
+        full += 1
+        if report.baseline is not None:
+            assert report.baseline.places == report.bad_places
+            baselines += 1
+    assert full >= 20 and baselines >= 3
+
+
 # ------------------------------------------------------------------- decide
 
 

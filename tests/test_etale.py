@@ -406,6 +406,32 @@ def test_degree_one_general_twin_matches_quad():
         assert talg.component_split(0, INFINITY) == ralg.component_split(0, INFINITY)
 
 
+def test_quad_components_are_built_in_closed_form(monkeypatch):
+    # h = x^2 - d and the power sums (2, 0, 2d) need no resultant and no
+    # Newton's identities; the degree-one general twin, which runs both,
+    # shows the counter is live and that the results agree.
+    calls: list[str] = []
+    for name in ("resultant_in_y", "power_sums"):
+        original = getattr(etale, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(etale, name, counting)
+    for d in (-1, -3, 5, 2, -7, 6):
+        calls.clear()
+        component = build_component(quad(d))
+        assert calls == []
+        twin = build_component(general([-1, 1], [d]))
+        assert calls == ["resultant_in_y", "power_sums"]
+        assert component.h == twin.h
+        assert component.power_sums == twin.power_sums
+    calls.clear()
+    algebra(quad(-1), quad(2), quad(-15))
+    assert calls == []
+
+
 def test_general_splitting_against_factor_count_oracle():
     """At a prime where both f and h stay squarefree, the component splits
     iff h has exactly twice as many irreducible factors as f."""
@@ -495,7 +521,7 @@ def test_algebra_level_invariants():
     assert not mixed.is_cm
     assert mixed.disc_class.rep == -10
     assert mixed.unramified_real_weight == 1
-    assert mixed.pairwise_det_support() == frozenset({V2, V5})
+    assert mixed.pairwise_det_support == frozenset({V2, V5})
 
     quartic = algebra(general([-2, 0, 1], [0, 1]))
     assert quartic.has_nonrational_fixed_field

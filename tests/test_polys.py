@@ -9,6 +9,15 @@ from torusembed.arith.polyfp import (
     PolyFp,
     distinct_degree,
     factor_mod_p,
+    fp_distinct_degree,
+    fp_div_exact,
+    fp_divmod,
+    fp_gcd,
+    fp_mul,
+    fp_mulmod,
+    fp_pow_mod,
+    fp_reduce,
+    fp_rem,
     is_irreducible_mod_p,
 )
 from torusembed.arith.polyq import (
@@ -204,6 +213,95 @@ def test_factor_mod_p_frozen_cases():
     assert tuple(g.coeffs) == (1, 1) and e == 2
     assert is_irreducible_mod_p(PolyFp.of(3, [1, 0, 1]))
     assert not is_irreducible_mod_p(PolyFp.of(5, [1, 0, 1]))
+
+
+# A naive F_p[x] reference on ascending lists: every operation reduces each
+# coefficient as soon as it changes.
+
+
+def naive_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return fp_reduce(out, p)
+
+
+def naive_divmod(a, b, p):
+    rem, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    while len(rem) >= len(b):
+        k, c = len(rem) - len(b), rem[-1] * inv % p
+        q[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % p
+        rem = fp_reduce(rem, p)
+    return fp_reduce(q, p), rem
+
+
+def naive_gcd(a, b, p):
+    while b:
+        a, b = b, naive_divmod(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else a
+
+
+def naive_pow_mod(a, e, m, p):
+    out = [1]
+    for _ in range(e):
+        out = naive_divmod(naive_mul(out, a, p), m, p)[1]
+    return out if e else [1]
+
+
+def random_fp(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+
+def test_fp_kernel_matches_a_naive_reference():
+    rng = random.Random(71)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 13, 101, 10007))
+        a = random_fp(rng, p, rng.randint(0, 12))
+        b = random_fp(rng, p, rng.randint(0, 12))
+        m = random_fp(rng, p, rng.randint(1, 8))
+        if rng.random() < 0.5:
+            m = [c * pow(m[-1], -1, p) % p for c in m]  # monic, as blocks are
+        assert fp_mul(a, b, p) == naive_mul(a, b, p)
+        assert fp_mulmod(a, b, m, p) == naive_divmod(naive_mul(a, b, p), m, p)[1]
+        assert fp_rem(a, m, p) == naive_divmod(a, m, p)[1]
+        assert fp_divmod(a, m, p) == naive_divmod(a, m, p)
+        assert fp_div_exact(naive_mul(a, b, p), b, p) == a
+        assert fp_gcd(a, b, p) == naive_gcd(a, b, p)
+        c = random_fp(rng, p, rng.randint(1, 4))  # a common factor
+        ac, bc = naive_mul(a, c, p), naive_mul(b, c, p)
+        assert fp_gcd(ac, bc, p) == naive_gcd(ac, bc, p)
+        e = rng.randrange(40)
+        assert fp_pow_mod(a, e, m, p) == naive_pow_mod(a, e, m, p)
+    # Zero inputs and a large exponent, against Fermat in F_p[x]/(x - c).
+    assert fp_mulmod([], [1, 2], [0, 1], 5) == fp_rem([], [0, 1], 5) == []
+    assert fp_gcd([], [], 7) == [] and fp_gcd([], [3, 3], 7) == [1, 1]
+    assert fp_pow_mod([2, 1], 10007**3 - 1, [3, 1], 10007) == [1]
+
+
+def test_distinct_degree_blocks_match_the_factorization():
+    rng = random.Random(73)
+    for _ in range(150):
+        p = rng.choice((3, 5, 7, 11, 101))
+        degree = rng.randint(1, 10)
+        f = PolyFp.of(p, [rng.randrange(p) for _ in range(degree)] + [1])
+        if f.gcd(f.derivative()).degree != 0:
+            continue
+        blocks = fp_distinct_degree(list(f.coeffs), p)
+        product = [1]
+        for block, _ in blocks:
+            product = fp_mul(product, block, p)
+        assert product == list(f.coeffs)
+        degrees: dict[int, int] = {}
+        for g, e in factor_mod_p(f):
+            assert e == 1
+            degrees[g.degree] = degrees.get(g.degree, 0) + g.degree
+        assert {k: len(block) - 1 for block, k in blocks} == degrees
+        assert [k for _, k in blocks] == sorted(degrees)
+        assert distinct_degree(f) == [(PolyFp(p, tuple(b)), k) for b, k in blocks]
 
 
 def square_at_every_factor(e: PolyFp, block: PolyFp, k: int) -> bool:

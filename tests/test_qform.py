@@ -19,6 +19,8 @@ from torusembed.qform import (
     signature_hasse_bit,
 )
 
+from helpers import fraction_diagonalize
+
 V2, V3, V5 = (Place.finite(p) for p in (2, 3, 5))
 PLACES = [V2, V3, V5, Place.finite(7), Place.finite(11), INFINITY]
 
@@ -73,6 +75,65 @@ def test_diagonalize_gram_handles_zero_diagonal():
     diag = diagonalize_gram([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     space = QuadraticSpace.of(diag)
     assert equivalent_over_q(space, QuadraticSpace.of([1, -1]))
+
+
+def random_symmetric(rng: random.Random, n: int) -> list[list[Fraction]]:
+    """A symmetric rational matrix whose diagonal is often partly or wholly
+    zero, and which is sometimes made singular."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            v = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 10)))
+            m[i][j] = m[j][i] = v
+    zeros = rng.choice(("none", "some", "all"))
+    for i in range(n):
+        if zeros == "all" or (zeros == "some" and rng.random() < 0.5):
+            m[i][i] = Fraction(0)
+    if n > 1 and rng.random() < 0.2:
+        # Repeat a row and its column: the matrix becomes singular.
+        a, b = rng.sample(range(n), 2)
+        m[b] = list(m[a])
+        for row in m:
+            row[b] = row[a]
+    return m
+
+
+def outcome(fn, gram):
+    try:
+        return fn(gram)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_fraction_free_diagonalization_matches_rational_elimination():
+    rng = random.Random(61)
+    branches: list[str] = []
+    errors = set()
+    for _ in range(400):
+        gram = random_symmetric(rng, rng.randint(1, 12))
+        want = outcome(lambda g: fraction_diagonalize(g, branches), gram)
+        got = outcome(diagonalize_gram, gram)
+        assert got == want, gram
+        if isinstance(want, str):
+            errors.add(want)
+        else:
+            assert all(type(a) is Fraction for a in got)
+    # Both ways of making a zero pivot nonzero ran, and singular input
+    # failed in both.
+    assert {"swap", "sum"} <= set(branches)
+    assert errors == {"degenerate form"}
+    # Degenerate, non-square and asymmetric input raise the same text.
+    for gram in (
+        [[0, 0], [0, 0]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[1, 2], [2, 4]],
+        [[1, 2], [3]],
+        [[1, 2, 3], [2, 1, 3]],
+        [[1, Fraction(1, 2)], [Fraction(1, 3), 1]],
+        [["1/2", 1], [1, "1/2"]],
+    ):
+        assert outcome(diagonalize_gram, gram) == outcome(fraction_diagonalize, gram)
+    assert diagonalize_gram([]) == fraction_diagonalize([]) == ()
 
 
 def test_from_gram_matches_diagonal_presentation():

@@ -197,7 +197,7 @@ def test_hasse_bit_is_the_pairwise_symbol_sum(entries):
 def test_pairwise_det_bit_is_the_pairwise_symbol_sum(ds):
     alg = build_algebra([QuadSpec(d) for d in ds])
     reps = [c.det_class.rep for c in alg.components]
-    support = alg.pairwise_det_support()
+    support = alg.pairwise_det_support
     for v in KERNEL_PLACES:
         assert (v in support) == pairwise_symbol_sum(reps, v)
 
