@@ -52,9 +52,7 @@ from .oracle import (
 from .qform import (
     QFInvariants,
     QuadraticSpace,
-    equivalent_over_q,
     hyperbolic_deviation_set,
-    is_locally_hyperbolic,
 )
 
 __version__ = "0.1.0"
@@ -89,9 +87,7 @@ __all__ = [
     "construct_baseline",
     "decide",
     "enumerate_symmetric_units",
-    "equivalent_over_q",
     "hyperbolic_deviation_set",
-    "is_locally_hyperbolic",
     "make_element",
     "parity_vector",
     "search_realizing_element",

@@ -14,11 +14,10 @@ from torusembed.arith.symbols import (
     hilbert_symbol,
     is_local_square,
     legendre_symbol,
-    symbol_support,
 )
 from torusembed.arith.polyq import PolyQ, discriminant, is_irreducible, resultant
-from torusembed.arith.polyfp import PolyFp, factor_mod_p
-from torusembed.arith.sturm import RealRoot, isolate_real_roots, real_root_count
+from torusembed.arith.polyfp import factor_mod_p
+from torusembed.arith.sturm import RealRoot, isolate_real_roots
 
 __all__ = [
     "SquareClass",
@@ -32,14 +31,11 @@ __all__ = [
     "hilbert_symbol",
     "is_local_square",
     "legendre_symbol",
-    "symbol_support",
     "PolyQ",
     "discriminant",
     "is_irreducible",
     "resultant",
-    "PolyFp",
     "factor_mod_p",
     "RealRoot",
     "isolate_real_roots",
-    "real_root_count",
 ]

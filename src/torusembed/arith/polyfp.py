@@ -6,22 +6,22 @@ term first, with no trailing zeros.  Products are accumulated over the
 integers and reduced with one ``% p`` per output coefficient, also inside
 ``fp_mulmod``, where the division by the modulus runs on the unreduced
 product; ``fp_rem``, ``fp_divmod`` and ``fp_div_exact`` share one division
-loop.  ``PolyFp`` is the value type the rest of the package and the tests
-build; its methods are thin wrappers over the kernel.
+loop.  Every F_p[x] value in the package is such a list.  ``fp_mul`` and
+``fp_div_exact`` by a monic divisor need no inverse, so Hensel lifting in
+``polyq`` also uses them modulo p^k.
 
 Factorization is squarefree decomposition + distinct-degree + Cantor-Zassenhaus
 equal-degree splitting (Cohen, GTM 138, 3.4); the distinct-degree blocks alone
 count factors and decide splitting.  The random stream used by the splitting
-step is local to the call and seeded from (p, input coefficients), so results
+step is local to the call and seeded from (p, reduced coefficients), so results
 are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from torusembed.arith.integers import factor_integer, is_probable_prime
+from torusembed.arith.integers import is_probable_prime
 
 
 def _strip(a: list[int]) -> list[int]:
@@ -143,215 +143,87 @@ def fp_distinct_degree(f, p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-@dataclass(frozen=True)
-class PolyFp:
-    """Polynomial over F_p, coefficients ascending, no trailing zeros."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def of(cls, p: int, coeffs) -> "PolyFp":
-        return cls(p, tuple(fp_reduce(coeffs, p)))
-
-    @classmethod
-    def zero(cls, p: int) -> "PolyFp":
-        return cls(p, ())
-
-    @classmethod
-    def one(cls, p: int) -> "PolyFp":
-        return cls.of(p, (1,))
-
-    @classmethod
-    def x(cls, p: int) -> "PolyFp":
-        return cls.of(p, (0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def _check(self, other: "PolyFp"):
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-
-    def _wrap(self, coeffs: list[int]) -> "PolyFp":
-        return PolyFp(self.p, tuple(coeffs))
-
-    def __add__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyFp.of(self.p, out)
-
-    def __neg__(self) -> "PolyFp":
-        return PolyFp.of(self.p, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "PolyFp") -> "PolyFp":
-        return self + (-other)
-
-    def __mul__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        return self._wrap(fp_mul(self.coeffs, other.coeffs, self.p))
-
-    def scale(self, c: int) -> "PolyFp":
-        return PolyFp.of(self.p, [c * a for a in self.coeffs])
-
-    def monic(self) -> "PolyFp":
-        return self._wrap(fp_monic(self.coeffs, self.p))
-
-    def divmod(self, other: "PolyFp") -> tuple["PolyFp", "PolyFp"]:
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = fp_divmod(self.coeffs, other.coeffs, self.p)
-        return self._wrap(q), self._wrap(r)
-
-    def __mod__(self, other: "PolyFp") -> "PolyFp":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "PolyFp") -> "PolyFp":
-        return self.divmod(other)[0]
-
-    def gcd(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        return self._wrap(fp_gcd(self.coeffs, other.coeffs, self.p))
-
-    def pow_mod(self, e: int, modulus: "PolyFp") -> "PolyFp":
-        self._check(modulus)
-        if modulus.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        return self._wrap(fp_pow_mod(self.coeffs, e, modulus.coeffs, self.p))
-
-    def derivative(self) -> "PolyFp":
-        return self._wrap(fp_derivative(self.coeffs, self.p))
-
-
-def _seed_from(f: PolyFp) -> int:
-    acc = f.p
-    for c in f.coeffs:
+def _seed_from(f, p: int) -> int:
+    acc = p
+    for c in f:
         acc = (acc * 1_000_003 + c + 1) % (1 << 62)
     return acc
 
 
-def _pth_root(f: PolyFp) -> PolyFp:
-    # f = g(x^p) over F_p; Frobenius fixes F_p, so g takes every p-th coefficient.
-    return PolyFp.of(f.p, f.coeffs[:: f.p])
-
-
-def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
+def _squarefree_decomposition(f, p: int) -> list[tuple[list[int], int]]:
     """Monic f as a product of squarefree monic parts with multiplicities."""
-    p = f.p
-    out: list[tuple[PolyFp, int]] = []
-    d = f.derivative()
-    if d.is_zero:
-        for g, m in _squarefree_decomposition(_pth_root(f)):
-            out.append((g, m * p))
-        return out
-    c = f.gcd(d)
-    w = (f // c).monic()
+    d = fp_derivative(f, p)
+    if not d:
+        # f = g(x^p) over F_p; Frobenius fixes F_p, so g takes every p-th coefficient.
+        return [(g, m * p) for g, m in _squarefree_decomposition(f[::p], p)]
+    out = []
+    c = fp_gcd(f, d, p)
+    w = fp_div_exact(f, c, p)
     i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        part = (w // y).monic()
-        if part.degree > 0:
+    while len(w) > 1:
+        y = fp_gcd(w, c, p)
+        part = fp_div_exact(w, y, p)
+        if len(part) > 1:
             out.append((part, i))
         w = y
-        c = (c // y).monic()
+        c = fp_div_exact(c, y, p)
         i += 1
-    if c.degree > 0:
-        for g, m in _squarefree_decomposition(_pth_root(c)):
-            out.append((g, m * p))
+    if len(c) > 1:
+        out += [(g, m * p) for g, m in _squarefree_decomposition(c[::p], p)]
     return out
 
 
-def distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """``fp_distinct_degree`` on a squarefree monic ``PolyFp``."""
-    return [(f._wrap(g), k) for g, k in fp_distinct_degree(f.coeffs, f.p)]
-
-
-def _equal_degree(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:
+def _equal_degree(f, d: int, p: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus split of squarefree monic f into irreducibles of degree d."""
-    p = f.p
-    if f.degree == d:
+    n = len(f) - 1
+    if n == d:
         return [f]
-    n = f.degree
     while True:
-        r = PolyFp.of(p, [rng.randrange(p) for _ in range(n)])
-        if r.degree < 1:
+        r = fp_reduce([rng.randrange(p) for _ in range(n)], p)
+        if len(r) < 2:
             continue
-        g = f.gcd(r)
-        if 0 < g.degree < n:
+        g = fp_gcd(f, r, p)
+        if 0 < len(g) - 1 < n:
             break
         if p == 2:
             # Trace map r + r^2 + r^4 + ... splits the Artin-Schreier classes.
-            t = PolyFp.zero(p)
-            s = r % f
+            t = [0] * n
+            s = fp_rem(r, f, p)
             for _ in range(d):
-                t = (t + s) % f
-                s = s * s % f
-            g = f.gcd(t)
+                for i, c in enumerate(s):
+                    t[i] += c
+                s = fp_mulmod(s, s, f, p)
         else:
-            h = r.pow_mod((p**d - 1) // 2, f)
-            g = f.gcd(h - PolyFp.one(p))
-        if 0 < g.degree < n:
+            # r^((p^d - 1)/2) is +1 or -1 at each factor; keep the +1 ones.
+            t = fp_pow_mod(r, (p**d - 1) // 2, f, p)
+            t[0] -= 1
+        g = fp_gcd(f, fp_reduce(t, p), p)
+        if 0 < len(g) - 1 < n:
             break
-    left = _equal_degree(g.monic(), d, rng)
-    right = _equal_degree((f // g).monic(), d, rng)
-    return left + right
+    rest = fp_div_exact(f, g, p)
+    return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
 
 
-def factor_mod_p(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Factor f into monic irreducibles with multiplicities.
+def factor_mod_p(f, p: int) -> list[tuple[list[int], int]]:
+    """Factor integer coefficients f over F_p into monic irreducibles with
+    multiplicities.
 
-    Factors are sorted by (degree, ascending coefficient tuple); the product of
-    the factors times lc(f) re-expands to f.
+    Factors are sorted by (degree, coefficients); the product of the factors
+    times the leading coefficient re-expands to ``fp_reduce(f, p)``.
     """
-    if f.is_zero:
+    f = fp_reduce(f, p)
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if not is_probable_prime(f.p):
-        raise ValueError(f"{f.p} is not prime")
-    if f.degree < 1:
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if len(f) < 2:
         return []
-    rng = random.Random(_seed_from(f))
-    monic = f.monic()
-    out: list[tuple[PolyFp, int]] = []
-    for part, mult in _squarefree_decomposition(monic):
-        for block, d in distinct_degree(part):
-            for irr in _equal_degree(block, d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    rng = random.Random(_seed_from(f, p))
+    out = [
+        (irr, mult)
+        for part, mult in _squarefree_decomposition(fp_monic(f, p), p)
+        for block, d in fp_distinct_degree(part, p)
+        for irr in _equal_degree(block, d, p, rng)
+    ]
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
-
-
-def is_irreducible_mod_p(f: PolyFp) -> bool:
-    """Frobenius-based irreducibility test for f over F_p."""
-    n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    p = f.p
-    x = PolyFp.x(p)
-    h = x.pow_mod(p**n, f)
-    if h != x % f:
-        return False
-    for ell, _ in factor_integer(n)[1]:
-        g = x.pow_mod(p ** (n // ell), f) - x
-        if f.gcd(g).degree != 0:
-            return False
-    return True
-

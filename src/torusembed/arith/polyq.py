@@ -3,23 +3,31 @@
 Includes resultants (integer subresultant PRS), discriminants, rational root
 extraction, and irreducibility testing over Q by Hensel lifting a mod-p
 factorization and trying factor recombinations (degrees up to 12 are
-supported, which keeps the subset search trivial).
+supported, which keeps the subset search trivial; Cohen, GTM 138, 3.5).
+Integer polynomials are ascending int lists that share the ``polyfp``
+kernel's ``_raw_mul`` and ``_strip``; the modular factors and their lifts
+are kernel lists too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
 from torusembed.arith.integers import divisors, iter_primes
 from torusembed.arith.polyfp import (
-    PolyFp,
+    _raw_mul,
+    _strip,
     factor_mod_p,
     fp_derivative,
     fp_distinct_degree,
+    fp_div_exact,
+    fp_divmod,
     fp_gcd,
+    fp_mul,
+    fp_mulmod,
     fp_reduce,
 )
 
@@ -154,14 +162,15 @@ class PolyQ:
             return self.monic()
         return (self // self.gcd(self.derivative())).monic()
 
-    def reduce_mod_p(self, p: int) -> PolyFp:
-        """Image in F_p[x]; every coefficient denominator must be prime to p."""
+    def reduce_mod_p(self, p: int) -> list[int]:
+        """Image in F_p[x] as a kernel list; every coefficient denominator
+        must be prime to p."""
         out = []
         for c in self.coeffs:
             if c.denominator % p == 0:
                 raise ValueError(f"coefficient denominator divisible by {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return PolyFp.of(p, out)
+            out.append(c.numerator * pow(c.denominator, -1, p))
+        return fp_reduce(out, p)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -187,24 +196,6 @@ def integerize(f: PolyQ) -> tuple[list[int], int]:
     return [int(c * d) for c in f.coeffs], d
 
 
-def _ip_strip(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ip_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _ip_prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of a by b over Z: lc(b)^(deg a - deg b + 1) * a mod b."""
     rem = list(a)
@@ -217,7 +208,7 @@ def _ip_prem(a: list[int], b: list[int]) -> list[int]:
         rem = [lb * r for r in rem]
         for i, bc in enumerate(b):
             rem[k + i] -= c * bc
-        _ip_strip(rem)
+        _strip(rem)
         steps -= 1
     for _ in range(max(steps, 0)):
         rem = [lb * r for r in rem]
@@ -226,8 +217,8 @@ def _ip_prem(a: list[int], b: list[int]) -> list[int]:
 
 def _int_resultant(A: list[int], B: list[int]) -> int:
     """Resultant of integer polynomials via the subresultant PRS (exact)."""
-    A = _ip_strip(list(A))
-    B = _ip_strip(list(B))
+    A = _strip(list(A))
+    B = _strip(list(B))
     if not A or not B:
         return 0
     if len(A) == 1:
@@ -351,89 +342,59 @@ def rational_roots(f: PolyQ) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
-def _fp_bezout(a: PolyFp, b: PolyFp) -> tuple[PolyFp, PolyFp]:
-    """(s, t) with s*a + t*b = 1 for coprime a, b over F_p."""
-    p = a.p
-    r0, r1 = a, b
-    s0, s1 = PolyFp.one(p), PolyFp.zero(p)
-    t0, t1 = PolyFp.zero(p), PolyFp.one(p)
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
+def _fp_inverse(a: list[int], m: list[int], p: int) -> list[int]:
+    """a^-1 modulo m over F_p, for a coprime to m, by the extended Euclidean
+    algorithm on (m, a)."""
+    r0, r1 = m, a
+    t0, t1 = [], [1]
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
+        t0, t1 = t1, fp_reduce(
+            [x - y for x, y in zip_longest(t0, _raw_mul(q, t1), fillvalue=0)], p
+        )
+    if len(r0) != 1:
         raise ValueError("polynomials are not coprime")
-    inv = pow(r0.lc, -1, p)
-    return s0.scale(inv), t0.scale(inv)
+    return fp_mul(t0, [pow(r0[0], -1, p)], p)
 
 
 def _hensel_pair(
     f: list[int], g: list[int], h: list[int], p: int, target: int
 ) -> tuple[list[int], list[int]]:
-    """Lift f = g*h (mod p) with f, g, h monic to modulus p^target (linear steps)."""
-    gp = PolyFp.of(p, g)
-    hp = PolyFp.of(p, h)
-    s, t = _fp_bezout(gp, hp)
-    m = p
-    G = [c % p for c in g]
-    H = [c % p for c in h]
-    k = 1
-    while k < target:
-        mm = m * p
-        prod = _ip_mul(G, H)
-        e = [fc - pc for fc, pc in _zip_pad(f, prod)]
-        ep = PolyFp.of(p, [(c // m) % p for c in e])
-        u = (t * ep) % gp
-        q = (t * ep) // gp
-        w = s * ep + q * hp
-        G = _ip_strip([(a + m * b) % mm for a, b in _zip_pad(G, list(u.coeffs))])
-        H = _ip_strip([(a + m * b) % mm for a, b in _zip_pad(H, list(w.coeffs))])
-        m = mm
-        k += 1
+    """Lift f = g*h (mod p) with f, g, h monic to modulus p^target (linear steps).
+
+    With f = G*H + m*e, the step G += m*u, u = e * h^-1 mod g over F_p,
+    keeps G monic; H is then the exact quotient f / G modulo the new m."""
+    t = _fp_inverse(h, g, p)
+    G, H, m = g, h, p
+    for _ in range(target - 1):
+        e = [(a - b) // m for a, b in zip(f, _raw_mul(G, H))]
+        G = list(G)
+        for i, c in enumerate(fp_mulmod(t, e, g, p)):
+            G[i] += m * c
+        m *= p
+        H = fp_div_exact(f, G, m)
     return G, H
 
 
 def _lift_factors(
-    f: list[int], factors: list[PolyFp], p: int, target: int
+    f: list[int], factors: list[list[int]], p: int, target: int
 ) -> list[list[int]]:
     """Lift a mod-p factorization of monic integer f to factors mod p^target."""
     if len(factors) == 1:
-        m = p**target
-        return [_ip_strip([c % m for c in f])]
+        return [f]
     half = len(factors) // 2
-    left, right = factors[:half], factors[half:]
-    gp = PolyFp.one(p)
-    for fac in left:
-        gp = gp * fac
-    hp = PolyFp.one(p)
-    for fac in right:
-        hp = hp * fac
-    G, H = _hensel_pair(f, list(gp.coeffs), list(hp.coeffs), p, target)
-    return _lift_factors(G, left, p, target) + _lift_factors(H, right, p, target)
+    g = [1]
+    for fac in factors[:half]:
+        g = fp_mul(g, fac, p)
+    h = fp_div_exact(fp_reduce(f, p), g, p)
+    G, H = _hensel_pair(f, g, h, p, target)
+    return (_lift_factors(G, factors[:half], p, target)
+            + _lift_factors(H, factors[half:], p, target))
 
 
 def _centered(a: list[int], m: int) -> list[int]:
-    return _ip_strip([c - m if c > m // 2 else c for c in [x % m for x in a]])
-
-
-def _ip_divides(cand: list[int], f: list[int]) -> bool:
-    """Whether monic integer cand divides f over Z."""
-    rem = list(f)
-    d = len(cand) - 1
-    while rem and len(rem) - 1 >= d:
-        k = len(rem) - 1 - d
-        c = rem[-1]
-        for i, cc in enumerate(cand):
-            rem[k + i] -= c * cc
-        _ip_strip(rem)
-    return not rem
+    return _strip([c - m if c > m // 2 else c for c in [x % m for x in a]])
 
 
 def _monicize(A: list[int]) -> list[int]:
@@ -482,7 +443,7 @@ def is_irreducible(f: PolyQ) -> bool:
             break
     assert best is not None
     _, p, gp = best
-    facs = [fac for fac, _ in factor_mod_p(PolyFp(p, tuple(gp)))]
+    facs = [fac for fac, _ in factor_mod_p(gp, p)]
 
     # Landau-Mignotte style bound on coefficients of any monic factor of g.
     bound = (2**n) * (isqrt(sum(x * x for x in g)) + 1)
@@ -496,8 +457,9 @@ def is_irreducible(f: PolyQ) -> bool:
         for subset in combinations(range(r), size):
             prod = [1]
             for i in subset:
-                prod = _ip_strip([c % m for c in _ip_mul(prod, lifted[i])])
-            cand = _centered(prod, m)
-            if cand and cand[-1] == 1 and _ip_divides(cand, g):
+                prod = fp_mul(prod, lifted[i], m)
+            # A product of monic lifts is monic, so its pseudo-remainder is
+            # the remainder.
+            if not _ip_prem(g, _centered(prod, m)):
                 return False
     return True

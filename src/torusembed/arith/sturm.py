@@ -18,13 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from torusembed.arith.polyq import (
-    PolyQ,
-    _ip_mul,
-    _ip_strip,
-    integerize,
-    rational_roots,
-)
+from torusembed.arith.polyfp import _raw_mul, _strip
+from torusembed.arith.polyq import PolyQ, integerize, rational_roots
 
 
 def _sign(x) -> int:
@@ -87,7 +82,7 @@ def _positive_rem(a: list[int], b: list[int]) -> list[int]:
         rem = [lb * r for r in rem]
         for i, bc in enumerate(b):
             rem[k + i] -= c * bc
-        _ip_strip(rem)
+        _strip(rem)
     content = gcd(*rem)
     return [r // content for r in rem] if content > 1 else rem
 
@@ -96,19 +91,12 @@ def tarski_query(f: PolyQ, g: PolyQ) -> int:
     """Sum of sign g(x) over the distinct real roots x of squarefree f."""
     a = integerize(f)[0]
     da = [i * c for i, c in enumerate(a)][1:]
-    b = _positive_rem(_ip_mul(da, integerize(g)[0]), a)
+    b = _positive_rem(_raw_mul(da, integerize(g)[0]), a)
     chain = [a]
     while b:
         chain.append(b)
         a, b = b, [-c for c in _positive_rem(a, b)]
     return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
-
-
-def real_root_count(f: PolyQ) -> int:
-    """Number of distinct real roots of nonzero f."""
-    if f.is_zero:
-        raise ValueError("the zero polynomial has every root")
-    return tarski_query(f.squarefree_part(), PolyQ.one())
 
 
 @dataclass

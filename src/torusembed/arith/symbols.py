@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from torusembed.arith.integers import factor_rational
 from torusembed.arith.places import INFINITY, Place, sorted_places
 
 
@@ -144,21 +143,3 @@ def places_over(primes) -> list[Place]:
     Sorted: finite places ascending, then the real place.
     """
     return sorted_places([*(Place(p) for p in {2, *primes}), INFINITY])
-
-
-def candidate_places(values) -> list[Place]:
-    """The real place, 2, and every prime dividing a numerator/denominator.
-
-    Any Hilbert symbol built from ``values`` is trivial outside this list.
-    """
-    primes: set[int] = set()
-    for x in values:
-        primes.update(factor_rational(x, primes)[1])
-    return places_over(primes)
-
-
-def symbol_support(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:
-    """The (finite, even-sized) set of places where (a, b) is nontrivial."""
-    return frozenset(
-        v for v in candidate_places((a, b)) if hilbert_symbol(a, b, v) == 1
-    )

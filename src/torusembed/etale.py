@@ -279,8 +279,8 @@ def _is_square_at(f: PolyQ, theta: PolyQ, p: int) -> bool:
     1 where theta is a square; by the Chinese remainder theorem r is 1
     modulo the block exactly when it is 1 modulo every factor.
     """
-    theta_p = theta.reduce_mod_p(p).coeffs
-    for block, k in fp_distinct_degree(f.reduce_mod_p(p).coeffs, p):
+    theta_p = theta.reduce_mod_p(p)
+    for block, k in fp_distinct_degree(f.reduce_mod_p(p), p):
         r = fp_pow_mod(theta_p, (p**k - 1) // 2, block, p)
         assert fp_mulmod(r, r, block, p) == [1], "theta is a unit at good primes"
         if r != [1]:

@@ -1,9 +1,9 @@
 """Quadratic spaces over Q.
 
-Diagonalization by symmetric congruence, the complete invariant tuple
-(dimension, determinant class, discriminant class, Hasse support, signature),
-local hyperbolicity tests, and equivalence over Q by the local-global
-principle (two forms are equivalent iff their invariant tuples agree).
+Diagonalization by symmetric congruence and the complete invariant tuple
+(dimension, determinant class, discriminant class, Hasse support, signature):
+by the local-global principle, two forms are equivalent over Q iff their
+invariant tuples agree.
 
 A Gram matrix is diagonalized fraction-free: Bareiss elimination runs over
 the integers on the matrix scaled by L, the lcm of its denominators, and
@@ -39,7 +39,7 @@ from typing import Sequence
 
 from torusembed.arith.integers import SquareClass, factor_rational
 from torusembed.arith.places import INFINITY, TWO, Place
-from torusembed.arith.symbols import hasse_bit, is_local_square, places_over
+from torusembed.arith.symbols import hasse_bit, places_over
 
 
 @dataclass(frozen=True)
@@ -210,29 +210,11 @@ def hyperbolic_hasse_support(dim: int) -> frozenset[Place]:
     return frozenset({TWO, INFINITY}) if n * (n - 1) // 2 % 2 else frozenset()
 
 
-def equivalent_over_q(q1: QuadraticSpace, q2: QuadraticSpace) -> bool:
-    """Equivalence over Q: equality of the complete invariant tuples."""
-    return q1.invariants == q2.invariants
-
-
 def hyperbolic_deviation_set(q: QuadraticSpace) -> frozenset[Place]:
     """Places where the Hasse bit of q differs from the split form's bit."""
     if q.dim % 2:
         raise ValueError("dimension must be even")
     return q.invariants.hasse_support ^ hyperbolic_hasse_support(q.dim)
-
-
-def is_locally_hyperbolic(q: QuadraticSpace, v: Place) -> bool:
-    """Whether q becomes the split form of its dimension over the completion at v."""
-    if q.dim % 2:
-        raise ValueError("dimension must be even")
-    n = q.dim // 2
-    if v.is_infinite:
-        return q.invariants.signature == (n, n)
-    det_shift = q.invariants.det.rep * (-1 if n % 2 else 1)
-    if not is_local_square(Fraction(det_shift), v):
-        return False
-    return q.local_hasse_bit(v) == (v in hyperbolic_hasse_support(q.dim))
 
 
 def signature_hasse_bit(signature: tuple[int, int]) -> int:

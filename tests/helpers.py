@@ -1,4 +1,5 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the reference functions that
+only tests use."""
 
 from __future__ import annotations
 
@@ -7,7 +8,12 @@ import io
 import random
 from fractions import Fraction
 
+from torusembed.arith.integers import factor_integer, factor_rational
+from torusembed.arith.places import Place
+from torusembed.arith.polyfp import fp_gcd, fp_pow_mod, fp_reduce, fp_rem
 from torusembed.arith.polyq import PolyQ
+from torusembed.arith.sturm import tarski_query
+from torusembed.arith.symbols import hilbert_symbol, is_local_square, places_over
 from torusembed.cli import main as cli_main
 from torusembed.errors import ComponentValidationError
 from torusembed.etale import (
@@ -18,7 +24,7 @@ from torusembed.etale import (
     build_component,
 )
 from torusembed.oracle import AlgebraElement, make_element
-from torusembed.qform import QuadraticSpace
+from torusembed.qform import QuadraticSpace, hyperbolic_hasse_support
 
 
 def P(*coeffs) -> PolyQ:
@@ -151,6 +157,70 @@ def demo_algebra() -> EtaleAlgebra:
 
 def demo_form() -> QuadraticSpace:
     return diag(1, -1, 1, -1, 1, -1, -3, -3)
+
+
+# --- references for the arithmetic kernels ---
+
+
+def is_irreducible_mod_p(f: list[int], p: int) -> bool:
+    """Frobenius-based irreducibility test for the kernel list f over F_p."""
+    n = len(f) - 1
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    x = [0, 1]
+    if fp_pow_mod(x, p**n, f, p) != fp_rem(x, f, p):
+        return False
+    for ell, _ in factor_integer(n)[1]:
+        g = fp_pow_mod(x, p ** (n // ell), f, p) + [0, 0]
+        g[1] -= 1
+        if len(fp_gcd(f, fp_reduce(g, p), p)) != 1:
+            return False
+    return True
+
+
+def real_root_count(f: PolyQ) -> int:
+    """Number of distinct real roots of nonzero f."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has every root")
+    return tarski_query(f.squarefree_part(), PolyQ.one())
+
+
+def candidate_places(values) -> list[Place]:
+    """The real place, 2, and every prime dividing a numerator/denominator.
+
+    Any Hilbert symbol built from ``values`` is trivial outside this list.
+    """
+    primes: set[int] = set()
+    for x in values:
+        primes.update(factor_rational(x, primes)[1])
+    return places_over(primes)
+
+
+def symbol_support(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:
+    """The (finite, even-sized) set of places where (a, b) is nontrivial."""
+    return frozenset(
+        v for v in candidate_places((a, b)) if hilbert_symbol(a, b, v) == 1
+    )
+
+
+def equivalent_over_q(q1: QuadraticSpace, q2: QuadraticSpace) -> bool:
+    """Equivalence over Q: equality of the complete invariant tuples."""
+    return q1.invariants == q2.invariants
+
+
+def is_locally_hyperbolic(q: QuadraticSpace, v: Place) -> bool:
+    """Whether q becomes the split form of its dimension over the completion at v."""
+    if q.dim % 2:
+        raise ValueError("dimension must be even")
+    n = q.dim // 2
+    if v.is_infinite:
+        return q.invariants.signature == (n, n)
+    det_shift = q.invariants.det.rep * (-1 if n % 2 else 1)
+    if not is_local_square(Fraction(det_shift), v):
+        return False
+    return q.local_hasse_bit(v) == (v in hyperbolic_hasse_support(q.dim))
 
 
 def run_cli(argv: list[str], stdin_text: str | None = None):

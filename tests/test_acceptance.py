@@ -12,7 +12,7 @@ from pathlib import Path
 
 from torusembed.arith.integers import squarefree_part
 from torusembed.arith.places import INFINITY, Place
-from torusembed.arith.symbols import candidate_places, hilbert_symbol
+from torusembed.arith.symbols import hilbert_symbol
 from torusembed.engine import (
     VERDICT_LOCALLY_FAILS,
     VERDICT_REALIZABLE,
@@ -28,10 +28,19 @@ from torusembed.oracle import (
     search_realizing_element,
     trace_form,
 )
-from torusembed.qform import QuadraticSpace, is_locally_hyperbolic
+from torusembed.qform import QuadraticSpace
 
 from bruteforce import brute_hilbert_bit
-from helpers import algebra, diag, general, quad, random_symmetric_unit, run_cli
+from helpers import (
+    algebra,
+    candidate_places,
+    diag,
+    general,
+    is_locally_hyperbolic,
+    quad,
+    random_symmetric_unit,
+    run_cli,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 

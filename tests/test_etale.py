@@ -310,11 +310,11 @@ def test_block_rule_splitting_against_factor_counts():
         for p in primes_up_to(60):
             if p == 2 or p in c.exactness_gaps or bad % p == 0:
                 continue
-            f_factors = factor_mod_p(c.f.reduce_mod_p(p))
-            h_factors = factor_mod_p(c.h.reduce_mod_p(p))
+            f_factors = factor_mod_p(c.f.reduce_mod_p(p), p)
+            h_factors = factor_mod_p(c.h.reduce_mod_p(p), p)
             status = alg.component_split(0, Place.finite(p))
             assert status.is_split == (len(h_factors) == 2 * len(f_factors)), (spec, p)
-            degrees = [g.degree for g, _ in f_factors]
+            degrees = [len(g) - 1 for g, _ in f_factors]
             multi += len(degrees) > len(set(degrees))
             checked += 1
     assert checked >= 100 and multi >= 20
@@ -456,8 +456,8 @@ def test_general_splitting_against_factor_count_oracle():
                 continue
             fp = c.f.reduce_mod_p(p)
             hp = c.h.reduce_mod_p(p)
-            f_factors = sum(e for _, e in factor_mod_p(fp))
-            h_factors = sum(e for _, e in factor_mod_p(hp))
+            f_factors = sum(e for _, e in factor_mod_p(fp, p))
+            h_factors = sum(e for _, e in factor_mod_p(hp, p))
             status = alg.component_split(0, Place.finite(p))
             assert not status.is_indeterminate
             assert status.is_split == (h_factors == 2 * f_factors), (spec, p)

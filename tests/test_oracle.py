@@ -23,12 +23,13 @@ from torusembed.oracle import (
     sigma_apply,
     trace_form,
 )
-from torusembed.qform import QuadraticSpace, equivalent_over_q, orthogonal_sum
+from torusembed.qform import QuadraticSpace, orthogonal_sum
 
 import helpers
 from helpers import (
     algebra,
     diag,
+    equivalent_over_q,
     general,
     quad,
     random_general_spec,

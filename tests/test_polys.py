@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from torusembed.arith.polyfp import (
-    PolyFp,
-    distinct_degree,
     factor_mod_p,
+    fp_derivative,
     fp_distinct_degree,
     fp_div_exact,
     fp_divmod,
@@ -18,7 +17,6 @@ from torusembed.arith.polyfp import (
     fp_pow_mod,
     fp_reduce,
     fp_rem,
-    is_irreducible_mod_p,
 )
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
@@ -33,10 +31,11 @@ from torusembed.arith.polyq import (
 from torusembed.arith.sturm import (
     RealRoot,
     isolate_real_roots,
-    real_root_count,
     root_bound,
     tarski_query,
 )
+
+from helpers import is_irreducible_mod_p, real_root_count
 
 P = PolyQ.of
 
@@ -178,6 +177,23 @@ def test_is_irreducible():
         is_irreducible(P([1] + [0] * 12 + [1]))
 
 
+def test_is_irreducible_lifts_and_recombines():
+    # A product of two monic factors is reducible at every prime, so each
+    # squarefree one with a nonzero constant term (159 of these 200) goes
+    # through the mod-p factorization, Hensel lifting and the subset search.
+    rng = random.Random(29)
+    for _ in range(200):
+        a, b = ([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))] + [1]
+                for _ in range(2))
+        f = P(a) * P(b)
+        assert not is_irreducible(f), (a, b)
+    # Reducible modulo every prime but irreducible over Q: the lifted factors
+    # must fail every subset up to half of them.
+    assert is_irreducible(P([1, 0, -10, 0, 1]))  # sqrt(2) + sqrt(3)
+    # sqrt(2) + sqrt(3) + sqrt(5)
+    assert is_irreducible(P([576, 0, -960, 0, 352, 0, -40, 0, 1]))
+
+
 def test_resultant_in_y_eliminates_the_variable():
     # h(x) = Res_y(f(y), x^2 - theta(y)) for f = y^2 - 2, theta = y gives f(x^2).
     f = P([-2, 0, 1])
@@ -194,25 +210,24 @@ def test_factor_mod_p_roundtrip_random():
         coeffs = [rng.randrange(p) for _ in range(degree)] + [
             rng.randrange(1, p)
         ]
-        f = PolyFp.of(p, coeffs)
-        factors = factor_mod_p(f)
-        product = PolyFp.of(p, [f.coeffs[-1]])
+        factors = factor_mod_p(coeffs, p)
+        product = [coeffs[-1]]
         for g, e in factors:
-            assert is_irreducible_mod_p(g)
-            assert g.coeffs[-1] == 1  # monic
+            assert is_irreducible_mod_p(g, p)
+            assert g[-1] == 1  # monic
             for _ in range(e):
-                product = product * g
-        assert product.coeffs == f.coeffs
+                product = fp_mul(product, g, p)
+        assert product == coeffs
 
 
 def test_factor_mod_p_frozen_cases():
-    factors = factor_mod_p(PolyFp.of(5, [1, 0, 1]))
-    assert sorted(tuple(g.coeffs) for g, _ in factors) == [(2, 1), (3, 1)]
+    factors = factor_mod_p([1, 0, 1], 5)
+    assert sorted(g for g, _ in factors) == [[2, 1], [3, 1]]
     assert all(e == 1 for _, e in factors)
-    (g, e), = factor_mod_p(PolyFp.of(3, [1, 2, 1]))
-    assert tuple(g.coeffs) == (1, 1) and e == 2
-    assert is_irreducible_mod_p(PolyFp.of(3, [1, 0, 1]))
-    assert not is_irreducible_mod_p(PolyFp.of(5, [1, 0, 1]))
+    (g, e), = factor_mod_p([1, 2, 1], 3)
+    assert g == [1, 1] and e == 2
+    assert is_irreducible_mod_p([1, 0, 1], 3)
+    assert not is_irreducible_mod_p([1, 0, 1], 5)
 
 
 # A naive F_p[x] reference on ascending lists: every operation reduces each
@@ -287,46 +302,45 @@ def test_distinct_degree_blocks_match_the_factorization():
     for _ in range(150):
         p = rng.choice((3, 5, 7, 11, 101))
         degree = rng.randint(1, 10)
-        f = PolyFp.of(p, [rng.randrange(p) for _ in range(degree)] + [1])
-        if f.gcd(f.derivative()).degree != 0:
+        f = fp_reduce([rng.randrange(p) for _ in range(degree)] + [1], p)
+        if len(fp_gcd(f, fp_derivative(f, p), p)) != 1:
             continue
-        blocks = fp_distinct_degree(list(f.coeffs), p)
+        blocks = fp_distinct_degree(f, p)
         product = [1]
         for block, _ in blocks:
             product = fp_mul(product, block, p)
-        assert product == list(f.coeffs)
+        assert product == f
         degrees: dict[int, int] = {}
-        for g, e in factor_mod_p(f):
+        for g, e in factor_mod_p(f, p):
             assert e == 1
-            degrees[g.degree] = degrees.get(g.degree, 0) + g.degree
+            d = len(g) - 1
+            degrees[d] = degrees.get(d, 0) + d
         assert {k: len(block) - 1 for block, k in blocks} == degrees
         assert [k for _, k in blocks] == sorted(degrees)
-        assert distinct_degree(f) == [(PolyFp(p, tuple(b)), k) for b, k in blocks]
 
 
-def square_at_every_factor(e: PolyFp, block: PolyFp, k: int) -> bool:
+def square_at_every_factor(e: list[int], block: list[int], k: int, p: int) -> bool:
     """The block rule: e^((p^k - 1)/2) is 1 modulo the whole block."""
-    return e.pow_mod((e.p**k - 1) // 2, block) == PolyFp.one(e.p)
+    return fp_pow_mod(e, (p**k - 1) // 2, block, p) == [1]
 
 
 def test_ff_is_square_in_f9():
-    [(modulus, k)] = distinct_degree(PolyFp.of(3, [1, 0, 1]))  # F_9 = F_3[x]/(x^2+1)
+    [(modulus, k)] = fp_distinct_degree([1, 0, 1], 3)  # F_9 = F_3[x]/(x^2+1)
     assert k == 2
-    assert square_at_every_factor(PolyFp.of(3, [2]), modulus, k)  # -1 has order 2
-    assert square_at_every_factor(PolyFp.of(3, [0, 1]), modulus, k)  # x has order 4
-    assert not square_at_every_factor(PolyFp.of(3, [1, 1]), modulus, k)  # x+1 generates
+    assert square_at_every_factor([2], modulus, k, 3)  # -1 has order 2
+    assert square_at_every_factor([0, 1], modulus, k, 3)  # x has order 4
+    assert not square_at_every_factor([1, 1], modulus, k, 3)  # x+1 generates
     # Consistency with the prime field: squares mod 7 are {1, 2, 4}.
-    [(m7, k)] = distinct_degree(PolyFp.of(7, [3, 1]))
+    [(m7, k)] = fp_distinct_degree([3, 1], 7)
     for a, expected in ((1, True), (2, True), (3, False), (4, True), (5, False)):
-        assert square_at_every_factor(PolyFp.of(7, [a]), m7, k) == expected
+        assert square_at_every_factor([a], m7, k, 7) == expected
     # A block of several factors: x is a square at the roots 1, 2 and 4 of
     # (x - 1)(x - 2)(x - 4) mod 7, but not at the root 3 of (x - 1)(x - 3).
-    x7 = PolyFp.x(7)
-    [(block, k)] = distinct_degree(PolyFp.of(7, [-8, 14, -7, 1]))
-    assert (block.degree, k) == (3, 1)
-    assert square_at_every_factor(x7, block, k)
-    [(block, k)] = distinct_degree(PolyFp.of(7, [3, -4, 1]))
-    assert not square_at_every_factor(x7, block, k)
+    [(block, k)] = fp_distinct_degree(fp_reduce([-8, 14, -7, 1], 7), 7)
+    assert (len(block) - 1, k) == (3, 1)
+    assert square_at_every_factor([0, 1], block, k, 7)
+    [(block, k)] = fp_distinct_degree(fp_reduce([3, -4, 1], 7), 7)
+    assert not square_at_every_factor([0, 1], block, k, 7)
 
 
 def test_sturm_real_root_counts():

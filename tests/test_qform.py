@@ -8,18 +8,21 @@ import pytest
 
 from torusembed.arith import integers
 from torusembed.arith.places import INFINITY, Place
-from torusembed.arith.symbols import hilbert_symbol, symbol_support
+from torusembed.arith.symbols import hilbert_symbol
 from torusembed.qform import (
     QuadraticSpace,
     diagonalize_gram,
-    equivalent_over_q,
     hyperbolic_deviation_set,
     hyperbolic_hasse_support,
-    is_locally_hyperbolic,
     signature_hasse_bit,
 )
 
-from helpers import fraction_diagonalize
+from helpers import (
+    equivalent_over_q,
+    fraction_diagonalize,
+    is_locally_hyperbolic,
+    symbol_support,
+)
 
 V2, V3, V5 = (Place.finite(p) for p in (2, 3, 5))
 PLACES = [V2, V3, V5, Place.finite(7), Place.finite(11), INFINITY]

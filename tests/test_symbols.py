@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.symbols import (
-    candidate_places,
     hasse_bit,
     hilbert_symbol,
     is_local_square,
     legendre_symbol,
     p_valuation,
-    symbol_support,
 )
 
 from torusembed.etale import QuadSpec, build_algebra
 
 from bruteforce import brute_hilbert_bit
+from helpers import candidate_places, symbol_support
 
 V2, V3, V5, V7 = (Place.finite(p) for p in (2, 3, 5, 7))
 
