@@ -12,7 +12,6 @@ from torusembed.arith.places import Place
 from torusembed.arith.symbols import (
     hasse_bit,
     hilbert_symbol,
-    is_local_square,
     legendre_symbol,
 )
 from torusembed.arith.polyq import PolyQ, discriminant, is_irreducible, resultant
@@ -29,7 +28,6 @@ __all__ = [
     "Place",
     "hasse_bit",
     "hilbert_symbol",
-    "is_local_square",
     "legendre_symbol",
     "PolyQ",
     "discriminant",

@@ -121,22 +121,6 @@ def hasse_bit(entries, place: Place) -> int:
     return (pairs + odd * char_all + char_odd) % 2
 
 
-def is_local_square(x: Fraction | int, place: Place) -> bool:
-    """Whether nonzero x is a square in the completion at ``place``."""
-    fr = Fraction(x)
-    if fr == 0:
-        raise ValueError("zero is not classified")
-    if place.is_infinite:
-        return fr > 0
-    p = place.p
-    v, u = p_valuation(fr, p)
-    if v % 2:
-        return False
-    if p == 2:
-        return _unit_residue(u, 8) == 1
-    return legendre_symbol(_unit_residue(u, p), p) == 1
-
-
 def places_over(primes) -> list[Place]:
     """The given primes' places plus 2 and the real place.
 

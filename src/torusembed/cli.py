@@ -11,8 +11,11 @@ selftest    run the embedded consistency suites
 
 Each command (except selftest) reads one JSON problem document, or an array
 of documents for batch mode, from a file path or standard input (``-``).
-The machine-readable report goes to standard output; a short human summary
-and timing go to standard error unless ``--json`` or ``--quiet`` is given.
+Every document takes one path: a shared prologue (parse, check the flag
+overrides, build the inputs, check the oracle's cost), the command's own
+work, and the report frame ``docio.render_report``.  The machine-readable
+report goes to standard output; a short human summary and timing go to
+standard error unless ``--json`` (or its alias ``--quiet``) is given.
 
 Exit codes: decide maps verdicts to 0 (realizable), 1 (locally fails),
 2 (not realizable up to the bound), 3 (inconclusive); local uses 0/1/3 for
@@ -34,12 +37,13 @@ from typing import Any
 
 from .docio import (
     build_inputs,
+    check_option,
+    local_json,
+    oracle_json,
     parse_problem,
     render_decision_report,
     render_error,
-    render_invariants_report,
-    render_local_report,
-    render_oracle_report,
+    render_report,
 )
 from .engine import (
     VERDICT_INCONCLUSIVE,
@@ -51,6 +55,8 @@ from .engine import (
 )
 from .errors import AuditError, InputDocumentError, format_pairs
 from .oracle import search_realizing_element
+
+__all__ = ["main"]
 
 EXIT_INPUT_ERROR = 4
 EXIT_AUDIT_ERROR = 70
@@ -97,26 +103,6 @@ def _load_documents(path: str) -> tuple[list[Any], bool]:
     return [data], False
 
 
-def _effective_bound(args: argparse.Namespace, problem) -> int:
-    if args.bound is None:
-        return problem.prime_bound
-    if args.bound < 2:
-        raise InputDocumentError(
-            "$.options.prime_bound", "prime_bound must be at least 2"
-        )
-    return args.bound
-
-
-def _effective_height(args: argparse.Namespace, problem) -> int:
-    if args.height is None:
-        return problem.oracle_height
-    if args.height < 0:
-        raise InputDocumentError(
-            "$.options.oracle_height", "oracle_height must be nonnegative"
-        )
-    return args.height
-
-
 def _check_oracle_cost(algebra, height: int) -> None:
     """Reject a search height whose candidate count exceeds the limit."""
     count = prod((2 * height + 1) ** c.fixed_degree - 1 for c in algebra.components)
@@ -128,95 +114,96 @@ def _check_oracle_cost(algebra, height: int) -> None:
         )
 
 
-def _decide_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str]]:
+def _prologue(doc: Any, args: argparse.Namespace) -> tuple:
+    """Every command's first steps: parse the document, apply and check the
+    flag overrides, build the inputs, and check the oracle's cost.  Returns
+    ``(problem, algebra, form, bound, height)``."""
     problem = parse_problem(doc)
-    bound = _effective_bound(args, problem)
-    height = _effective_height(args, problem)
+    bound = getattr(args, "bound", None)
+    height = getattr(args, "height", 0)  # local and invariants search nothing
+    bound = problem.prime_bound if bound is None else bound
+    height = problem.oracle_height if height is None else height
+    if args.command == "oracle" and height <= 0:
+        raise InputDocumentError(
+            "$.options.oracle_height",
+            "oracle search needs a positive height (set --height or oracle_height)",
+        )
+    bound = check_option("prime_bound", bound)
+    height = check_option("oracle_height", height)
     algebra, form = build_inputs(problem)
     _check_oracle_cost(algebra, height)
+    return problem, algebra, form, bound, height
+
+
+def _at(local) -> str:
+    return "" if local.failing_place is None else f" at {local.failing_place}"
+
+
+def _oracle_line(result) -> str:
+    if result.found:
+        return f"oracle: realizing element found (height {result.height})"
+    return f"oracle: no element found up to height {result.height}"
+
+
+def _decide_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str]]:
+    problem, algebra, form, bound, height = _prologue(doc, args)
     report = decide(algebra, form, bound)
-    oracle_result = None
-    summary = []
+    local = report.local
     if report.verdict == VERDICT_LOCALLY_FAILS:
-        local = report.local
-        where = (
-            f" at {local.failing_place}" if local.failing_place is not None else ""
-        )
-        summary.append(
-            f"verdict: locally_fails ({local.failing_condition} condition{where})"
-        )
+        text = f"locally_fails ({local.failing_condition} condition{_at(local)})"
     elif report.verdict == VERDICT_INCONCLUSIVE:
-        summary.append(
-            "verdict: inconclusive; annotations needed: "
-            + format_pairs(report.needed_annotations)
+        text = "inconclusive; annotations needed: " + format_pairs(
+            report.needed_annotations
         )
     elif report.verdict == VERDICT_NOT_REALIZABLE_UP_TO_BOUND:
-        summary.append(f"verdict: not_realizable_up_to_bound (bound {report.bound})")
+        text = f"not_realizable_up_to_bound (bound {report.bound})"
     else:
         extra = f" (fast path: {report.fast_path})" if report.fast_path else ""
-        summary.append(f"verdict: realizable{extra}")
+        text = f"realizable{extra}"
+    summary = ["verdict: " + text]
+    oracle_result = None
     if height > 0:
         oracle_result = search_realizing_element(algebra, form, height)
-        if oracle_result.found:
-            if report.verdict != VERDICT_REALIZABLE:
-                raise AuditError(
-                    "the element search found a realizing element but the "
-                    f"engine verdict is {report.verdict}"
-                )
-            summary.append(f"oracle: realizing element found (height {height})")
-        else:
-            summary.append(f"oracle: no element found up to height {height}")
+        if oracle_result.found and report.verdict != VERDICT_REALIZABLE:
+            raise AuditError(
+                "the element search found a realizing element but the "
+                f"engine verdict is {report.verdict}"
+            )
+        summary.append(_oracle_line(oracle_result))
     rendered = render_decision_report(problem, algebra, form, report, oracle_result)
     return _VERDICT_EXIT[report.verdict], rendered, summary
 
 
 def _local_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    problem = parse_problem(doc)
-    algebra, form = build_inputs(problem)
+    problem, algebra, form, _, _ = _prologue(doc, args)
     local = check_local(algebra, form)
     if local.passed:
-        code, text = 0, "local checks: pass"
+        code, text = 0, "pass"
     elif local.failed:
-        where = (
-            f" at {local.failing_place}" if local.failing_place is not None else ""
-        )
-        code, text = 1, f"local checks: fail ({local.failing_condition}{where})"
+        code, text = 1, f"fail ({local.failing_condition}{_at(local)})"
     else:
         code = 3
-        text = "local checks: indeterminate; annotations needed: " + format_pairs(
-            local.pending
-        )
-    return code, render_local_report(problem, algebra, form, local), [text]
+        text = "indeterminate; annotations needed: " + format_pairs(local.pending)
+    rendered = render_report(problem, algebra, form, {"local": local_json(local)})
+    return code, rendered, ["local checks: " + text]
 
 
 def _invariants_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    problem = parse_problem(doc)
-    algebra, form = build_inputs(problem)
+    problem, algebra, form, _, _ = _prologue(doc, args)
     inv = form.invariants
     text = (
         f"form: dim {inv.dim}, det {inv.det.rep}, disc {inv.disc.rep}, "
         f"signature {inv.signature}; algebra: rank {algebra.rank}, "
         f"disc {algebra.disc_class.rep}"
     )
-    return 0, render_invariants_report(problem, algebra, form), [text]
+    return 0, render_report(problem, algebra, form, {}), [text]
 
 
 def _oracle_one(doc: Any, args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    problem = parse_problem(doc)
-    height = args.height if args.height is not None else problem.oracle_height
-    if height <= 0:
-        raise InputDocumentError(
-            "$.options.oracle_height",
-            "oracle search needs a positive height (set --height or oracle_height)",
-        )
-    algebra, form = build_inputs(problem)
-    _check_oracle_cost(algebra, height)
+    problem, algebra, form, _, height = _prologue(doc, args)
     result = search_realizing_element(algebra, form, height)
-    if result.found:
-        code, text = 0, f"oracle: realizing element found (height {height})"
-    else:
-        code, text = 1, f"oracle: no element found up to height {height}"
-    return code, render_oracle_report(problem, algebra, form, result), [text]
+    rendered = render_report(problem, algebra, form, {"oracle": oracle_json(result)})
+    return int(not result.found), rendered, [_oracle_line(result)]
 
 
 _HANDLERS = {
@@ -246,11 +233,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--json",
+            "--quiet",
+            dest="quiet",
             action="store_true",
             help="machine output only (suppress the human summary)",
-        )
-        p.add_argument(
-            "--quiet", action="store_true", help="suppress the human summary"
         )
 
     p_decide = sub.add_parser("decide", help="run the full decision pipeline")
@@ -291,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_all(quiet=args.quiet)
 
     handler = _HANDLERS[args.command]
-    chatty = not (args.json or args.quiet)
+    chatty = not args.quiet
     started = time.perf_counter()
     try:
         documents, batch = _load_documents(args.path)

@@ -18,16 +18,20 @@ The wire format is JSON.  A problem document looks like::
     }
 
 Polynomials are coefficient lists in ascending order; rationals are integers
-or strings ``"p/q"`` (never floats).  Reports mirror the input under an
-``input`` key in normalized form, so rendering is deterministic and
-byte-identical across runs.
+or strings ``"p/q"`` (never floats).  ``check_option`` is the one range check
+of ``prime_bound`` and ``oracle_height``, whether they come from the document
+or from a command-line flag.
+
+Every command's report has one frame, ``render_report``: the tool, the input
+echo in normalized form, the command's own sections, then the invariants.  So
+rendering is deterministic and byte-identical across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from . import __version__
 from .arith import PolyQ
@@ -52,12 +56,13 @@ __all__ = [
     "render_rational",
     "parse_problem",
     "build_inputs",
+    "check_option",
     "normalize_problem",
     "place_json",
+    "local_json",
+    "oracle_json",
+    "render_report",
     "render_decision_report",
-    "render_local_report",
-    "render_invariants_report",
-    "render_oracle_report",
     "render_error",
 ]
 
@@ -219,6 +224,18 @@ def _parse_annotations(
     return annotations
 
 
+def check_option(key: str, value: Any) -> int:
+    """The value of option ``key``, from the document or a flag, checked:
+    ``prime_bound`` is at least 2 and ``oracle_height`` is nonnegative."""
+    path = f"$.options.{key}"
+    value = _expect_int(value, path)
+    if key == "prime_bound" and value < 2:
+        raise InputDocumentError(path, "prime_bound must be at least 2")
+    if key == "oracle_height" and value < 0:
+        raise InputDocumentError(path, "oracle_height must be nonnegative")
+    return value
+
+
 def parse_problem(doc: Any) -> Problem:
     """Validate a decoded JSON document; errors carry a JSON path."""
     obj = _expect_object(doc, "$")
@@ -234,28 +251,14 @@ def parse_problem(doc: Any) -> Problem:
     )
     diagonal, gram = _parse_form(obj["form"], "$.form")
 
-    prime_bound = DEFAULT_PRIME_BOUND
-    oracle_height = 0
+    options = {"prime_bound": DEFAULT_PRIME_BOUND, "oracle_height": 0}
     annotations: dict[tuple[int, int], str] = {}
     if "options" in obj:
         opts = _expect_object(obj["options"], "$.options")
-        _reject_unknown_keys(
-            opts, {"prime_bound", "oracle_height", "annotations"}, "$.options"
-        )
-        if "prime_bound" in opts:
-            prime_bound = _expect_int(opts["prime_bound"], "$.options.prime_bound")
-            if prime_bound < 2:
-                raise InputDocumentError(
-                    "$.options.prime_bound", "prime_bound must be at least 2"
-                )
-        if "oracle_height" in opts:
-            oracle_height = _expect_int(
-                opts["oracle_height"], "$.options.oracle_height"
-            )
-            if oracle_height < 0:
-                raise InputDocumentError(
-                    "$.options.oracle_height", "oracle_height must be nonnegative"
-                )
+        _reject_unknown_keys(opts, {*options, "annotations"}, "$.options")
+        for key in options:
+            if key in opts:
+                options[key] = check_option(key, opts[key])
         if "annotations" in opts:
             annotations = _parse_annotations(
                 opts["annotations"], "$.options.annotations", len(specs)
@@ -264,9 +267,8 @@ def parse_problem(doc: Any) -> Problem:
         component_specs=specs,
         diagonal=diagonal,
         gram=gram,
-        prime_bound=prime_bound,
-        oracle_height=oracle_height,
         annotations=annotations,
+        **options,
     )
 
 
@@ -379,7 +381,7 @@ def _invariants_block(algebra: EtaleAlgebra, form: QuadraticSpace) -> dict:
     }
 
 
-def _local_json(local: LocalCheckResult) -> dict:
+def local_json(local: LocalCheckResult) -> dict:
     return {
         "disc_ok": local.disc_ok,
         "hyperbolicity_ok": local.hyperbolicity_ok,
@@ -392,7 +394,7 @@ def _local_json(local: LocalCheckResult) -> dict:
     }
 
 
-def _oracle_json(result: SearchResult) -> dict:
+def oracle_json(result: SearchResult) -> dict:
     doc: dict = {"height": result.height, "found": result.found}
     if result.found and result.element is not None and result.form is not None:
         doc["element"] = [
@@ -412,8 +414,17 @@ def _oracle_json(result: SearchResult) -> dict:
     return doc
 
 
-def _tool_block() -> dict:
-    return {"name": "torusembed", "version": __version__}
+def render_report(
+    problem: Problem, algebra: EtaleAlgebra, form: QuadraticSpace, sections: dict
+) -> dict:
+    """The report frame of every command: the tool, the input echo, the
+    command's own ``sections`` in their order, then the invariants."""
+    return {
+        "tool": {"name": "torusembed", "version": __version__},
+        "input": normalize_problem(problem),
+        **sections,
+        "invariants": _invariants_block(algebra, form),
+    }
 
 
 def render_decision_report(
@@ -451,12 +462,10 @@ def render_decision_report(
     fast_path: Any = report.fast_path
     if report.fast_path == "star":
         fast_path = {"star": report.star_vertex}
-    return {
-        "tool": _tool_block(),
-        "input": normalize_problem(problem),
+    sections = {
         "verdict": report.verdict,
         "bound": report.bound,
-        "local": _local_json(report.local),
+        "local": local_json(report.local),
         "bad_places": (
             None if report.bad_places is None else _places_json(report.bad_places)
         ),
@@ -466,47 +475,11 @@ def render_decision_report(
         "fast_path": fast_path,
         "needed_annotations": _pairs_json(report.needed_annotations),
         "notes": list(report.notes),
-        "invariants": _invariants_block(algebra, form),
-        "oracle": None if oracle_result is None else _oracle_json(oracle_result),
     }
-
-
-def render_local_report(
-    problem: Problem,
-    algebra: EtaleAlgebra,
-    form: QuadraticSpace,
-    local: LocalCheckResult,
-) -> dict:
-    return {
-        "tool": _tool_block(),
-        "input": normalize_problem(problem),
-        "local": _local_json(local),
-        "invariants": _invariants_block(algebra, form),
-    }
-
-
-def render_invariants_report(
-    problem: Problem, algebra: EtaleAlgebra, form: QuadraticSpace
-) -> dict:
-    return {
-        "tool": _tool_block(),
-        "input": normalize_problem(problem),
-        "invariants": _invariants_block(algebra, form),
-    }
-
-
-def render_oracle_report(
-    problem: Problem,
-    algebra: EtaleAlgebra,
-    form: QuadraticSpace,
-    result: SearchResult,
-) -> dict:
-    return {
-        "tool": _tool_block(),
-        "input": normalize_problem(problem),
-        "oracle": _oracle_json(result),
-        "invariants": _invariants_block(algebra, form),
-    }
+    # The decision report lists the oracle after the invariants.
+    rendered = render_report(problem, algebra, form, sections)
+    rendered["oracle"] = None if oracle_result is None else oracle_json(oracle_result)
+    return rendered
 
 
 def render_error(exc: InputDocumentError | AuditError) -> dict:

@@ -17,12 +17,15 @@ The Gram matrix of q_alpha is block diagonal, one block per component, and a
 candidate is a choice of one part per component.  The search therefore walks
 each component's parts once and computes a block's invariants the first time
 a candidate uses it; a candidate's invariants are the blocks' invariants
-combined by ``qform.orthogonal_sum`` (signatures add, determinants multiply,
-Hasse invariants add up with the pairwise determinant symbols).  A block's
+combined as an orthogonal sum (signatures add, determinants multiply, Hasse
+invariants add up with the pairwise determinant symbols).  A block's
 determinant class never varies: the Gram matrix of Tr(alpha * x * sigma(x))
 has determinant N_{K/Q}(alpha) * det(q_1), and N_{K/Q}(alpha) = N_{F/Q}(alpha)^2
 for a fixed alpha, so it is the component's ``det_class``.  A target with
-another determinant class is therefore exhausted without a candidate.  The full
+another determinant class is therefore exhausted without a candidate, and the
+pairwise determinant symbols are the algebra's ``pairwise_det_support`` for
+every candidate: a candidate matches when its signature does and the XOR of
+its blocks' Hasse supports is the target's support XOR that set.  The full
 trace form of a candidate whose combined invariants equal the target's is
 still computed and compared, so every match is certified by the same exact
 invariant comparison as a candidate-by-candidate search.
@@ -41,7 +44,7 @@ from .arith import PolyQ, SquareClass
 from .arith.sturm import tarski_query
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
-from .qform import QFInvariants, QuadraticSpace, orthogonal_sum
+from .qform import QFInvariants, QuadraticSpace
 
 __all__ = [
     "AlgebraElement",
@@ -266,7 +269,7 @@ def search_realizing_element(
 
     Every candidate's determinant class is the algebra's, so a target with
     another one is exhausted at once.  Candidates are screened by their
-    blocks' invariants: the signature, then the whole orthogonal sum.  A
+    blocks' invariants: the signature, then the Hasse support.  A
     candidate that passes is confirmed by its full trace form, which is the
     one returned.
     An exhausted search is a bounded outcome only: it never proves that no
@@ -281,11 +284,15 @@ def search_realizing_element(
     dets = (c.det_class for c in algebra.components)
     if prod(dets, start=SquareClass.of(1)) != want.det:
         return SearchResult(element=None, form=None, height=height)
+    residual = want.hasse_support ^ algebra.pairwise_det_support
     for blocks in itertools.product(*streams):
         invs = [b.invariants for b in blocks]
         if sum(i.signature[0] for i in invs) != want.signature[0]:
             continue
-        if orthogonal_sum(invs) != want:
+        support = frozenset()
+        for i in invs:
+            support ^= i.hasse_support
+        if support != residual:
             continue
         candidate = AlgebraElement(tuple(b.part for b in blocks))
         result = trace_form(algebra, candidate)

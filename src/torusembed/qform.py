@@ -22,9 +22,7 @@ so no pairwise symbol is evaluated; ``hilbert_symbol`` stays the per-pair
 reference it is tested against.  The split form's support has a closed form,
 ``hyperbolic_hasse_support``.
 
-``orthogonal_sum`` combines the invariants of forms into those of their
-orthogonal sum q + q' without their entries: dimensions and signatures add,
-determinants multiply, and the Hasse invariants satisfy
+The Hasse invariants of an orthogonal sum satisfy
 s(q + q') = s(q) + s(q') + (det q, det q'), so the sum's support is the XOR
 of the summands' supports and ``pairwise_det_support`` of their determinants.
 """
@@ -34,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 from torusembed.arith.integers import SquareClass, factor_rational
@@ -118,7 +116,6 @@ class QuadraticSpace:
     """A nondegenerate quadratic form over Q in diagonal presentation."""
 
     diagonal: tuple[Fraction, ...]
-    gram: tuple[tuple[Fraction, ...], ...] | None = None
 
     @classmethod
     def of(cls, entries) -> "QuadraticSpace":
@@ -129,8 +126,7 @@ class QuadraticSpace:
 
     @classmethod
     def from_gram(cls, rows) -> "QuadraticSpace":
-        gram = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        return cls(diagonalize_gram(gram), gram)
+        return cls(diagonalize_gram(rows))
 
     @property
     def dim(self) -> int:
@@ -183,19 +179,6 @@ def pairwise_det_support(dets: Sequence[SquareClass]) -> frozenset[Place]:
     reps = [d.rep for d in dets]
     primes = set().union(*(d.primes for d in dets))
     return frozenset(v for v in places_over(primes) if hasse_bit(reps, v))
-
-
-def orthogonal_sum(blocks: Sequence[QFInvariants]) -> QFInvariants:
-    """Invariants of the orthogonal sum of forms with the given invariants."""
-    dim = sum(b.dim for b in blocks)
-    det = prod((b.det for b in blocks), start=SquareClass.of(1))
-    support = pairwise_det_support([b.det for b in blocks])
-    for b in blocks:
-        support ^= b.hasse_support
-    positive = sum(b.signature[0] for b in blocks)
-    return QFInvariants(
-        dim, det, _disc(det, dim), support, (positive, dim - positive)
-    )
 
 
 def hyperbolic_hasse_support(dim: int) -> frozenset[Place]:

@@ -7,13 +7,19 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from math import prod
 
-from torusembed.arith.integers import factor_integer, factor_rational
+from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import fp_gcd, fp_pow_mod, fp_reduce, fp_rem
 from torusembed.arith.polyq import PolyQ
 from torusembed.arith.sturm import tarski_query
-from torusembed.arith.symbols import hilbert_symbol, is_local_square, places_over
+from torusembed.arith.symbols import (
+    hilbert_symbol,
+    legendre_symbol,
+    p_valuation,
+    places_over,
+)
 from torusembed.cli import main as cli_main
 from torusembed.errors import ComponentValidationError
 from torusembed.etale import (
@@ -24,7 +30,12 @@ from torusembed.etale import (
     build_component,
 )
 from torusembed.oracle import AlgebraElement, make_element
-from torusembed.qform import QuadraticSpace, hyperbolic_hasse_support
+from torusembed.qform import (
+    QFInvariants,
+    QuadraticSpace,
+    hyperbolic_hasse_support,
+    pairwise_det_support,
+)
 
 
 def P(*coeffs) -> PolyQ:
@@ -208,6 +219,37 @@ def symbol_support(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:
 def equivalent_over_q(q1: QuadraticSpace, q2: QuadraticSpace) -> bool:
     """Equivalence over Q: equality of the complete invariant tuples."""
     return q1.invariants == q2.invariants
+
+
+def orthogonal_sum(blocks) -> QFInvariants:
+    """Invariants of the orthogonal sum of forms with the given invariants:
+    dimensions and signatures add, determinants multiply, and the Hasse
+    support is the XOR of the summands' supports and the pairwise
+    determinant symbols.  The reference for the oracle's block screen."""
+    dim = sum(b.dim for b in blocks)
+    det = prod((b.det for b in blocks), start=SquareClass.of(1))
+    support = pairwise_det_support([b.det for b in blocks])
+    for b in blocks:
+        support ^= b.hasse_support
+    positive = sum(b.signature[0] for b in blocks)
+    disc = SquareClass.of(-1 if dim * (dim - 1) // 2 % 2 else 1) * det
+    return QFInvariants(dim, det, disc, support, (positive, dim - positive))
+
+
+def is_local_square(x: Fraction | int, place: Place) -> bool:
+    """Whether nonzero x is a square in the completion at ``place``."""
+    fr = Fraction(x)
+    if fr == 0:
+        raise ValueError("zero is not classified")
+    if place.is_infinite:
+        return fr > 0
+    p = place.p
+    v, u = p_valuation(fr, p)
+    if v % 2:
+        return False
+    m = 8 if p == 2 else p
+    residue = u.numerator * pow(u.denominator, -1, m) % m
+    return residue == 1 if p == 2 else legendre_symbol(residue, p) == 1
 
 
 def is_locally_hyperbolic(q: QuadraticSpace, v: Place) -> bool:

@@ -542,6 +542,13 @@ def test_cli_oracle_candidate_cap_default(tmp_path):
     assert report["error"]["path"] == "$.options.oracle_height"
 
 
+def test_cli_local_and_invariants_ignore_the_oracle_height(tmp_path):
+    # Only decide and oracle search, so only they check the search's cost.
+    for command in ("local", "invariants"):
+        code, report = _two_quad_run(tmp_path, command, 51, False)  # 102^2
+        assert code == 0 and "error" not in report
+
+
 def test_cli_reads_stdin_by_default():
     text = json.dumps(quad_doc(-1, [1, 1]))
     code, out, _ = run_cli(["decide", "--json"], stdin_text=text)
@@ -625,13 +632,150 @@ def test_cli_audit_failure_keeps_the_other_reports(tmp_path):
     assert json.loads(out) == reports[1]
 
 
+_PENDING = {
+    "algebra": [{"type": "general", "f": [-2, 0, 1], "theta": [0, 1]}],
+    "form": {"diagonal": [1, 1, 1, -2]},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, code, lines",
+    [
+        (
+            quad_doc(-1, [1, 1]),
+            ["decide"],
+            0,
+            ["verdict: realizable (fast path: cm)"],
+        ),
+        (
+            quad_doc(-1, [1, -1]),
+            ["decide"],
+            1,
+            ["verdict: locally_fails (signature condition at inf)"],
+        ),
+        (
+            quad_doc(-1, [1, 2]),
+            ["decide"],
+            1,
+            ["verdict: locally_fails (disc condition)"],
+        ),
+        (
+            _PENDING,
+            ["decide"],
+            3,
+            ["verdict: inconclusive; annotations needed: (component 0, prime 2)"],
+        ),
+        (
+            demo_doc(),
+            ["decide", "--bound", "3"],
+            2,
+            ["verdict: not_realizable_up_to_bound (bound 3)"],
+        ),
+        (
+            quad_doc(5, [2, -10]),
+            ["decide", "--height", "1"],
+            0,
+            [
+                "verdict: realizable (fast path: star)",
+                "oracle: realizing element found (height 1)",
+            ],
+        ),
+        (
+            quad_doc(5, [1, -5]),
+            ["decide", "--height", "1"],
+            0,
+            [
+                "verdict: realizable (fast path: star)",
+                "oracle: no element found up to height 1",
+            ],
+        ),
+        (
+            _PENDING,
+            ["decide", "--height", "1"],
+            70,
+            [
+                "internal audit failure: the element search found a realizing "
+                "element but the engine verdict is inconclusive"
+            ],
+        ),
+        (
+            quad_doc(-1, [1, 1]),
+            ["decide", "--bound", "1"],
+            4,
+            ["error: $.options.prime_bound: prime_bound must be at least 2"],
+        ),
+        (
+            quad_doc(5, [2, -10]),
+            ["oracle", "--height", "1"],
+            0,
+            ["oracle: realizing element found (height 1)"],
+        ),
+        (
+            quad_doc(5, [1, -5]),
+            ["oracle", "--height", "1"],
+            1,
+            ["oracle: no element found up to height 1"],
+        ),
+        (
+            quad_doc(-1, [1, 1]),
+            ["oracle"],
+            4,
+            [
+                "error: $.options.oracle_height: oracle search needs a positive "
+                "height (set --height or oracle_height)"
+            ],
+        ),
+        (
+            quad_doc(-1, [1, 1]),
+            ["oracle", "--height", "-2"],
+            4,
+            [
+                "error: $.options.oracle_height: oracle search needs a positive "
+                "height (set --height or oracle_height)"
+            ],
+        ),
+        (quad_doc(-1, [1, 1]), ["local"], 0, ["local checks: pass"]),
+        (quad_doc(-1, [1, -1]), ["local"], 1, ["local checks: fail (signature at inf)"]),
+        (quad_doc(-1, [1, 2]), ["local"], 1, ["local checks: fail (disc)"]),
+        (
+            _PENDING,
+            ["local"],
+            3,
+            ["local checks: indeterminate; annotations needed: (component 0, prime 2)"],
+        ),
+        (
+            demo_doc(),
+            ["invariants"],
+            0,
+            [
+                "form: dim 8, det -1, disc -1, signature (3, 5); "
+                "algebra: rank 8, disc -1"
+            ],
+        ),
+    ],
+)
+def test_cli_stderr_summary_lines(tmp_path, doc, argv, code, lines):
+    path = write_doc(tmp_path, doc)
+    got, _, err = run_cli([argv[0], path, *argv[1:]])
+    assert got == code
+    *summary, elapsed = err.splitlines()
+    assert summary == lines
+    assert elapsed.startswith("elapsed: ") and elapsed.endswith(" ms")
+    # In a batch every summary line carries the document's index.
+    batch = write_doc(tmp_path, [doc, doc], "batch.json")
+    _, _, err = run_cli([argv[0], batch, *argv[1:]])
+    prefixed = [f"[{k}] {line}" for k in (0, 1) for line in lines]
+    assert err.splitlines()[:-1] == prefixed
+
+
 def test_cli_stderr_summary_modes(tmp_path):
-    path = write_doc(tmp_path, quad_doc(-1, [1, 1]))
-    _, _, chatty = run_cli(["decide", path])
-    assert "verdict: realizable (fast path: cm)" in chatty
-    assert "elapsed:" in chatty and "ms" in chatty
-    assert run_cli(["decide", path, "--json"])[2] == ""
-    assert run_cli(["decide", path, "--quiet"])[2] == ""
+    # --json and --quiet silence stderr alike, and leave stdout as it is.
+    path = write_doc(tmp_path, quad_doc(-1, [1, 1], oracle_height=1))
+    for command in ("decide", "local", "invariants", "oracle"):
+        code, out, chatty = run_cli([command, path])
+        assert code == 0 and chatty.endswith(" ms\n")
+        for flag in ("--json", "--quiet"):
+            assert run_cli([command, path, flag]) == (0, out, "")
 
 
 def test_cli_stdout_is_deterministic(tmp_path):

@@ -10,6 +10,7 @@ MODULES = (
     "torusembed.engine",
     "torusembed.oracle",
     "torusembed.docio",
+    "torusembed.cli",
     "torusembed.selftest",
 )
 

@@ -23,7 +23,7 @@ from torusembed.oracle import (
     sigma_apply,
     trace_form,
 )
-from torusembed.qform import QuadraticSpace, orthogonal_sum
+from torusembed.qform import QuadraticSpace
 
 import helpers
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     diag,
     equivalent_over_q,
     general,
+    orthogonal_sum,
     quad,
     random_general_spec,
     random_symmetric_unit,

@@ -12,7 +12,6 @@ from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.symbols import (
     hasse_bit,
     hilbert_symbol,
-    is_local_square,
     legendre_symbol,
     p_valuation,
 )
@@ -20,7 +19,7 @@ from torusembed.arith.symbols import (
 from torusembed.etale import QuadSpec, build_algebra
 
 from bruteforce import brute_hilbert_bit
-from helpers import candidate_places, symbol_support
+from helpers import candidate_places, is_local_square, symbol_support
 
 V2, V3, V5, V7 = (Place.finite(p) for p in (2, 3, 5, 7))
 

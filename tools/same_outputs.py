@@ -8,11 +8,12 @@ Each ``*_SRC`` is a directory that holds the ``torusembed`` package (the
 ``src/`` of a checkout).  The documents of all four workloads are generated
 by ``bench/corpus.py`` at seeds 1 and 2, ``bench/run.py``'s ``E2E_COUNT`` of
 them per workload (at most N with ``--count``).  Every document is run through
-``decide --json``, and every ``oracle-search`` document also through
-``oracle --json``.  Each tree runs all of them in one child process, as
-in-process ``torusembed.cli.main`` calls.  The tool exits 1 at the first run
-whose stdout or exit code differs, and 0 when every run agrees.  It uses only
-the standard library.
+``decide``, ``local`` and ``invariants``, and every ``oracle-search`` document
+also through ``oracle``.  The runs keep the human summary, so standard error
+is compared too, without its ``elapsed:`` timing line.  Each tree runs all of
+them in one child process, as in-process ``torusembed.cli.main`` calls.  The
+tool exits 1 at the first run whose stdout, stderr or exit code differs, and 0
+when every run agrees.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 import corpus  # noqa: E402
 from run import E2E_COUNT  # noqa: E402
 
-# Runs every argv of the JSON list in argv[1] and writes [code, stdout] pairs
-# to argv[2], with the path of the cli module that ran them.
+# Runs every argv of the JSON list in argv[1] and writes [code, stdout, stderr]
+# triples to argv[2], stderr without its timing line, with the path of the cli
+# module that ran them.
 _CHILD = r"""
 import contextlib, io, json, sys
 from torusembed import cli
@@ -41,18 +43,23 @@ with open(sys.argv[1], encoding="utf-8") as fh:
     runs = json.load(fh)
 out = []
 for argv in runs:
-    buf = io.StringIO()
+    buf, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
     except Exception as exc:
         code = f"raised {type(exc).__name__}: {exc}"
-    out.append([code, buf.getvalue()])
+    lines = err.getvalue().splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("elapsed: "))
+    out.append([code, buf.getvalue(), kept])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump({"module": cli.__file__, "runs": out}, fh)
 """
+
+
+_PARTS = ("exit code", "stdout", "stderr")
 
 
 def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
@@ -65,9 +72,10 @@ def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
             ops = corpus.generate(workload, seed, n, goldens)
             manifest = corpus.write_corpus(ops, work / f"{workload}-{seed}")
             for entry in manifest:
-                runs.append(["decide", entry["path"], "--json"])
+                for command in ("decide", "local", "invariants"):
+                    runs.append([command, entry["path"]])
                 if workload == "oracle-search":
-                    runs.append(["oracle", entry["path"], "--json"])
+                    runs.append(["oracle", entry["path"]])
     return runs
 
 
@@ -98,13 +106,15 @@ def main(argv: list[str] | None = None) -> int:
         runs_file.write_text(json.dumps(runs), encoding="utf-8")
         old = run_side(args.old_src, runs_file, work / "old.json")
         new = run_side(args.new_src, runs_file, work / "new.json")
-        for argv_k, (code_a, out_a), (code_b, out_b) in zip(runs, old, new, strict=True):
-            if code_a != code_b or out_a != out_b:
+        for argv_k, run_a, run_b in zip(runs, old, new, strict=True):
+            if run_a != run_b:
                 name = Path(argv_k[1]).relative_to(work / "docs")
-                what = "exit code" if code_a != code_b else "stdout"
-                print(f"differs: {argv_k[0]} {name}: {what} ({code_a} vs {code_b})")
+                what = next(
+                    w for w, a, b in zip(_PARTS, run_a, run_b, strict=True) if a != b
+                )
+                print(f"differs: {argv_k[0]} {name}: {what} ({run_a[0]} vs {run_b[0]})")
                 return 1
-    print(f"{len(runs)} runs: identical stdout and exit codes")
+    print(f"{len(runs)} runs: identical stdout, stderr and exit codes")
     return 0
 
 
