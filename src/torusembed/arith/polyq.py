@@ -278,13 +278,14 @@ def discriminant(f: PolyQ) -> Fraction:
     return sign * r / f.lc
 
 
-def power_sums(f: PolyQ, count: int) -> list[Fraction]:
+def power_sums(a, count: int) -> list:
     """s_0, ..., s_(count-1), s_k the sum of the k-th powers of the roots of
-    monic f, by Newton's identities."""
-    m, a = f.degree, f.coeffs
-    s = [Fraction(m)]
+    the monic polynomial with ascending coefficients ``a`` (ints or
+    Fractions), by Newton's identities."""
+    m = len(a) - 1
+    s = [m * a[m]]
     for k in range(1, count):
-        acc = k * a[m - k] if k <= m else Fraction(0)
+        acc = k * a[m - k] if k <= m else 0
         s.append(-acc - sum(a[m - i] * s[k - i] for i in range(1, min(k, m + 1))))
     return s
 
@@ -292,21 +293,34 @@ def power_sums(f: PolyQ, count: int) -> list[Fraction]:
 def resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
     """Res_y(f(y), x^2 - theta(y)) for monic f of degree m >= 1.
 
-    It is chi(x^2), chi the characteristic polynomial of theta on Q[y]/(f):
-    the monic polynomial of degree m whose roots have the power sums
-    t_k = Tr(theta^k) = sum_i [y^i](theta^k mod f) * Tr(y^i), k = 1..m, which
-    Newton's identities turn into its coefficients.
+    It is chi(x^2), chi the characteristic polynomial of theta on Q[y]/(f),
+    computed over Z.  With c the lcm of f's denominators, g(z) = c^m f(z/c)
+    is monic and integral, and theta = T(z)/D with z = c*y, T integral and
+    D = c^(deg theta) * (lcm of theta's denominators).  The traces
+    Tr(T^k) = sum_i [z^i](T^k mod g) * s_i(g), k = 1..m, with s_i(g) the
+    power sums of g's roots, are integers.  T is integral over Z, so Newton's
+    identities turn them into its integer characteristic polynomial with
+    exact divisions, and chi's coefficient of x^(m-k) is that one's over D^k.
     """
     m = f.degree
-    s = power_sums(f, m)
-    t = [Fraction(m)]
-    chi = [Fraction(0)] * m + [Fraction(1)]
-    power = PolyQ.one()
+    A, c = integerize(f)
+    g = _monicize(A)
+    B, d = integerize(theta)
+    e = max(len(B) - 1, 0)
+    # g is monic, so a pseudo-remainder by g is the remainder.
+    T = _ip_prem([b * c ** (e - i) for i, b in enumerate(B)], g)
+    s = power_sums(g, m)
+    t = [m]
+    chi = [0] * m + [1]
+    power = [1]
     for k in range(1, m + 1):
-        power = (power * theta) % f
-        t.append(sum((c * si for c, si in zip(power.coeffs, s)), Fraction(0)))
-        chi[m - k] = -(t[k] + sum(chi[m - i] * t[k - i] for i in range(1, k))) / k
-    return PolyQ.of([c for x in chi for c in (x, 0)][:-1])
+        power = _ip_prem(_raw_mul(power, T), g)
+        t.append(sum(x * y for x, y in zip(power, s)))
+        chi[m - k] = -(t[k] + sum(chi[m - i] * t[k - i] for i in range(1, k))) // k
+    D, zero = c**e * d, Fraction(0)
+    return PolyQ._trusted(
+        [q for j in range(m + 1) for q in (Fraction(chi[j], D ** (m - j)), zero)][:-1]
+    )
 
 
 def rational_roots(f: PolyQ) -> list[Fraction]:

@@ -38,6 +38,7 @@ from typing import Any
 from .docio import (
     build_inputs,
     check_option,
+    dump_json,
     local_json,
     oracle_json,
     parse_problem,
@@ -282,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         documents, batch = _load_documents(args.path)
     except InputDocumentError as exc:
-        print(json.dumps(render_error(exc), indent=2))
+        print(dump_json(render_error(exc)))
         if chatty:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -306,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(prefix + line, file=sys.stderr)
 
     payload: Any = outputs if batch else outputs[0]
-    print(json.dumps(payload, indent=2))
+    print(dump_json(payload))
     if chatty:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)

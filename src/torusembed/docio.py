@@ -24,13 +24,16 @@ or from a command-line flag.
 
 Every command's report has one frame, ``render_report``: the tool, the input
 echo in normalized form, the command's own sections, then the invariants.  So
-rendering is deterministic and byte-identical across runs.
+rendering is deterministic and byte-identical across runs.  One writer,
+``dump_json``, prints every report, batch and error object byte for byte as
+``json.dumps(..., indent=2)`` would print them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from . import __version__
@@ -64,6 +67,7 @@ __all__ = [
     "render_report",
     "render_decision_report",
     "render_error",
+    "dump_json",
 ]
 
 
@@ -488,3 +492,63 @@ def render_error(exc: InputDocumentError | AuditError) -> dict:
     if isinstance(exc, AuditError):
         return {"error": {"path": "$", "message": f"internal audit failure: {exc}"}}
     return {"error": {"path": exc.path, "message": exc.message}}
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def dump_json(payload: Any) -> str:
+    """``payload`` as ``json.dumps(payload, indent=2)`` prints it, byte for
+    byte, without ``json``'s pure-Python indenting encoder.
+
+    A report holds only dicts with str keys, lists, tuples, str, bool, int and
+    None.  Anything else raises ``TypeError``: also a float, an int subclass
+    other than bool and a non-str key, which ``json.dumps`` would accept."""
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # encode_basestring_ascii raises TypeError for a key that is no str.
+        for key, item in value.items():
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(item, inner, out)
+            else:  # most values are scalars: write them without a call
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {scalar(item)}")
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            items = [_SCALARS[type(item)](item) for item in value]
+        except KeyError:  # not all scalars
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+        else:
+            out.append(f"[{inner}{(',' + inner).join(items)}{newline}]")
+    elif kind in _SCALARS:
+        out.append(_SCALARS[kind](value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -250,7 +250,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # and the odd ones are 0.
         zero = Fraction(0)
         sums = tuple(
-            c for s in power_sums(chi, 3 * f.degree - 1) for c in (2 * s, zero)
+            c for s in power_sums(chi.coeffs, 3 * f.degree - 1) for c in (2 * s, zero)
         )[:-1]
 
     det_sign = -1 if (h.degree // 2) % 2 else 1

@@ -12,7 +12,7 @@ from math import prod
 from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import fp_gcd, fp_pow_mod, fp_reduce, fp_rem
-from torusembed.arith.polyq import PolyQ
+from torusembed.arith.polyq import PolyQ, power_sums
 from torusembed.arith.sturm import tarski_query
 from torusembed.arith.symbols import (
     hilbert_symbol,
@@ -67,6 +67,22 @@ def random_general_spec(rng: random.Random, max_degree: int = 4) -> GeneralSpec:
         except ComponentValidationError:
             continue
         return spec
+
+
+def fraction_resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
+    """Reference for ``resultant_in_y`` in Fraction arithmetic: the traces
+    Tr(theta^k) = sum_i [y^i](theta^k mod f) * Tr(y^i) from PolyQ products
+    and remainders, turned into chi by Newton's identities; h = chi(x^2)."""
+    m = f.degree
+    s = power_sums(f.coeffs, m)
+    t = [Fraction(m)]
+    chi = [Fraction(0)] * m + [Fraction(1)]
+    power = PolyQ.one()
+    for k in range(1, m + 1):
+        power = (power * theta) % f
+        t.append(sum((c * si for c, si in zip(power.coeffs, s)), Fraction(0)))
+        chi[m - k] = -(t[k] + sum(chi[m - i] * t[k - i] for i in range(1, k))) / k
+    return PolyQ.of([c for x in chi for c in (x, 0)][:-1])
 
 
 def fraction_diagonalize(gram, branches: list[str] | None = None):

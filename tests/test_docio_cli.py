@@ -4,14 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusembed import cli
 from torusembed.docio import (
     build_inputs,
+    dump_json,
     normalize_problem,
     parse_problem,
     parse_rational,
@@ -19,7 +23,7 @@ from torusembed.docio import (
     render_rational,
 )
 from torusembed.engine import DEFAULT_PRIME_BOUND
-from torusembed.errors import InputDocumentError
+from torusembed.errors import AuditError, InputDocumentError
 from torusembed.oracle import make_element, trace_form
 
 from helpers import P, run_cli
@@ -334,6 +338,68 @@ def test_build_inputs_error_paths(doc, path, fragment):
 def test_render_error_shape():
     doc = render_error(InputDocumentError("$.form", "boom"))
     assert doc == {"error": {"path": "$.form", "message": "boom"}}
+
+
+
+# ----------------------------------------------------------------- the writer
+
+_TEXT = st.lists(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(
+            ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff"]
+        ),
+    ),
+    max_size=8,
+).map("".join)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**64),
+        st.integers(max_value=-(2**64)),
+        _TEXT,
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(_TEXT, kids),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+def test_dump_json_matches_indented_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+def test_dump_json_matches_on_reports_and_errors():
+    reports = [
+        json.loads(path.read_text()) for path in sorted(GOLDEN.glob("*.report.json"))
+    ]
+    errors = [
+        render_error(InputDocumentError("$.algebra[0].f", "f must be monic")),
+        render_error(AuditError('the verdict is "realizable" \u00e9')),
+    ]
+    batch = reports[:2] + errors[:1] + reports[2:] + errors[1:]
+    for value in reports + errors + [batch, []]:
+        assert dump_json(value) == json.dumps(value, indent=2)
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), {1, 2}, 1.5, _Small.ONE, {1: "a"}, [1, [Fraction(1)]], {"a": {2}}],
+)
+def test_dump_json_rejects_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        dump_json(value)
 
 
 # ------------------------------------------------------------ report schemas

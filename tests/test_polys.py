@@ -35,7 +35,12 @@ from torusembed.arith.sturm import (
     tarski_query,
 )
 
-from helpers import is_irreducible_mod_p, real_root_count
+from helpers import (
+    fraction_resultant_in_y,
+    is_irreducible_mod_p,
+    random_general_spec,
+    real_root_count,
+)
 
 P = PolyQ.of
 
@@ -200,6 +205,36 @@ def test_resultant_in_y_eliminates_the_variable():
     assert resultant_in_y(f, P([0, 1])).coeffs == (-2, 0, 0, 0, 1)
     # Constant theta: Res_y(f(y), x^2 - c) = (x^2 - c)^(deg f).
     assert resultant_in_y(f, P([3])).coeffs == (9, 0, -6, 0, 1)
+
+
+
+def test_resultant_in_y_matches_the_fraction_reference():
+    # The integer traces give the same h as the Fraction reference on valid
+    # components of degree 1-5 with rational coefficients, on raw pairs with
+    # theta unreduced or zero, and on the degree-5 component whose theta has
+    # full degree and denominators in both f and theta.
+    rng = random.Random(13)
+    f5 = P([5, 3, Fraction(3, 2), 4, Fraction(5, 2), 1])
+    theta5 = P([-1, -4, Fraction(-2, 3), 1, 2])
+    pairs = [(f5, theta5)]
+    for _ in range(60):
+        spec = random_general_spec(rng, 5)
+        pairs.append((spec.f, spec.theta % spec.f))
+    for _ in range(100):
+        m = rng.randint(1, 5)
+        f = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))) for _ in range(m)]
+        theta = [
+            Fraction(rng.randint(-5, 5), rng.choice((1, 3, 6)))
+            for _ in range(rng.randint(0, 2 * m))
+        ]
+        pairs.append((P(f + [1]), P(theta)))
+    full = rational = 0
+    for f, theta in pairs:
+        want = fraction_resultant_in_y(f, theta)
+        assert resultant_in_y(f, theta) == want, (f, theta)
+        full += theta.degree == f.degree - 1 and f.degree == 5
+        rational += any(c.denominator > 1 for c in f.coeffs + theta.coeffs)
+    assert full >= 10 and rational >= 100
 
 
 def test_factor_mod_p_roundtrip_random():
