@@ -1,7 +1,9 @@
 """Integer arithmetic: primality, factorization, squarefree parts, square classes.
 
 Inputs are desk-scale: factorization does trial division up to 10^4 and then
-Pollard rho (Brent variant) on the < 2^64-ish cofactors that remain.
+Pollard rho (Brent variant) on the < 2^64-ish cofactors that remain.  The
+primality test is Miller-Rabin to the prime bases up to 37, deterministic
+below 3.18e23, and Baillie-PSW above.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 TRIAL_DIVISION_BOUND = 10_000
 
@@ -26,15 +28,21 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
 
-# Deterministic Miller-Rabin base set: correct for all n < 3.3 * 10^24.
+# Miller-Rabin to the prime bases up to 37 is deterministic below
+# 318665857834031151167461 = 399165290221 * 798330580441, the least strong
+# pseudoprime to all of them; from there on a strong Lucas test completes it
+# to the Baillie-PSW test.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_DETERMINISTIC_BELOW = 318665857834031151167461
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed base set (deterministic below 3.3e24)."""
+    """Miller-Rabin with a fixed base set, deterministic below 3.18e23;
+    above that, also a strong Lucas test (Baillie-PSW, with no known
+    counterexample)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -54,7 +62,61 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_DETERMINISTIC_BELOW or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 1 with Selfridge's parameters (method A):
+    D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+    With n + 1 = d * 2^s, n passes when U_d = 0 or V_(d*2^r) = 0 for some
+    r < s, all mod n (Baillie and Wagstaff, Math. Comp. 35, 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_1 = 1, V_1 = P = 1; doubling: U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k;
+    # step: U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2.
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def iter_primes():
@@ -185,6 +247,8 @@ class SquareClass:
 
     @classmethod
     def of(cls, x: int | Fraction) -> "SquareClass":
+        if x == 1 or x == -1:
+            return _UNIT_CLASSES[x]
         return cls.from_factors(*factor_rational(x))
 
     @classmethod
@@ -200,3 +264,7 @@ class SquareClass:
 
     def __str__(self) -> str:
         return str(self.rep)
+
+
+# The classes of 1 and -1, which every determinant sign and product starts from.
+_UNIT_CLASSES = {1: SquareClass(1, frozenset()), -1: SquareClass(-1, frozenset())}

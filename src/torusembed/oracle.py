@@ -15,20 +15,32 @@ nothing.
 
 The Gram matrix of q_alpha is block diagonal, one block per component, and a
 candidate is a choice of one part per component.  The search therefore walks
-each component's parts once and computes a block's invariants the first time
-a candidate uses it; a candidate's invariants are the blocks' invariants
-combined as an orthogonal sum (signatures add, determinants multiply, Hasse
-invariants add up with the pairwise determinant symbols).  A block's
-determinant class never varies: the Gram matrix of Tr(alpha * x * sigma(x))
-has determinant N_{K/Q}(alpha) * det(q_1), and N_{K/Q}(alpha) = N_{F/Q}(alpha)^2
-for a fixed alpha, so it is the component's ``det_class``.  A target with
-another determinant class is therefore exhausted without a candidate, and the
-pairwise determinant symbols are the algebra's ``pairwise_det_support`` for
-every candidate: a candidate matches when its signature does and the XOR of
-its blocks' Hasse supports is the target's support XOR that set.  The full
-trace form of a candidate whose combined invariants equal the target's is
-still computed and compared, so every match is certified by the same exact
-invariant comparison as a candidate-by-candidate search.
+each component's parts once and computes a block's data the first time a
+candidate uses it.  A block is its integer coefficient vector: with
+x = a + b*sqrt(theta) (a, b in F) the form is
+Tr_{F/Q}(2*alpha*a^2) + Tr_{F/Q}(-2*alpha*theta*b^2), two Hankel halves built
+over Z from the component's power sums (the odd power sums of the even h are
+0), each diagonalized fraction-free.  A block's determinant class never
+varies: the Gram matrix has determinant N_{K/Q}(alpha) * det(q_1), and
+N_{K/Q}(alpha) = N_{F/Q}(alpha)^2 for a fixed alpha, so it is the component's
+``det_class``.  A target with another determinant class is therefore
+exhausted without a candidate.
+
+The search never factors a Gram entry.  At an odd prime outside the
+component's gap set that divides neither its discriminant class nor
+N_{F/Q}(alpha), both halves are unimodular, so the block's Hasse bit there is
+0 (O'Meara, section 92).  A candidate is screened by its signature, then by
+the XOR of its blocks' bits at the places known without any norm: 2,
+infinity, every component's gap and discriminant primes, and the primes of
+the target's support and of the pairwise determinant support; the XOR must
+be the target's support XOR that pairwise support.  Only a candidate that
+passes both gets the primes of each block's
+N_{F/Q}(alpha) = det E_alpha / det E_1 outside the known set, a ratio of
+pivots the elimination already has, and its blocks' bits there must cancel.
+The full trace form of a candidate that passes is still computed, for the
+report, and compared with the target on the same places (the determinant
+class by a rational-square test), so every match is certified by its own
+trace form.
 """
 
 from __future__ import annotations
@@ -37,14 +49,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import isqrt, lcm, prod
 from typing import Iterator, Sequence
 
 from .arith import PolyQ, SquareClass
+from .arith.integers import factor_rational
+from .arith.places import Place
 from .arith.sturm import tarski_query
+from .arith.symbols import places_over
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
-from .qform import QFInvariants, QuadraticSpace
+from .qform import QFInvariants, QuadraticSpace, bareiss_pivots, hasse_support
 
 __all__ = [
     "AlgebraElement",
@@ -199,23 +214,105 @@ def _vector_to_part(vec: Sequence[int]) -> PolyQ:
     return PolyQ.of(coeffs[:-1] if coeffs else [0])
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One component's part of a candidate; the invariants of its Gram block
-    are computed on first use and kept for every candidate sharing it."""
+@dataclass(frozen=True, eq=False)
+class _Trace:
+    """One component's trace data for one search, and the known places.
+
+    With s_n = 2 * Tr_F(theta^n) = p_(2n), a block's Gram matrix splits over
+    the bases {y^(2i)} and {y^(2i+1)} into the Hankel halves
+    E[i][j] = sum_k c_k * s_(k+i+j) and O[i][j] = -sum_k c_k * s_(k+i+j+1),
+    because the odd power sums of the even h vanish.  ``known`` is the set
+    of places every block is compared on first.
+    """
 
     component: Component
-    part: PolyQ
+    known: tuple[Place, ...] = ()
 
     @cached_property
-    def invariants(self) -> QFInvariants:
-        gram = _component_gram(self.component, self.part)
-        return QuadraticSpace.from_gram(gram).invariants
+    def known_primes(self) -> frozenset[int]:
+        return frozenset(v.p for v in self.known if not v.is_infinite)
+
+    @cached_property
+    def scaled_sums(self) -> tuple[int, list[int]]:
+        """(L, [L * s_n]) with L the lcm of the denominators of the s_n."""
+        sums = self.component.power_sums[::2]
+        scale = lcm(*(s.denominator for s in sums))
+        return scale, [s.numerator * (scale // s.denominator) for s in sums]
+
+    @cached_property
+    def unit_det(self) -> int:
+        """det(L * E_1), the even half of the trace form of alpha = 1."""
+        return _halves(self, (1,) + (0,) * (self.component.fixed_degree - 1))[1]
 
 
-def _streams(algebra: EtaleAlgebra, height: int) -> list[list[_Block]]:
+def _halves(trace: _Trace, vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Integer representatives of the diagonal of E + O (an orthogonal sum)
+    for the part with even-power coefficients ``vec``, each in the square
+    class of its entry, and det(L * E).
+
+    Both halves are eliminated fraction-free over Z; with pivots a_k of
+    L * E (or L * O), the k-th diagonal entry a_k / (L * a_(k-1)) is in the
+    class of L * a_(k-1) * a_k.
+    """
+    scale, sums = trace.scaled_sums
+    m = len(vec)
+    h = [sum(c * sums[k + n] for k, c in enumerate(vec) if c) for n in range(2 * m)]
+    even = bareiss_pivots([h[i : i + m] for i in range(m)])
+    odd = bareiss_pivots([[-x for x in h[i + 1 : i + 1 + m]] for i in range(m)])
+    diagonal = tuple(
+        scale * prev * a
+        for pivots in (even, odd)
+        for prev, a in zip([1, *pivots], pivots)
+    )
+    return diagonal, even[-1]
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """One component's part of a candidate, as its integer coefficient
+    vector.  Its data are computed on first use and kept for every candidate
+    sharing it; its ``PolyQ`` part is built only when asked for, and its
+    norm is factored only for a candidate that passed every cheaper screen.
+    """
+
+    trace: _Trace
+    vec: tuple[int, ...]
+
+    @cached_property
+    def part(self) -> PolyQ:
+        return _vector_to_part(self.vec)
+
+    @cached_property
+    def halves(self) -> tuple[tuple[int, ...], int]:
+        return _halves(self.trace, self.vec)
+
+    @cached_property
+    def positives(self) -> int:
+        return sum(1 for a in self.halves[0] if a > 0)
+
+    @cached_property
+    def known_support(self) -> frozenset[Place]:
+        return hasse_support(self.halves[0], self.trace.known)
+
+    @cached_property
+    def late_places(self) -> tuple[Place, ...]:
+        """The places of the primes of N_{F/Q}(alpha) outside the known set."""
+        trace = self.trace
+        norm = Fraction(self.halves[1], trace.unit_det)
+        exponents = factor_rational(norm, trace.known_primes)[1]
+        return tuple(Place(p) for p in exponents if p not in trace.known_primes)
+
+    @cached_property
+    def late_support(self) -> frozenset[Place]:
+        return hasse_support(self.halves[0], self.late_places)
+
+
+def _streams(
+    algebra: EtaleAlgebra, height: int, primes: frozenset[int] = frozenset()
+) -> list[list[_Block]]:
     """Per component, its involution-fixed unit parts whose even-power
-    coefficients are integers in [-height, height], in vector order.
+    coefficients are integers in [-height, height], in vector order; the
+    known places are those over ``primes``.
 
     Every nonzero vector gives a unit: its part is a nonzero polynomial of
     degree below ``deg h``, and ``h`` is irreducible because every component
@@ -224,13 +321,13 @@ def _streams(algebra: EtaleAlgebra, height: int) -> list[list[_Block]]:
     """
     if height < 1:
         raise ValueError("height must be at least 1")
-    return [
-        [
-            _Block(comp, _vector_to_part(vec))
-            for vec in _component_vectors(comp.fixed_degree, height)
-        ]
-        for comp in algebra.components
-    ]
+    known = tuple(places_over(primes))
+    streams = []
+    for comp in algebra.components:
+        trace = _Trace(comp, known)
+        vectors = _component_vectors(comp.fixed_degree, height)
+        streams.append([_Block(trace, vec) for vec in vectors])
+    return streams
 
 
 def enumerate_symmetric_units(
@@ -269,9 +366,12 @@ def search_realizing_element(
 
     Every candidate's determinant class is the algebra's, so a target with
     another one is exhausted at once.  Candidates are screened by their
-    blocks' invariants: the signature, then the Hasse support.  A
-    candidate that passes is confirmed by its full trace form, which is the
-    one returned.
+    blocks: the signature, then the Hasse bits at the known places K (2,
+    infinity, every component's gap and discriminant primes, and the primes
+    of the target's support and of the pairwise determinant support), then
+    the bits at the primes of each block's N(alpha) outside K, which must
+    cancel.  A candidate that passes is confirmed by its full trace form,
+    compared with the target on the same places, which is the one returned.
     An exhausted search is a bounded outcome only: it never proves that no
     realizing element exists.
     """
@@ -280,29 +380,58 @@ def search_realizing_element(
             f"form dimension {target.dim} does not match algebra rank {algebra.rank}"
         )
     want = target.invariants
-    streams = _streams(algebra, height)
+    residual = want.hasse_support ^ algebra.pairwise_det_support
+    streams = _streams(algebra, height, _known_primes(algebra, residual))
     dets = (c.det_class for c in algebra.components)
     if prod(dets, start=SquareClass.of(1)) != want.det:
         return SearchResult(element=None, form=None, height=height)
-    residual = want.hasse_support ^ algebra.pairwise_det_support
     for blocks in itertools.product(*streams):
-        invs = [b.invariants for b in blocks]
-        if sum(i.signature[0] for i in invs) != want.signature[0]:
+        if sum(b.positives for b in blocks) != want.signature[0]:
             continue
         support = frozenset()
-        for i in invs:
-            support ^= i.hasse_support
+        for b in blocks:
+            support ^= b.known_support
         if support != residual:
+            continue
+        late = frozenset()
+        for b in blocks:
+            late ^= b.late_support
+        if late:
             continue
         candidate = AlgebraElement(tuple(b.part for b in blocks))
         result = trace_form(algebra, candidate)
-        if result.invariants != want:
+        places = set(blocks[0].trace.known).union(*(b.late_places for b in blocks))
+        if not _certifies(result.space, want, places):
             raise AuditError(
                 f"the block invariants of {candidate} match the target but its "
                 "trace form does not"
             )
         return SearchResult(element=candidate, form=result, height=height)
     return SearchResult(element=None, form=None, height=height)
+
+
+def _known_primes(algebra: EtaleAlgebra, residual: frozenset[Place]) -> frozenset[int]:
+    """The primes the known places lie over, besides 2: every component's
+    gap and discriminant primes, and the primes of ``residual``."""
+    primes = {v.p for v in residual if not v.is_infinite}
+    for comp in algebra.components:
+        primes |= comp.exactness_gaps | comp.disc_class.primes
+    return frozenset(primes)
+
+
+def _certifies(space: QuadraticSpace, want: QFInvariants, places) -> bool:
+    """Whether ``space`` has the invariants ``want``, given that both Hasse
+    supports lie in ``places``: the signature, the determinant class by a
+    rational-square test, and the Hasse bits at those places."""
+    diagonal = space.diagonal
+    r = sum(1 for a in diagonal if a > 0)
+    ratio = prod(diagonal, start=Fraction(want.det.rep))
+    return (
+        (r, len(diagonal) - r) == want.signature
+        and ratio > 0
+        and all(isqrt(n) ** 2 == n for n in (ratio.numerator, ratio.denominator))
+        and hasse_support(diagonal, places) == want.hasse_support
+    )
 
 
 def fixed_field_image(component: Component, part: PolyQ) -> PolyQ:

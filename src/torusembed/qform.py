@@ -5,18 +5,21 @@ Diagonalization by symmetric congruence and the complete invariant tuple
 by the local-global principle, two forms are equivalent over Q iff their
 invariant tuples agree.
 
-A Gram matrix is diagonalized fraction-free: Bareiss elimination runs over
-the integers on the matrix scaled by L, the lcm of its denominators, and
-each diagonal entry is a pivot over L times the previous pivot.  When no
-pivot is zero these are the ratios D_k / D_(k-1) of the leading principal
-minors D_k (Bareiss, Math. Comp. 22, 1968).  Only the n diagonal entries are
-Fractions.
+A Gram matrix is diagonalized fraction-free: Bareiss elimination
+(``bareiss_pivots``) runs over the integers on the matrix scaled by L, the
+lcm of its denominators, and each diagonal entry is a pivot over L times the
+previous pivot.  When no pivot is zero these are the ratios D_k / D_(k-1) of
+the leading principal minors D_k (Bareiss, Math. Comp. 22, 1968).  Only the
+n diagonal entries are Fractions.
 
 The Hasse invariant is represented by its support: the finite set of places
 where the pairwise symbol sum is odd.  Away from 2, infinity, and primes
 dividing a diagonal entry, every symbol is trivial, so the support is
-computable from finitely many candidate places.  The bit at one place comes
-from ``arith.symbols.hasse_bit`` in one pass over the entries: it counts the
+computable from finitely many candidate places.  ``hasse_support`` reads the
+bits at a given place set: a form's own invariants take the places over the
+primes of its entries, and the element search bounds its blocks' places
+without factoring them.  The bit at one place comes from
+``arith.symbols.hasse_bit`` in one pass over the entries: it counts the
 entries of odd valuation and reads residue characters of their unit parts,
 so no pairwise symbol is evaluated; ``hilbert_symbol`` stays the per-pair
 reference it is tested against.  The split form's support has a closed form,
@@ -54,18 +57,11 @@ class QFInvariants:
 def diagonalize_gram(gram) -> tuple[Fraction, ...]:
     """Diagonal entries of a form congruent to the symmetric matrix ``gram``.
 
-    Symmetric elimination, fraction-free (Bareiss): the matrix is scaled by
-    L, the lcm of its denominators, and step k replaces the trailing block by
-    (a * B[i][j] - B[i][k] * B[k][j]) / prev, an exact integer division, with
-    a the pivot and prev the previous one.  The trailing block is then L * a
-    times the rational Schur complement, so the k-th diagonal entry is
-    a / (L * prev); without a basis change these entries are the ratios
-    D_k / D_(k-1) of leading principal minors.  When the pivot is zero, a
-    later nonzero diagonal entry is swapped in, and when every remaining
-    diagonal entry is zero, a basis change x -> x + y manufactures a pivot;
-    the scaled block has the rational one's zero pattern, so the choices are
-    the same.  Raises ValueError ("degenerate form") when the matrix is
-    singular.
+    The matrix is scaled by L, the lcm of its denominators, and eliminated
+    by ``bareiss_pivots``; the k-th diagonal entry is a_k / (L * a_(k-1)) for
+    the pivots a_k (a_0 = 1).  The scaled matrix has the rational one's zero
+    pattern, so the pivot choices are those of rational elimination.  Raises
+    ValueError ("degenerate form") when the matrix is singular.
     """
     # Integers and Fractions already carry numerator and denominator.
     m = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
@@ -79,7 +75,28 @@ def diagonalize_gram(gram) -> tuple[Fraction, ...]:
         for j in range(i):
             if b[i][j] != b[j][i]:
                 raise ValueError("gram matrix must be symmetric")
-    diag: list[Fraction] = []
+    pivots = bareiss_pivots(b)
+    return tuple(
+        Fraction(a, scale * prev) for prev, a in zip([1, *pivots], pivots)
+    )
+
+
+def bareiss_pivots(b: list[list[int]]) -> list[int]:
+    """Pivots a_1, ..., a_n of symmetric fraction-free elimination of the
+    symmetric integer matrix ``b``, which is consumed.
+
+    Step k replaces the trailing block by (a * B[i][j] - B[i][k] * B[k][j]) /
+    prev, an exact integer division, with a the pivot and prev the previous
+    one.  The trailing block is then a times the Schur complement, so the
+    form is congruent to the diagonal a_k / a_(k-1); without a basis change
+    the pivots are the leading principal minors, and a_n is always det b.
+    When the pivot is zero, a later nonzero diagonal entry is swapped in, and
+    when every remaining diagonal entry is zero, a basis change x -> x + y
+    manufactures a pivot.  Raises ValueError ("degenerate form") when the
+    matrix is singular.
+    """
+    n = len(b)
+    pivots: list[int] = []
     prev = 1
     # Only the trailing block b[k:][k:] is live at step k; it stays symmetric.
     for k in range(n):
@@ -100,7 +117,7 @@ def diagonalize_gram(gram) -> tuple[Fraction, ...]:
         a = b[k][k]
         if a == 0:
             raise ValueError("degenerate form")
-        diag.append(Fraction(a, scale * prev))
+        pivots.append(a)
         row_k = b[k]
         for i in range(k + 1, n):
             row_i = b[i]
@@ -108,7 +125,14 @@ def diagonalize_gram(gram) -> tuple[Fraction, ...]:
             for j in range(i, n):
                 row_i[j] = b[j][i] = (a * row_i[j] - c * row_k[j]) // prev
         prev = a
-    return tuple(diag)
+    return pivots
+
+
+def hasse_support(entries, places) -> frozenset[Place]:
+    """The places among ``places`` where the diagonal form ``entries`` has
+    Hasse bit 1.  The caller bounds the support: every place outside
+    ``places`` must have bit 0."""
+    return frozenset(v for v in places if hasse_bit(entries, v))
 
 
 @dataclass(frozen=True)
@@ -154,9 +178,7 @@ class QuadraticSpace:
         m = self.dim
         r = sum(1 for a in self.diagonal if a > 0)
         det = SquareClass.from_factors(-1 if (m - r) % 2 else 1, total)
-        support = frozenset(
-            v for v in places_over(primes) if self.local_hasse_bit(v)
-        )
+        support = hasse_support(self.diagonal, places_over(primes))
         return QFInvariants(m, det, _disc(det, m), support, (r, m - r))
 
     def __str__(self) -> str:
@@ -178,7 +200,7 @@ def pairwise_det_support(dets: Sequence[SquareClass]) -> frozenset[Place]:
         return frozenset()
     reps = [d.rep for d in dets]
     primes = set().union(*(d.primes for d in dets))
-    return frozenset(v for v in places_over(primes) if hasse_bit(reps, v))
+    return hasse_support(reps, places_over(primes))
 
 
 def hyperbolic_hasse_support(dim: int) -> frozenset[Place]:

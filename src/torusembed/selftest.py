@@ -14,7 +14,13 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .arith import PolyQ, factor_integer, factor_mod_p, is_irreducible
+from .arith import (
+    PolyQ,
+    factor_integer,
+    factor_mod_p,
+    is_irreducible,
+    is_probable_prime,
+)
 from .arith.places import INFINITY, Place
 from .arith.sturm import isolate_real_roots, tarski_query
 from .arith.symbols import hasse_bit, hilbert_symbol
@@ -51,6 +57,10 @@ def _suite_factor_integer() -> None:
     for n in (-360, 9_973, 2**61 - 1, -12 * p * q):
         sign, factors = factor_integer(n)
         _check(sign * prod(r**e for r, e in factors) == n, f"factors of {n}")
+    # The least strong pseudoprimes to every prime base up to 37 and up to
+    # 41, which only the strong Lucas half of Baillie-PSW rejects.
+    for n in (399165290221 * 798330580441, 1287836182261 * 2575672364521):
+        _check(is_probable_prime(n) is False, f"{n} is composite")
 
 
 def _suite_factor_mod_p() -> None:

@@ -29,7 +29,7 @@ from torusembed.etale import (
     build_algebra,
     build_component,
 )
-from torusembed.oracle import AlgebraElement, make_element
+from torusembed.oracle import AlgebraElement, _component_gram, make_element
 from torusembed.qform import (
     QFInvariants,
     QuadraticSpace,
@@ -230,6 +230,13 @@ def symbol_support(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:
     return frozenset(
         v for v in candidate_places((a, b)) if hilbert_symbol(a, b, v) == 1
     )
+
+
+def factored_block_invariants(comp, vec) -> QFInvariants:
+    """Reference for the oracle's bounded block invariants: those of the
+    Gram block of the part with even-power coefficients ``vec``, with every
+    diagonal entry factored."""
+    return QuadraticSpace.from_gram(_component_gram(comp, symmetric_part(vec))).invariants
 
 
 def equivalent_over_q(q1: QuadraticSpace, q2: QuadraticSpace) -> bool:

@@ -615,6 +615,17 @@ def test_cli_local_and_invariants_ignore_the_oracle_height(tmp_path):
         assert code == 0 and "error" not in report
 
 
+def test_invariants_report_factors_a_strong_pseudoprime(tmp_path):
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 passes
+    # Miller-Rabin to every base up to 37; taken for a prime, it would be a
+    # place of the Hasse support itself.
+    n = 3317044064679887385961981
+    doc = {"algebra": [{"type": "quad", "d": -1}], "form": {"diagonal": [n, 7]}}
+    code, out, _ = run_cli(["invariants", write_doc(tmp_path, doc), "--json"])
+    assert code == 0
+    assert json.loads(out)["invariants"]["form"]["hasse_support"] == [7, 1287836182261]
+
+
 def test_cli_reads_stdin_by_default():
     text = json.dumps(quad_doc(-1, [1, 1]))
     code, out, _ = run_cli(["decide", "--json"], stdin_text=text)

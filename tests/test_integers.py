@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from torusembed.arith.integers import (
     SquareClass,
+    _is_strong_lucas_probable_prime,
     divisors,
     factor_integer,
     is_probable_prime,
@@ -41,6 +42,40 @@ def test_is_probable_prime_on_carmichael_and_large_values():
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(2**67 - 1)
     assert is_probable_prime(10**18 + 9)
+
+
+# The least strong pseudoprimes to all prime bases up to 37 and up to 41.
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_is_probable_prime_rejects_strong_pseudoprimes_to_the_bases_up_to_37():
+    # Both pass Miller-Rabin to every base up to 37; the strong Lucas test
+    # rejects them.
+    assert not is_probable_prime(PSI_12)
+    assert not is_probable_prime(PSI_13)
+    for e in (89, 107, 127, 521):  # Mersenne primes above the bound
+        assert is_probable_prime(2**e - 1)
+    assert not is_probable_prime((2**89 - 1) * (2**107 - 1))
+    assert not is_probable_prime((2**89 - 1) ** 2)
+
+
+def test_strong_lucas_pseudoprimes_are_the_known_ones():
+    # Selfridge's method A: the odd composites below 30000 that pass are
+    # exactly the strong Lucas pseudoprimes of OEIS A217255, and every odd
+    # prime passes.
+    primes = set(sieve(30000))
+    passing = [
+        n for n in range(3, 30000, 2) if _is_strong_lucas_probable_prime(n)
+    ]
+    assert [n for n in passing if n not in primes] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199
+    ]
+    assert primes - {2} <= set(passing)
+
+
+def test_factor_integer_splits_a_strong_pseudoprime():
+    assert factor_integer(PSI_13) == (1, [(1287836182261, 1), (2575672364521, 1)])
 
 
 def test_iter_primes_prefix():

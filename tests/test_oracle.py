@@ -1,15 +1,24 @@
 """Trace forms and the bounded realizing-element search."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torusembed import oracle
+from torusembed.arith.integers import factor_rational
 from torusembed.arith.places import INFINITY, Place
-from torusembed.arith.polyq import PolyQ
+from torusembed.arith.polyq import PolyQ, resultant
+from torusembed.arith.symbols import places_over
+from torusembed.errors import AuditError
 from torusembed.etale import EtaleAlgebra
 from torusembed.oracle import (
     AlgebraElement,
@@ -30,6 +39,7 @@ from helpers import (
     algebra,
     diag,
     equivalent_over_q,
+    factored_block_invariants,
     general,
     orthogonal_sum,
     quad,
@@ -327,6 +337,14 @@ def test_orthogonal_sum_of_block_invariants_is_the_trace_form_invariants():
             assert orthogonal_sum(blocks) == trace_form(alg, alpha).invariants
 
 
+def _random_vector(rng: random.Random, m: int, height: int) -> tuple[int, ...]:
+    """A nonzero integer vector of length m with entries in [-height, height]."""
+    while True:
+        vec = tuple(rng.randint(-height, height) for _ in range(m))
+        if any(vec):
+            return vec
+
+
 def _reference_search(alg, target, height):
     want = target.invariants
     for e in enumerate_symmetric_units(alg, height):
@@ -392,30 +410,33 @@ def test_streams_keep_every_nonzero_vector_and_run_no_gcd(monkeypatch):
 
 def test_block_det_class_is_the_component_det_class():
     # det Gram(Tr(alpha x sigma(x))) = N_{K/Q}(alpha) det(q_1), and the norm
-    # of a fixed alpha is N_{F/Q}(alpha)^2, a square.
+    # of a fixed alpha is N_{F/Q}(alpha)^2, a square: the product of a block's
+    # diagonal times the component's det class is a rational square.
     rng = random.Random(37)
     checked = 0
     for _ in range(40):
         alg = _random_small_algebra(rng)
+        traces = [oracle._Trace(comp) for comp in alg.components]
         for _ in range(3):
-            alpha = random_symmetric_unit(alg, rng, height=3, halves=True)
-            for comp, part in zip(alg.components, alpha.parts):
-                block = oracle._Block(comp, part)
-                assert block.invariants.det == comp.det_class, (comp.spec, part)
+            for comp, trace in zip(alg.components, traces):
+                vec = _random_vector(rng, comp.fixed_degree, 3)
+                block = oracle._Block(trace, vec)
+                value = prod(block.halves[0]) * comp.det_class.rep
+                assert value > 0 and isqrt(value) ** 2 == value, (comp.spec, vec)
                 checked += 1
     assert checked >= 200
 
 
 def test_det_mismatched_search_computes_no_block_invariants(monkeypatch):
     rng = random.Random(41)
-    grams = []
-    component_gram = oracle._component_gram
+    built = []
+    halves = oracle._halves
 
-    def counting_gram(comp, part):
-        grams.append(part)
-        return component_gram(comp, part)
+    def counting_halves(trace, vec):
+        built.append(vec)
+        return halves(trace, vec)
 
-    monkeypatch.setattr(oracle, "_component_gram", counting_gram)
+    monkeypatch.setattr(oracle, "_halves", counting_halves)
     for _ in range(12):
         alg = _random_small_algebra(rng, 2)
         planted = random_symmetric_unit(alg, rng, height=2)
@@ -423,8 +444,152 @@ def test_det_mismatched_search_computes_no_block_invariants(monkeypatch):
         entries[rng.randrange(len(entries))] *= rng.choice((3, 5, 7))
         target = QuadraticSpace.of(entries)
         assert target.invariants.det != trace_form(alg, planted).invariants.det
-        grams.clear()
+        built.clear()
         assert not search_realizing_element(alg, target, 2).found
-        assert grams == []
+        assert built == []
     with pytest.raises(ValueError, match="height"):
         search_realizing_element(alg, target, 0)
+
+
+def test_bounded_block_support_matches_the_factored_reference():
+    # Components with deg f 1..5 and theta of full degree, blocks of height 1
+    # and 2.  Every block must have the signature of its Gram block, and
+    # det E_alpha / det E_1 must be the norm Res(f, a) of alpha's image a in
+    # F.  Where the Gram block's diagonal stays below 10^40, so that the
+    # factored reference ends within a second, the support read off the
+    # known places and the primes of N(alpha) outside them must equal the
+    # fully factored one.
+    rng = random.Random(2)
+    compared = {m: 0 for m in range(1, 6)}
+    checked = 0
+    for _ in range(60):
+        alg = algebra(random_general_spec(rng, 5))
+        comp = alg.components[0]
+        m = comp.fixed_degree
+        primes = oracle._known_primes(alg, frozenset())
+        (stream,) = oracle._streams(alg, 1, primes)
+        trace = stream[0].trace
+        known = trace.known
+        for height in (1, 2):
+            for _ in range(2):
+                vec = _random_vector(rng, m, height)
+                block = oracle._Block(trace, vec)
+                gram = oracle._component_gram(comp, block.part)
+                space = QuadraticSpace.from_gram(gram)
+                r = sum(1 for a in space.diagonal if a > 0)
+                assert (block.positives, 2 * m - block.positives) == (r, 2 * m - r)
+                norm = resultant(comp.f, fixed_field_image(comp, block.part))
+                assert Fraction(block.halves[1], trace.unit_det) == norm
+                assert not set(block.late_places) & set(known)
+                checked += 1
+                sizes = (max(abs(a.numerator), a.denominator) for a in space.diagonal)
+                if max(sizes) >= 10**40:
+                    continue
+                want = factored_block_invariants(comp, vec)
+                assert want.signature == (r, 2 * m - r)
+                assert block.known_support | block.late_support == want.hasse_support
+                compared[m] += 1
+    assert checked == 240
+    assert all(count >= 5 for count in compared.values()), compared
+
+
+def test_certificate_compares_signature_det_class_and_bits(unit_corpus):
+    # Over the places of both forms' entries, the certificate agrees with the
+    # factored invariant comparison: on the trace form itself, and after a
+    # change of the det class, of the signature, or of the Hasse support.
+    outcomes = set()
+    for _, _, _, result in unit_corpus[:40]:
+        space = result.space
+        diagonal = list(space.diagonal)
+        for scaled in (
+            diagonal,
+            [3 * diagonal[0], *diagonal[1:]],
+            [-diagonal[0], -diagonal[1], *diagonal[2:]],
+            [7 * diagonal[0], 7 * diagonal[1], *diagonal[2:]],
+        ):
+            target = QuadraticSpace.of(scaled)
+            entries = [*space.diagonal, *target.diagonal]
+            primes = {p for a in entries for p in factor_rational(a)[1]}
+            same = target.invariants == space.invariants
+            places = places_over(primes)
+            assert oracle._certifies(space, target.invariants, places) == same
+            outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+def test_a_lying_screen_is_caught_by_the_certificate(monkeypatch):
+    # <6, 6> needs alpha = 3 in Q(i); at height 2 no element realizes it.  If
+    # the known-place screen passed every block, alpha = 1 would reach the
+    # certificate, whose Hasse bits at 2 and 3 disagree with the target's.
+    alg = algebra(quad(-1))
+    target = diag(6, 6)
+    assert not search_realizing_element(alg, target, 2).found
+    assert search_realizing_element(alg, target, 3).found
+    residual = target.invariants.hasse_support ^ alg.pairwise_det_support
+    monkeypatch.setattr(oracle._Block, "known_support", property(lambda b: residual))
+    with pytest.raises(AuditError, match="but its trace form does not"):
+        search_realizing_element(alg, target, 2)
+
+
+def test_late_primes_reject_a_candidate_that_passes_the_known_places():
+    # In Q(i), alpha = c gives <2c, 2c>, whose bit at an odd p is v_p(c) mod 2
+    # when p = 3 mod 4.  For the target <-6, -6> the known places are 2, 3
+    # and infinity, and c = -231 = -3 * 7 * 11 has the target's bits there,
+    # but bits at 7 and 11 as well: only the late screen rejects it.
+    alg = algebra(quad(-1))
+    target = diag(-6, -6)
+    residual = target.invariants.hasse_support ^ alg.pairwise_det_support
+    (stream,) = oracle._streams(alg, 231, oracle._known_primes(alg, residual))
+    first = stream[0]
+    assert first.vec == (-231,)
+    assert first.known_support == residual
+    assert first.late_support == {Place(7), Place(11)}
+    element, form = _reference_search(alg, target, 231)
+    result = search_realizing_element(alg, target, 231)
+    assert result.element == element
+    assert result.form.gram == form.gram
+
+
+_HANG_F = [5, 3, "3/2", 4, "5/2", 1]
+_HANG_THETA = [-1, -4, "-2/3", 1, 2]
+
+
+def test_degree_five_oracle_ends_within_the_limit(tmp_path):
+    # The component of f = [5, 3, 3/2, 4, 5/2, 1], theta = [-1, -4, -2/3, 1,
+    # 2], with the trace form of alpha = 1 as the target: its Gram entries
+    # reach 40 digits.  At height 1 both commands must end well inside 30 s.
+    spec = general([Fraction(c) for c in _HANG_F], [Fraction(c) for c in _HANG_THETA])
+    alg = algebra(spec)
+    target = trace_form(alg, make_element(alg, [1]))
+    doc = {
+        "algebra": [{"type": "general", "f": _HANG_F, "theta": _HANG_THETA}],
+        "form": {"gram": [[str(c) for c in row] for row in target.gram]},
+    }
+    path = tmp_path / "degree-five.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = Path(oracle.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(command):
+        return subprocess.run(
+            [sys.executable, "-m", "torusembed", command, str(path), "--height", "1"]
+            + ["--json"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+
+    found = run("oracle")
+    assert found.returncode == 0, found.stderr
+    report = json.loads(found.stdout)["oracle"]
+    assert report["found"]
+    element = make_element(
+        alg, [symmetric_part([Fraction(c) for c in report["element"][0][::2]])]
+    )
+    assert trace_form(alg, element).invariants == target.invariants
+    # The engine leaves this input inconclusive, so a found element is the
+    # documented audit failure.
+    audited = run("decide")
+    assert audited.returncode == 70, audited.stderr
+    assert "internal audit failure" in audited.stdout
