@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -27,6 +26,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
+_TRIAL_DIVISION_SQUARE = TRIAL_DIVISION_BOUND**2
 
 # Miller-Rabin to the prime bases up to 37 is deterministic below
 # 318665857834031151167461 = 399165290221 * 798330580441, the least strong
@@ -146,7 +146,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -154,7 +154,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
 
@@ -180,12 +180,14 @@ def factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
         # Trial division stopped below sqrt(m).  The pseudo-random stream is
         # local to this call and seeded from n, so repeated factorizations
         # are reproducible; it is built only when Pollard-Brent first runs.
+        # No piece has a prime factor below TRIAL_DIVISION_BOUND, so a piece
+        # below its square is prime.
         seed = m ^ 0x5DEECE66D
         rng = None
         stack = [m]
         while stack:
             x = stack.pop()
-            if is_probable_prime(x):
+            if x < _TRIAL_DIVISION_SQUARE or is_probable_prime(x):
                 counts[x] = counts.get(x, 0) + 1
                 continue
             if rng is None:
@@ -234,16 +236,24 @@ def squarefree_part(x: int | Fraction) -> int:
     return SquareClass.of(x).rep
 
 
-@dataclass(frozen=True)
 class SquareClass:
     """A rational square class, represented by its signed squarefree integer.
 
     ``primes`` holds the primes dividing ``rep``, so products of classes
-    never factor anything.
+    never factor anything.  Classes compare and hash by ``rep`` alone.
     """
 
-    rep: int
-    primes: frozenset[int] = field(compare=False, repr=False)
+    def __init__(self, rep: int, primes: frozenset[int]) -> None:
+        self.rep = rep
+        self.primes = primes
+
+    def __eq__(self, other):
+        if type(other) is not SquareClass:
+            return NotImplemented
+        return self.rep == other.rep
+
+    def __hash__(self) -> int:
+        return hash((self.rep,))
 
     @classmethod
     def of(cls, x: int | Fraction) -> "SquareClass":

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from torusembed.arith.integers import is_probable_prime
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of Q.  ``p`` is the prime for a finite place, None for the real one."""
 
-    p: int | None
+    def __init__(self, p: int | None) -> None:
+        self.p = p
+
+    def __eq__(self, other):
+        if type(other) is not Place:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     @classmethod
     def infinity(cls) -> "Place":

@@ -11,7 +11,6 @@ are kernel lists too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
@@ -30,15 +29,16 @@ from torusembed.arith.polyfp import (
     fp_mulmod,
     fp_reduce,
 )
+from torusembed.record import Record
 
 MAX_IRREDUCIBILITY_DEGREE = 12
 
 
-@dataclass(frozen=True)
-class PolyQ:
+class PolyQ(Record):
     """Polynomial over Q, coefficients ascending, no trailing zeros."""
 
-    coeffs: tuple[Fraction, ...]
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        self.coeffs = coeffs
 
     @classmethod
     def of(cls, coeffs) -> "PolyQ":

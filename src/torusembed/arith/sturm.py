@@ -14,7 +14,6 @@ Sturm count is unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -99,7 +98,6 @@ def tarski_query(f: PolyQ, g: PolyQ) -> int:
     return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
 
 
-@dataclass
 class RealRoot:
     """One real algebraic number, isolated exactly.
 
@@ -108,10 +106,11 @@ class RealRoot:
     interval (lo, hi), and lo/hi are never roots of ``poly``.
     """
 
-    poly: PolyQ
-    lo: Fraction
-    hi: Fraction
-    exact: bool
+    def __init__(self, poly: PolyQ, lo: Fraction, hi: Fraction, exact: bool) -> None:
+        self.poly = poly
+        self.lo = lo
+        self.hi = hi
+        self.exact = exact
 
     def refine_once(self) -> None:
         if self.exact:

@@ -31,7 +31,6 @@ rendering is deterministic and byte-identical across runs.  One writer,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
@@ -128,16 +127,24 @@ def _parse_poly(value: Any, path: str) -> PolyQ:
     )
 
 
-@dataclass(frozen=True)
 class Problem:
     """A parsed, syntactically valid problem document."""
 
-    component_specs: tuple[QuadSpec | GeneralSpec, ...]
-    diagonal: tuple[Fraction, ...] | None
-    gram: tuple[tuple[Fraction, ...], ...] | None
-    prime_bound: int
-    oracle_height: int
-    annotations: dict[tuple[int, int], str]
+    def __init__(
+        self,
+        component_specs: tuple[QuadSpec | GeneralSpec, ...],
+        diagonal: tuple[Fraction, ...] | None,
+        gram: tuple[tuple[Fraction, ...], ...] | None,
+        prime_bound: int,
+        oracle_height: int,
+        annotations: dict[tuple[int, int], str],
+    ) -> None:
+        self.component_specs = component_specs
+        self.diagonal = diagonal
+        self.gram = gram
+        self.prime_bound = prime_bound
+        self.oracle_height = oracle_height
+        self.annotations = annotations
 
 
 def _parse_component(value: Any, path: str) -> QuadSpec | GeneralSpec:
@@ -228,13 +235,22 @@ def _parse_annotations(
     return annotations
 
 
+# The witness walk visits every prime up to the bound; see README "Limits".
+MAX_PRIME_BOUND = 100_000
+
+
 def check_option(key: str, value: Any) -> int:
     """The value of option ``key``, from the document or a flag, checked:
-    ``prime_bound`` is at least 2 and ``oracle_height`` is nonnegative."""
+    ``prime_bound`` is between 2 and ``MAX_PRIME_BOUND`` and
+    ``oracle_height`` is nonnegative."""
     path = f"$.options.{key}"
     value = _expect_int(value, path)
     if key == "prime_bound" and value < 2:
         raise InputDocumentError(path, "prime_bound must be at least 2")
+    if key == "prime_bound" and value > MAX_PRIME_BOUND:
+        raise InputDocumentError(
+            path, f"prime_bound must be at most {MAX_PRIME_BOUND}"
+        )
     if key == "oracle_height" and value < 0:
         raise InputDocumentError(path, "oracle_height must be nonnegative")
     return value

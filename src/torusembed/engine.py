@@ -30,7 +30,6 @@ criterion still runs as an internal audit whenever it is computable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .arith import iter_primes
@@ -43,6 +42,7 @@ from .qform import (
     hyperbolic_hasse_support,
     signature_hasse_bit,
 )
+from .record import Record
 
 __all__ = [
     "CONDITION_DISC",
@@ -84,8 +84,7 @@ DEFAULT_PRIME_BOUND = 1000
 _QUAD_PAIR_PRIME_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class LocalCheckResult:
+class LocalCheckResult(Record):
     """Outcome of the three local realizability conditions.
 
     ``hyperbolicity_ok`` is ``None`` when undetermined splitting statuses
@@ -93,12 +92,21 @@ class LocalCheckResult:
     then listed in ``pending``.
     """
 
-    disc_ok: bool
-    hyperbolicity_ok: bool | None
-    signature_ok: bool
-    failing_place: Place | None
-    failing_condition: str | None
-    pending: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        disc_ok: bool,
+        hyperbolicity_ok: bool | None,
+        signature_ok: bool,
+        failing_place: Place | None,
+        failing_condition: str | None,
+        pending: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.disc_ok = disc_ok
+        self.hyperbolicity_ok = hyperbolicity_ok
+        self.signature_ok = signature_ok
+        self.failing_place = failing_place
+        self.failing_condition = failing_condition
+        self.pending = pending
 
     @property
     def passed(self) -> bool:
@@ -198,8 +206,7 @@ def achievable_bits(algebra: EtaleAlgebra, i: int, v: Place) -> frozenset[int] |
     return frozenset({0, 1})
 
 
-@dataclass(frozen=True)
-class BaselineCollection:
+class BaselineCollection(Record):
     """One deterministic choice of per-component local data over the bad
     places.
 
@@ -210,9 +217,15 @@ class BaselineCollection:
     signature.
     """
 
-    places: tuple[Place, ...]
-    finite_bits: tuple[tuple[Place, tuple[int, ...]], ...]
-    infinity_signatures: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        places: tuple[Place, ...],
+        finite_bits: tuple[tuple[Place, tuple[int, ...]], ...],
+        infinity_signatures: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.places = places
+        self.finite_bits = finite_bits
+        self.infinity_signatures = infinity_signatures
 
 
 def construct_baseline(
@@ -308,15 +321,20 @@ def parity_vector(baseline: BaselineCollection) -> tuple[int, ...]:
     return tuple(parity)
 
 
-@dataclass(frozen=True)
-class WitnessGraph:
+class WitnessGraph(Record):
     """Components as vertices; an edge carries a verified place where both
     endpoints are non-split.  Pairs with no witness up to the search bound
     are listed as unresolved."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, Place], ...]
-    unresolved: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        vertex_count: int,
+        edges: tuple[tuple[int, int, Place], ...],
+        unresolved: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.vertex_count = vertex_count
+        self.edges = edges
+        self.unresolved = unresolved
 
     def witness(self, i: int, j: int) -> Place | None:
         a, b = min(i, j), max(i, j)
@@ -401,21 +419,34 @@ def build_graph(algebra: EtaleAlgebra, bound: int) -> WitnessGraph:
     )
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(Record):
     """Full outcome of the decision pipeline."""
 
-    verdict: str
-    bound: int
-    local: LocalCheckResult
-    bad_places: tuple[Place, ...] | None = None
-    baseline: BaselineCollection | None = None
-    parity: tuple[int, ...] | None = None
-    graph: WitnessGraph | None = None
-    fast_path: str | None = None
-    star_vertex: int | None = None
-    needed_annotations: tuple[tuple[int, int], ...] = ()
-    notes: tuple[str, ...] = ()
+    def __init__(
+        self,
+        verdict: str,
+        bound: int,
+        local: LocalCheckResult,
+        bad_places: tuple[Place, ...] | None = None,
+        baseline: BaselineCollection | None = None,
+        parity: tuple[int, ...] | None = None,
+        graph: WitnessGraph | None = None,
+        fast_path: str | None = None,
+        star_vertex: int | None = None,
+        needed_annotations: tuple[tuple[int, int], ...] = (),
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.verdict = verdict
+        self.bound = bound
+        self.local = local
+        self.bad_places = bad_places
+        self.baseline = baseline
+        self.parity = parity
+        self.graph = graph
+        self.fast_path = fast_path
+        self.star_vertex = star_vertex
+        self.needed_annotations = needed_annotations
+        self.notes = notes
 
 
 def decide(

@@ -39,7 +39,6 @@ asks about, each evaluated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -66,6 +65,7 @@ from torusembed.arith.sturm import tarski_query
 from torusembed.arith.symbols import legendre_symbol
 from torusembed.errors import ComponentValidationError
 from torusembed.qform import pairwise_det_support
+from torusembed.record import Record
 
 
 class SplitStatus(Enum):
@@ -94,41 +94,53 @@ class SplitStatus(Enum):
 SPLIT, NONSPLIT, INDETERMINATE = SplitStatus
 
 
-@dataclass(frozen=True)
-class QuadSpec:
+class QuadSpec(Record):
     """Component K = Q(sqrt(d)) for squarefree d not in {0, 1}."""
 
-    d: int
+    def __init__(self, d: int) -> None:
+        self.d = d
 
 
-@dataclass(frozen=True)
-class GeneralSpec:
+class GeneralSpec(Record):
     """Component K = F(sqrt(theta)): F = Q[y]/(f), theta a polynomial in y."""
 
-    f: PolyQ
-    theta: PolyQ
+    def __init__(self, f: PolyQ, theta: PolyQ) -> None:
+        self.f = f
+        self.theta = theta
 
 
-@dataclass
 class Component:
     """A validated field component of an etale algebra with involution."""
 
-    spec: QuadSpec | GeneralSpec
-    f: PolyQ
-    theta: PolyQ
-    h: PolyQ
-    power_sums: tuple[Fraction, ...]
-    degree: int
-    disc_class: SquareClass
-    det_class: SquareClass
-    real_count: int
-    ramified_count: int
-    exactness_gaps: frozenset[int]
-    # The block rule's answer (theta a square above p) at the good primes
-    # asked so far, by the field check and by component_split_at.
-    square_at: dict[int, bool] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        spec: QuadSpec | GeneralSpec,
+        f: PolyQ,
+        theta: PolyQ,
+        h: PolyQ,
+        power_sums: tuple[Fraction, ...],
+        degree: int,
+        disc_class: SquareClass,
+        det_class: SquareClass,
+        real_count: int,
+        ramified_count: int,
+        exactness_gaps: frozenset[int],
+        square_at: dict[int, bool],
+    ) -> None:
+        self.spec = spec
+        self.f = f
+        self.theta = theta
+        self.h = h
+        self.power_sums = power_sums
+        self.degree = degree
+        self.disc_class = disc_class
+        self.det_class = det_class
+        self.real_count = real_count
+        self.ramified_count = ramified_count
+        self.exactness_gaps = exactness_gaps
+        # The block rule's answer (theta a square above p) at the good primes
+        # asked so far, by the field check and by component_split_at.
+        self.square_at = square_at
 
     @property
     def is_quad(self) -> bool:
@@ -311,12 +323,16 @@ def component_split_at(
     return SPLIT if square else NONSPLIT
 
 
-@dataclass
 class EtaleAlgebra:
     """A validated product of components, with their splitting annotations."""
 
-    components: tuple[Component, ...]
-    annotations: dict[tuple[int, int], str] = field(default_factory=dict)
+    def __init__(
+        self,
+        components: tuple[Component, ...],
+        annotations: dict[tuple[int, int], str] | None = None,
+    ) -> None:
+        self.components = components
+        self.annotations = {} if annotations is None else annotations
 
     @property
     def rank(self) -> int:

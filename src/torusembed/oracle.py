@@ -46,7 +46,6 @@ trace form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, prod
@@ -60,6 +59,7 @@ from .arith.symbols import places_over
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
 from .qform import QFInvariants, QuadraticSpace, bareiss_pivots, hasse_support
+from .record import Record
 
 __all__ = [
     "AlgebraElement",
@@ -77,8 +77,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """An element of the product algebra, one polynomial part per component.
 
     Part ``i`` is a polynomial in the generator of ``K_i = Q[y]/(h_i)``,
@@ -86,7 +85,8 @@ class AlgebraElement:
     only even powers of the generator.
     """
 
-    parts: tuple[PolyQ, ...]
+    def __init__(self, parts: tuple[PolyQ, ...]) -> None:
+        self.parts = parts
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.parts) + ")"
@@ -156,13 +156,15 @@ def _component_gram(comp: Component, part: PolyQ) -> list[list[Fraction]]:
     ]
 
 
-@dataclass(frozen=True)
 class TraceFormResult:
     """The exact trace form of one element: Gram matrix over the monomial
     basis plus its diagonalization and invariants."""
 
-    gram: tuple[tuple[Fraction, ...], ...]
-    space: QuadraticSpace
+    def __init__(
+        self, gram: tuple[tuple[Fraction, ...], ...], space: QuadraticSpace
+    ) -> None:
+        self.gram = gram
+        self.space = space
 
     @property
     def invariants(self):
@@ -214,7 +216,6 @@ def _vector_to_part(vec: Sequence[int]) -> PolyQ:
     return PolyQ.of(coeffs[:-1] if coeffs else [0])
 
 
-@dataclass(frozen=True, eq=False)
 class _Trace:
     """One component's trace data for one search, and the known places.
 
@@ -225,8 +226,9 @@ class _Trace:
     of places every block is compared on first.
     """
 
-    component: Component
-    known: tuple[Place, ...] = ()
+    def __init__(self, component: Component, known: tuple[Place, ...] = ()) -> None:
+        self.component = component
+        self.known = known
 
     @cached_property
     def known_primes(self) -> frozenset[int]:
@@ -267,7 +269,6 @@ def _halves(trace: _Trace, vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return diagonal, even[-1]
 
 
-@dataclass(frozen=True, eq=False)
 class _Block:
     """One component's part of a candidate, as its integer coefficient
     vector.  Its data are computed on first use and kept for every candidate
@@ -275,8 +276,9 @@ class _Block:
     norm is factored only for a candidate that passed every cheaper screen.
     """
 
-    trace: _Trace
-    vec: tuple[int, ...]
+    def __init__(self, trace: _Trace, vec: tuple[int, ...]) -> None:
+        self.trace = trace
+        self.vec = vec
 
     @cached_property
     def part(self) -> PolyQ:
@@ -346,13 +348,18 @@ def enumerate_symmetric_units(
         yield AlgebraElement(tuple(b.part for b in blocks))
 
 
-@dataclass(frozen=True)
 class SearchResult:
     """Outcome of a bounded realizability search."""
 
-    element: AlgebraElement | None
-    form: TraceFormResult | None
-    height: int
+    def __init__(
+        self,
+        element: AlgebraElement | None,
+        form: TraceFormResult | None,
+        height: int,
+    ) -> None:
+        self.element = element
+        self.form = form
+        self.height = height
 
     @property
     def found(self) -> bool:

@@ -32,7 +32,6 @@ of the summands' supports and ``pairwise_det_support`` of their determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -41,17 +40,25 @@ from typing import Sequence
 from torusembed.arith.integers import SquareClass, factor_rational
 from torusembed.arith.places import INFINITY, TWO, Place
 from torusembed.arith.symbols import hasse_bit, places_over
+from torusembed.record import Record
 
 
-@dataclass(frozen=True)
-class QFInvariants:
+class QFInvariants(Record):
     """Complete invariant tuple of a rational quadratic form."""
 
-    dim: int
-    det: SquareClass
-    disc: SquareClass
-    hasse_support: frozenset[Place]
-    signature: tuple[int, int]
+    def __init__(
+        self,
+        dim: int,
+        det: SquareClass,
+        disc: SquareClass,
+        hasse_support: frozenset[Place],
+        signature: tuple[int, int],
+    ) -> None:
+        self.dim = dim
+        self.det = det
+        self.disc = disc
+        self.hasse_support = hasse_support
+        self.signature = signature
 
 
 def diagonalize_gram(gram) -> tuple[Fraction, ...]:
@@ -135,11 +142,11 @@ def hasse_support(entries, places) -> frozenset[Place]:
     return frozenset(v for v in places if hasse_bit(entries, v))
 
 
-@dataclass(frozen=True)
 class QuadraticSpace:
     """A nondegenerate quadratic form over Q in diagonal presentation."""
 
-    diagonal: tuple[Fraction, ...]
+    def __init__(self, diagonal: tuple[Fraction, ...]) -> None:
+        self.diagonal = diagonal
 
     @classmethod
     def of(cls, entries) -> "QuadraticSpace":

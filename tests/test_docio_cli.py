@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from torusembed import cli
 from torusembed.docio import (
+    MAX_PRIME_BOUND,
     build_inputs,
     dump_json,
     normalize_problem,
@@ -251,6 +252,11 @@ SYNTAX_ERRORS = [
         ),
         "$.options.annotations[0].status",
         "'split' or 'nonsplit'",
+    ),
+    (
+        quad_doc(-1, [1, 1], prime_bound=100_001),
+        "$.options.prime_bound",
+        "at most 100000",
     ),
 ]
 
@@ -546,6 +552,25 @@ def test_cli_exit_codes(tmp_path):
     assert "error" in json.loads(out)
 
     assert run_cli(["decide", str(tmp_path / "missing.json"), "--quiet"])[0] == 4
+
+
+def test_prime_bound_is_capped(tmp_path):
+    # The witness walk visits every prime up to the bound, so a larger bound
+    # is an input error, whether the document or --bound sets it.
+    doc = quad_doc(-1, [1, 1], prime_bound=MAX_PRIME_BOUND)
+    assert parse_problem(doc).prime_bound == MAX_PRIME_BOUND
+    path = write_doc(tmp_path, doc)
+    assert run_cli(["decide", path, "--quiet"])[0] == 0
+    for bound in (MAX_PRIME_BOUND + 1, 10**6):
+        code, out, _ = run_cli(["decide", path, "--quiet", "--bound", str(bound)])
+        assert code == 4
+        assert json.loads(out)["error"]["path"] == "$.options.prime_bound"
+    capped = write_doc(tmp_path, quad_doc(-1, [1, 1], prime_bound=10**6), "big.json")
+    for command in ("decide", "local", "invariants"):
+        code, out, _ = run_cli([command, capped, "--json"])
+        assert code == 4, command
+        assert json.loads(out)["error"]["path"] == "$.options.prime_bound"
+    assert run_cli(["decide", capped, "--quiet", "--bound", "1000"])[0] == 4
 
 
 def test_cli_rejects_bad_flag_overrides(tmp_path):

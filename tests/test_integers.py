@@ -98,6 +98,31 @@ def test_factor_integer_semiprimes():
     assert factors == [(641, 1), (6700417, 1)]
 
 
+def _prime_between(rng, lo, hi):
+    """A random prime in (lo, hi), checked by trial division."""
+    while True:
+        n = rng.randrange(lo + 1, hi) | 1
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            return n
+
+
+def test_factor_integer_two_primes_beyond_trial_division():
+    # Every piece below TRIAL_DIVISION_BOUND**2 = 10^8 is prime, because
+    # trial division has removed the primes below 10^4.
+    rng = random.Random(15)
+    for _ in range(30):
+        lo = 10 ** rng.randint(4, 7)
+        p, q = sorted(_prime_between(rng, lo, min(10 * lo, 10**8)) for _ in range(2))
+        assert factor_integer(p * q) == (1, [(p, 1), (q, 1)] if p < q else [(p, 2)])
+        assert factor_integer(p * p) == (1, [(p, 2)])
+        assert factor_integer(-q * q) == (-1, [(q, 2)])
+    # Products of two primes above 10^4 are above 10^8 and still get split.
+    assert factor_integer(10007 * 10009 * 10037) == (
+        1,
+        [(10007, 1), (10009, 1), (10037, 1)],
+    )
+
+
 def test_factor_integer_random_roundtrip():
     rng = random.Random(11)
     for _ in range(200):
