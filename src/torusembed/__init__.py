@@ -43,10 +43,8 @@ from .oracle import (
     AlgebraElement,
     SearchResult,
     TraceFormResult,
-    enumerate_symmetric_units,
     make_element,
     search_realizing_element,
-    sigma_apply,
     trace_form,
 )
 from .qform import (
@@ -86,11 +84,9 @@ __all__ = [
     "check_local",
     "construct_baseline",
     "decide",
-    "enumerate_symmetric_units",
     "hyperbolic_deviation_set",
     "make_element",
     "parity_vector",
     "search_realizing_element",
-    "sigma_apply",
     "trace_form",
 ]

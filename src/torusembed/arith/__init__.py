@@ -6,7 +6,6 @@ from torusembed.arith.integers import (
     factor_integer,
     is_probable_prime,
     iter_primes,
-    squarefree_part,
 )
 from torusembed.arith.places import Place
 from torusembed.arith.symbols import (
@@ -24,7 +23,6 @@ __all__ = [
     "factor_integer",
     "is_probable_prime",
     "iter_primes",
-    "squarefree_part",
     "Place",
     "hasse_bit",
     "hilbert_symbol",

@@ -1,4 +1,4 @@
-"""Integer arithmetic: primality, factorization, squarefree parts, square classes.
+"""Integer arithmetic: primality, factorization, square classes.
 
 Inputs are desk-scale: factorization does trial division up to 10^4 and then
 Pollard rho (Brent variant) on the < 2^64-ish cofactors that remain.  The
@@ -229,11 +229,6 @@ def factor_rational(
             for p, e in factor_integer(part)[1]:
                 exponents[p] = exponents.get(p, 0) + unit * e
     return (1 if fr > 0 else -1), exponents
-
-
-def squarefree_part(x: int | Fraction) -> int:
-    """The unique squarefree integer s with x = s * (nonzero rational square)."""
-    return SquareClass.of(x).rep
 
 
 class SquareClass:

@@ -60,10 +60,6 @@ class PolyQ(Record):
         return cls.of((1,))
 
     @classmethod
-    def x(cls) -> "PolyQ":
-        return cls.of((0, 1))
-
-    @classmethod
     def constant(cls, c) -> "PolyQ":
         return cls.of((c,))
 

@@ -46,7 +46,6 @@ from .etale import (
     EtaleAlgebra,
     GeneralSpec,
     QuadSpec,
-    build_algebra,
     build_component,
 )
 from .oracle import SearchResult
@@ -293,17 +292,17 @@ def parse_problem(doc: Any) -> Problem:
 
 
 def build_inputs(problem: Problem) -> tuple[EtaleAlgebra, QuadraticSpace]:
-    """Semantic validation: build the algebra and the quadratic space."""
+    """Semantic validation: build each component once, then the algebra,
+    which checks the annotations, and the quadratic space."""
+    components = []
+    for i, spec in enumerate(problem.component_specs):
+        try:
+            components.append(build_component(spec))
+        except ComponentValidationError as exc:
+            raise InputDocumentError(f"$.algebra[{i}]", str(exc)) from None
     try:
-        algebra = build_algebra(problem.component_specs, problem.annotations)
+        algebra = EtaleAlgebra(tuple(components), problem.annotations)
     except ComponentValidationError as exc:
-        # Re-attribute the failure: if a single component fails on its own,
-        # the error belongs to $.algebra[i]; otherwise to the annotations.
-        for i, spec in enumerate(problem.component_specs):
-            try:
-                build_component(spec)
-            except ComponentValidationError as cexc:
-                raise InputDocumentError(f"$.algebra[{i}]", str(cexc)) from None
         raise InputDocumentError("$.options.annotations", str(exc)) from None
     try:
         if problem.diagonal is not None:

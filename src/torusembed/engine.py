@@ -336,13 +336,6 @@ class WitnessGraph(Record):
         self.edges = edges
         self.unresolved = unresolved
 
-    def witness(self, i: int, j: int) -> Place | None:
-        a, b = min(i, j), max(i, j)
-        for x, y, v in self.edges:
-            if (x, y) == (a, b):
-                return v
-        return None
-
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         parent = list(range(self.vertex_count))
 

@@ -324,15 +324,36 @@ def component_split_at(
 
 
 class EtaleAlgebra:
-    """A validated product of components, with their splitting annotations."""
+    """A product of validated components, with their splitting annotations,
+    whose keys the constructor checks against the components."""
 
     def __init__(
         self,
         components: tuple[Component, ...],
         annotations: dict[tuple[int, int], str] | None = None,
     ) -> None:
+        if not components:
+            raise ComponentValidationError("an algebra needs at least one component")
+        ann = dict(annotations or {})
+        for (i, p), status in sorted(ann.items()):
+            if not 0 <= i < len(components):
+                raise ComponentValidationError(f"annotation for unknown component {i}")
+            if status not in (SPLIT.value, NONSPLIT.value):
+                raise ComponentValidationError(
+                    f"annotation status must be '{SPLIT.value}' or '{NONSPLIT.value}'"
+                )
+            c = components[i]
+            if c.is_quad:
+                raise ComponentValidationError(
+                    f"component {i} is decided exactly at every prime; "
+                    f"annotation at {p} not allowed"
+                )
+            if p != 2 and p not in c.exactness_gaps:
+                raise ComponentValidationError(
+                    f"component {i} is decided exactly at {p}; annotation not allowed"
+                )
         self.components = components
-        self.annotations = {} if annotations is None else annotations
+        self.annotations = ann
 
     @property
     def rank(self) -> int:
@@ -406,26 +427,4 @@ def build_algebra(
     specs, annotations: dict[tuple[int, int], str] | None = None
 ) -> EtaleAlgebra:
     """Validate all component specs and the annotation keys."""
-    specs = list(specs)
-    if not specs:
-        raise ComponentValidationError("an algebra needs at least one component")
-    components = tuple(build_component(s) for s in specs)
-    ann = dict(annotations or {})
-    for (i, p), status in sorted(ann.items()):
-        if not 0 <= i < len(components):
-            raise ComponentValidationError(f"annotation for unknown component {i}")
-        if status not in (SPLIT.value, NONSPLIT.value):
-            raise ComponentValidationError(
-                f"annotation status must be '{SPLIT.value}' or '{NONSPLIT.value}'"
-            )
-        c = components[i]
-        if c.is_quad:
-            raise ComponentValidationError(
-                f"component {i} is decided exactly at every prime; "
-                f"annotation at {p} not allowed"
-            )
-        if p != 2 and p not in c.exactness_gaps:
-            raise ComponentValidationError(
-                f"component {i} is decided exactly at {p}; annotation not allowed"
-            )
-    return EtaleAlgebra(components, ann)
+    return EtaleAlgebra(tuple(build_component(s) for s in specs), annotations)

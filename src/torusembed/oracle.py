@@ -54,7 +54,6 @@ from typing import Iterator, Sequence
 from .arith import PolyQ, SquareClass
 from .arith.integers import factor_rational
 from .arith.places import Place
-from .arith.sturm import tarski_query
 from .arith.symbols import places_over
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
@@ -66,14 +65,10 @@ __all__ = [
     "TraceFormResult",
     "SearchResult",
     "make_element",
-    "sigma_apply",
     "is_symmetric",
     "is_unit",
     "trace_form",
-    "enumerate_symmetric_units",
     "search_realizing_element",
-    "fixed_field_image",
-    "ramified_sign_counts",
 ]
 
 
@@ -108,19 +103,6 @@ def make_element(algebra: EtaleAlgebra, parts: Sequence) -> AlgebraElement:
         poly = part if isinstance(part, PolyQ) else PolyQ.constant(part)
         reduced.append(poly % comp.h)
     return AlgebraElement(tuple(reduced))
-
-
-def sigma_apply(x: AlgebraElement) -> AlgebraElement:
-    """Apply the involution: negate the odd-power coefficients of every part.
-
-    Each defining polynomial ``h_i`` is even, so ``y -> -y`` is an algebra
-    automorphism; applying it twice is the identity.
-    """
-    flipped = []
-    for part in x.parts:
-        coeffs = [(-c if i % 2 else c) for i, c in enumerate(part.coeffs)]
-        flipped.append(PolyQ.of(coeffs))
-    return AlgebraElement(tuple(flipped))
 
 
 def is_symmetric(x: AlgebraElement) -> bool:
@@ -332,22 +314,6 @@ def _streams(
     return streams
 
 
-def enumerate_symmetric_units(
-    algebra: EtaleAlgebra, height: int
-) -> Iterator[AlgebraElement]:
-    """All involution-fixed units whose even-power coefficients are integers
-    in [-height, height].
-
-    Deterministic order: component-wise lexicographic, with the first
-    component varying slowest.  The zero vector is excluded per component.
-    Every other vector is a unit: its part is nonzero of degree below
-    ``deg h`` and each ``h`` is irreducible (every component is a field),
-    so the part is coprime to ``h``.
-    """
-    for blocks in itertools.product(*_streams(algebra, height)):
-        yield AlgebraElement(tuple(b.part for b in blocks))
-
-
 class SearchResult:
     """Outcome of a bounded realizability search."""
 
@@ -439,46 +405,3 @@ def _certifies(space: QuadraticSpace, want: QFInvariants, places) -> bool:
         and all(isqrt(n) ** 2 == n for n in (ratio.numerator, ratio.denominator))
         and hasse_support(diagonal, places) == want.hasse_support
     )
-
-
-def fixed_field_image(component: Component, part: PolyQ) -> PolyQ:
-    """Rewrite an even-power part as a polynomial in the fixed field.
-
-    The fixed subfield of ``K_i`` is generated by the square of the
-    generator, which satisfies the component's base polynomial ``f`` with
-    root value ``theta``; substituting gives ``sum c_{2m} * theta^m mod f``.
-    """
-    if any(c != 0 for i, c in enumerate(part.coeffs) if i % 2):
-        raise ValueError("element is not fixed by the involution")
-    f = component.f
-    theta = component.theta % f
-    result = PolyQ.zero()
-    power = PolyQ.one()
-    for m in range(part.degree // 2 + 1):
-        c = part.coeff(2 * m)
-        if c:
-            result = result + power.scale(c)
-        power = (power * theta) % f
-    return result
-
-
-def ramified_sign_counts(
-    algebra: EtaleAlgebra, alpha: AlgebraElement
-) -> tuple[int, int]:
-    """(positive, negative) counts of ``alpha`` over all ramified real
-    embeddings of the algebra.  The trace form's signature is then
-    (2*pos + w, 2*neg + w) with w the unramified real weight.
-
-    With a the part's image in F and T(g) = tarski_query(f, g), the roots
-    where theta < 0 and a has sign e number (T(1) - T(theta) + e*T(a) -
-    e*T(theta*a)) / 4, and T(1) - T(theta) = 2 * ramified_count.
-    """
-    pos = neg = 0
-    for comp, part in zip(algebra.components, alpha.parts):
-        a = fixed_field_image(comp, part)
-        if a.is_zero:
-            raise ValueError("element vanishes at a real embedding")
-        signed = tarski_query(comp.f, a) - tarski_query(comp.f, comp.theta * a)
-        pos += (2 * comp.ramified_count + signed) // 4
-        neg += (2 * comp.ramified_count - signed) // 4
-    return pos, neg

@@ -2,11 +2,12 @@
 
 Seven fixed-input suites, each running one kernel once against known
 answers: Hilbert symbols and Hasse bits, integer factorization, factorization
-mod p, irreducibility over Q, real-root counts, the trace-form identities,
-and four decisions.  The randomized and brute-force checks live in
-``tests/``.  ``torusembed selftest`` drives :func:`run_all`.  The suites
-check with :func:`_check`, not ``assert``, so they still check under
-``python -O``.
+mod p, irreducibility over Q, real-root counts, the trace forms of two pinned
+elements (their signatures and the discriminant identity), and four
+decisions.  The randomized and brute-force checks, and the reference
+functions they compare against, live in ``tests/``.  ``torusembed selftest``
+drives :func:`run_all`.  The suites check with :func:`_check`, not
+``assert``, so they still check under ``python -O``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .arith.sturm import isolate_real_roots, tarski_query
 from .arith.symbols import hasse_bit, hilbert_symbol
 from .engine import decide
 from .etale import GeneralSpec, QuadSpec, build_algebra
-from .oracle import enumerate_symmetric_units, ramified_sign_counts, trace_form
+from .oracle import make_element, trace_form
 from .qform import QuadraticSpace
 
 __all__ = ["run_all"]
@@ -86,14 +87,16 @@ def _suite_real_roots() -> None:
 
 
 def _suite_trace_identities() -> None:
-    sqrt2 = GeneralSpec(PolyQ.of((-2, 0, 1)), PolyQ.x())
+    # Q(sqrt(-3)) x Q(2^(1/4)): per element, the parts and the signature of
+    # its trace form; every trace form's discriminant is the algebra's.
+    sqrt2 = GeneralSpec(PolyQ.of((-2, 0, 1)), PolyQ.of((0, 1)))
     algebra = build_algebra([QuadSpec(-3), sqrt2])
-    w = algebra.unramified_real_weight
-    for alpha in itertools.islice(enumerate_symmetric_units(algebra, 1), 8):
+    known = [((-1, (-1, 0, -1)), (3, 3)), ((-1, (1, 0, 1)), (1, 5))]
+    for (a, b), signature in known:
+        alpha = make_element(algebra, [a, PolyQ.of(b)])
         inv = trace_form(algebra, alpha).invariants
         _check(inv.disc == algebra.disc_class, f"disc identity fails for {alpha}")
-        pos, neg = ramified_sign_counts(algebra, alpha)
-        _check(inv.signature == (2 * pos + w, 2 * neg + w), f"signature of {alpha}")
+        _check(inv.signature == signature, f"signature of {alpha}")
 
 
 def _suite_decide() -> None:

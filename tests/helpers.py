@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -21,15 +22,17 @@ from torusembed.arith.symbols import (
     places_over,
 )
 from torusembed.cli import main as cli_main
+from torusembed.engine import WitnessGraph
 from torusembed.errors import ComponentValidationError
 from torusembed.etale import (
+    Component,
     EtaleAlgebra,
     GeneralSpec,
     QuadSpec,
     build_algebra,
     build_component,
 )
-from torusembed.oracle import AlgebraElement, _component_gram, make_element
+from torusembed.oracle import AlgebraElement, _component_gram, _streams, make_element
 from torusembed.qform import (
     QFInvariants,
     QuadraticSpace,
@@ -167,6 +170,81 @@ def random_symmetric_unit(
     return make_element(alg, parts)
 
 
+# --- elements: the involution, enumeration, and signs at real places ---
+
+
+def sigma_apply(x: AlgebraElement) -> AlgebraElement:
+    """Apply the involution: negate the odd-power coefficients of every part.
+
+    Each defining polynomial ``h_i`` is even, so ``y -> -y`` is an algebra
+    automorphism; applying it twice is the identity.
+    """
+    flipped = []
+    for part in x.parts:
+        coeffs = [(-c if i % 2 else c) for i, c in enumerate(part.coeffs)]
+        flipped.append(PolyQ.of(coeffs))
+    return AlgebraElement(tuple(flipped))
+
+
+def enumerate_symmetric_units(alg: EtaleAlgebra, height: int):
+    """All involution-fixed units whose even-power coefficients are integers
+    in [-height, height], in the oracle's search order: component-wise
+    lexicographic, with the first component varying slowest.  The zero
+    vector is excluded per component; every other vector is a unit."""
+    for blocks in itertools.product(*_streams(alg, height)):
+        yield AlgebraElement(tuple(b.part for b in blocks))
+
+
+def fixed_field_image(component: Component, part: PolyQ) -> PolyQ:
+    """Rewrite an even-power part as a polynomial in the fixed field.
+
+    The fixed subfield of ``K_i`` is generated by the square of the
+    generator, which satisfies the component's base polynomial ``f`` with
+    root value ``theta``; substituting gives ``sum c_{2m} * theta^m mod f``.
+    """
+    if any(c != 0 for i, c in enumerate(part.coeffs) if i % 2):
+        raise ValueError("element is not fixed by the involution")
+    f = component.f
+    theta = component.theta % f
+    result = PolyQ.zero()
+    power = PolyQ.one()
+    for m in range(part.degree // 2 + 1):
+        c = part.coeff(2 * m)
+        if c:
+            result = result + power.scale(c)
+        power = (power * theta) % f
+    return result
+
+
+def ramified_sign_counts(alg: EtaleAlgebra, alpha: AlgebraElement) -> tuple[int, int]:
+    """(positive, negative) counts of ``alpha`` over all ramified real
+    embeddings of the algebra.  The trace form's signature is then
+    (2*pos + w, 2*neg + w) with w the unramified real weight.
+
+    With a the part's image in F and T(g) = tarski_query(f, g), the roots
+    where theta < 0 and a has sign e number (T(1) - T(theta) + e*T(a) -
+    e*T(theta*a)) / 4, and T(1) - T(theta) = 2 * ramified_count.
+    """
+    pos = neg = 0
+    for comp, part in zip(alg.components, alpha.parts):
+        a = fixed_field_image(comp, part)
+        if a.is_zero:
+            raise ValueError("element vanishes at a real embedding")
+        signed = tarski_query(comp.f, a) - tarski_query(comp.f, comp.theta * a)
+        pos += (2 * comp.ramified_count + signed) // 4
+        neg += (2 * comp.ramified_count - signed) // 4
+    return pos, neg
+
+
+def witness(graph: WitnessGraph, i: int, j: int) -> Place | None:
+    """The place on the edge between components i and j, or None."""
+    a, b = min(i, j), max(i, j)
+    for x, y, v in graph.edges:
+        if (x, y) == (a, b):
+            return v
+    return None
+
+
 # --- the standing example pair: locally fine but needing a large witness ---
 
 DEMO_ANNOTATIONS = {(0, 2): "nonsplit", (1, 2): "split"}
@@ -205,6 +283,11 @@ def is_irreducible_mod_p(f: list[int], p: int) -> bool:
         if len(fp_gcd(f, fp_reduce(g, p), p)) != 1:
             return False
     return True
+
+
+def squarefree_part(x: int | Fraction) -> int:
+    """The unique squarefree integer s with x = s * (nonzero rational square)."""
+    return SquareClass.of(x).rep
 
 
 def real_root_count(f: PolyQ) -> int:

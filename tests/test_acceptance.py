@@ -10,7 +10,6 @@ import random
 import time
 from pathlib import Path
 
-from torusembed.arith.integers import squarefree_part
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.symbols import hilbert_symbol
 from torusembed.engine import (
@@ -23,11 +22,7 @@ from torusembed.engine import (
     parity_vector,
 )
 from torusembed.errors import NeedAnnotations
-from torusembed.oracle import (
-    ramified_sign_counts,
-    search_realizing_element,
-    trace_form,
-)
+from torusembed.oracle import search_realizing_element, trace_form
 from torusembed.qform import QuadraticSpace
 
 from bruteforce import brute_hilbert_bit
@@ -38,8 +33,10 @@ from helpers import (
     general,
     is_locally_hyperbolic,
     quad,
+    ramified_sign_counts,
     random_symmetric_unit,
     run_cli,
+    squarefree_part,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusembed import cli
+from torusembed import cli, docio, etale
 from torusembed.docio import (
     MAX_PRIME_BOUND,
     build_inputs,
@@ -339,6 +339,45 @@ def test_build_inputs_error_paths(doc, path, fragment):
         build_inputs(problem)
     assert info.value.path == path
     assert fragment in info.value.message
+
+
+def test_build_inputs_builds_each_component_once(monkeypatch):
+    # Valid components with a bad annotation, and a bad second component:
+    # the error's path comes from the one build of each spec.
+    calls = []
+
+    def counting(spec, build=etale.build_component):
+        calls.append(spec)
+        return build(spec)
+
+    for module in (etale, docio):
+        monkeypatch.setattr(module, "build_component", counting)
+    quartic = {"type": "general", "f": [-2, 0, 1], "theta": [0, 1]}
+    split_at_2 = {"component": 0, "prime": 2, "status": "split"}
+    cases = [
+        (
+            {
+                "algebra": [{"type": "quad", "d": -1}, quartic],
+                "form": {"diagonal": [1] * 6},
+                "options": {"annotations": [split_at_2]},
+            },
+            "$.options.annotations",
+        ),
+        (
+            {
+                "algebra": [quartic, {"type": "quad", "d": 12}],
+                "form": {"diagonal": [1] * 6},
+            },
+            "$.algebra[1]",
+        ),
+    ]
+    for doc, path in cases:
+        calls.clear()
+        problem = parse_problem(doc)
+        with pytest.raises(InputDocumentError) as info:
+            build_inputs(problem)
+        assert info.value.path == path
+        assert calls == list(problem.component_specs)
 
 
 def test_render_error_shape():
@@ -923,14 +962,25 @@ def test_cli_selftest_needs_no_test_dependencies():
     assert proc.stdout == "[]\n"
 
 
-def test_selftest_still_checks_under_optimize():
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        "st.hilbert_symbol = lambda a, b, v: 0",
+        # Every trace form becomes that of alpha = 1.
+        "kernel = st.trace_form\n"
+        "st.trace_form = lambda alg, alpha: kernel(\n"
+        "    alg, st.make_element(alg, [1] * len(alg.components)))",
+    ],
+    ids=["hilbert_symbol", "trace_form"],
+)
+def test_selftest_still_checks_under_optimize(breakage):
     # python -O strips assert statements; a broken kernel must still fail
     # its suite there.
     script = (
         "import sys\n"
         "import torusembed.selftest as st\n"
         "assert False, 'asserts are live'\n"
-        "st.hilbert_symbol = lambda a, b, v: 0\n"
+        f"{breakage}\n"
         "print(st.run_all(quiet=True))\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
@@ -948,3 +998,100 @@ def test_selftest_still_checks_under_optimize():
 
 def test_cli_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+# ---------------------------------------------------------------- parser fuzz
+
+# Integers stay within |n| <= 10^6 and prime_bound within 10^3: factoring and
+# the witness walk have no work budget yet (ROADMAP item 1), so a large
+# integer or bound could make one example run for minutes.  Strings have at
+# most six characters and no exponent marker, so a rational string such as
+# "1e9999" cannot smuggle in a large integer either.
+_INTS = st.integers(-(10**6), 10**6)
+_WORDS = st.sampled_from(
+    ["algebra", "form", "options", "type", "quad", "general", "d", "f", "theta",
+     "diagonal", "gram", "annotations", "component", "prime", "status", "split",
+     "nonsplit"]
+)
+_RATIONALS = st.sampled_from(["1/2", "-3/4", "1/0", "0", "2/4", "1.5", " 7", "x"])
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INTS,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.characters(blacklist_characters="eE"), max_size=6),
+    _WORDS,
+    _RATIONALS,
+)
+_FUZZ_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(_WORDS | st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=16,
+)
+_SKELETONS = [
+    quad_doc(-1, [1, 1]),
+    quad_doc(5, ["1/2", -3], prime_bound=50, oracle_height=2),
+    demo_doc(prime_bound=7),
+    {
+        "algebra": [
+            {"type": "quad", "d": -3},
+            {"type": "general", "f": [-3, 0, 1], "theta": ["1/2", 1]},
+        ],
+        "form": {
+            "gram": [
+                [2, 1, 0, 0, 0, 0],
+                [1, 2, 0, 0, 0, 0],
+                [0, 0, 1, 0, 0, 0],
+                [0, 0, 0, -1, 0, 0],
+                [0, 0, 0, 0, "3/2", 0],
+                [0, 0, 0, 0, 0, 6],
+            ]
+        },
+        "options": {"oracle_height": 1},
+    },
+]
+
+
+def _slots(node):
+    """Every (container, key) pair inside a decoded JSON value."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    else:
+        items = list(enumerate(node)) if isinstance(node, list) else []
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def _mutated_skeletons(draw):
+    """A valid document with one to three values replaced or removed."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_SKELETONS))))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del parent[key]
+        elif key == "prime_bound":
+            parent[key] = draw(st.integers(-(10**6), 1000) | st.text(max_size=4))
+        else:
+            # Rationals and integers drawn directly, besides any JSON value,
+            # so that more mutants get past the syntax checks.
+            parent[key] = draw(_RATIONALS | _INTS | _FUZZ_JSON)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["decide", "local", "invariants"]),
+    _mutated_skeletons() | st.lists(_mutated_skeletons(), max_size=3) | _FUZZ_JSON,
+)
+def test_cli_survives_any_json_document(command, doc):
+    code, out, _ = run_cli([command, "--json", "-"], json.dumps(doc))
+    assert code in (0, 1, 2, 3, 4, 70)
+    json.loads(out)

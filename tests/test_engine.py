@@ -190,7 +190,7 @@ def test_witness_graph_small_cases():
     g = build_graph(algebra(quad(-3), quad(-1)), DEFAULT_PRIME_BOUND)
     assert g.vertex_count == 2
     assert g.edges == ((0, 1, INFINITY),)
-    assert g.witness(0, 1) == INFINITY
+    assert helpers.witness(g, 0, 1) == INFINITY
     assert g.unresolved == ()
     assert g.connected_components() == ((0, 1),)
     assert g.star_vertex() == 0
@@ -224,11 +224,11 @@ def test_witness_graph_demo_unresolved_below_bound():
 def test_witness_prefers_infinity_then_small_primes():
     mixed = algebra(quad(-1), quad(-3))
     g = build_graph(mixed, DEFAULT_PRIME_BOUND)
-    assert g.witness(0, 1) == INFINITY
+    assert helpers.witness(g, 0, 1) == INFINITY
     real_pair = algebra(quad(5), quad(2))
     gr = build_graph(real_pair, DEFAULT_PRIME_BOUND)
     # Both components split at infinity, so the witness must be finite.
-    assert gr.witness(0, 1) is not None and not gr.witness(0, 1).is_infinite
+    assert helpers.witness(gr, 0, 1) is not None and not helpers.witness(gr, 0, 1).is_infinite
 
 
 def _reference_graph(alg, bound, cap):

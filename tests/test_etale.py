@@ -9,7 +9,7 @@ import pytest
 
 from torusembed import etale
 from torusembed.arith import integers
-from torusembed.arith.integers import is_probable_prime, squarefree_part
+from torusembed.arith.integers import is_probable_prime
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyfp import factor_mod_p
 from torusembed.arith.polyq import (
@@ -24,7 +24,7 @@ from torusembed.errors import ComponentValidationError
 from torusembed.etale import GeneralSpec, build_algebra, build_component
 from torusembed.oracle import make_element, trace_form
 
-from helpers import algebra, diag, general, quad, random_general_spec
+from helpers import algebra, diag, general, quad, random_general_spec, squarefree_part
 
 V2, V3, V5 = (Place.finite(p) for p in (2, 3, 5))
 

@@ -16,8 +16,9 @@ from torusembed.arith.integers import (
     factor_integer,
     is_probable_prime,
     iter_primes,
-    squarefree_part,
 )
+
+from helpers import squarefree_part
 
 
 def sieve(limit: int) -> list[int]:

@@ -22,14 +22,10 @@ from torusembed.errors import AuditError
 from torusembed.etale import EtaleAlgebra
 from torusembed.oracle import (
     AlgebraElement,
-    enumerate_symmetric_units,
-    fixed_field_image,
     is_symmetric,
     is_unit,
     make_element,
-    ramified_sign_counts,
     search_realizing_element,
-    sigma_apply,
     trace_form,
 )
 from torusembed.qform import QuadraticSpace
@@ -38,13 +34,17 @@ import helpers
 from helpers import (
     algebra,
     diag,
+    enumerate_symmetric_units,
     equivalent_over_q,
     factored_block_invariants,
+    fixed_field_image,
     general,
     orthogonal_sum,
     quad,
+    ramified_sign_counts,
     random_general_spec,
     random_symmetric_unit,
+    sigma_apply,
     symmetric_part,
 )
 
