@@ -1,7 +1,11 @@
 """Integer arithmetic: primality, factorization, square classes.
 
-Inputs are desk-scale: factorization does trial division up to 10^4 and then
-Pollard rho (Brent variant) on the < 2^64-ish cofactors that remain.  The
+Factorization removes the primes below 10^4 in two stages: trial division by
+the 25 primes below 100, which stops as soon as p^2 exceeds what is left, and
+otherwise one gcd with the product of the primes from 101 to 9973 (the
+smooth-part idea of Bernstein, "How to find smooth parts of integers", 2004).
+A cofactor below 10^8 is then prime; a larger one is split by Pollard rho
+(Brent variant), whatever its size: no work budget bounds rho yet.  The
 primality test is Miller-Rabin to the prime bases up to 37, deterministic
 below 3.18e23, and Baillie-PSW above.
 """
@@ -27,6 +31,11 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 _SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
 _TRIAL_DIVISION_SQUARE = TRIAL_DIVISION_BOUND**2
+# Trial division by the head primes (below 100); one gcd with the product of
+# the tail primes (101 to 9973) finds which of those divide a larger cofactor.
+_HEAD_PRIMES = _SMALL_PRIMES[:25]
+_TAIL_PRIMES = _SMALL_PRIMES[25:]
+_TAIL_PRODUCT = prod(_TAIL_PRIMES)
 
 # Miller-Rabin to the prime bases up to 37 is deterministic below
 # 318665857834031151167461 = 399165290221 * 798330580441, the least strong
@@ -160,13 +169,21 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
 
 
 def factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Factor nonzero n as (sign, [(prime, exponent), ...]) with primes ascending."""
+    """Factor nonzero n as (sign, [(prime, exponent), ...]) with primes ascending.
+
+    Trial division by the primes below 100 ends as soon as p^2 exceeds the
+    cofactor, which is then 1 or a prime.  Past them, one gcd with the
+    product of the primes from 101 to 9973 gives the tail primes that divide
+    the cofactor, each then divided out with its full exponent.  What is left
+    has no prime factor below 10^4, so it is prime below 10^8; above, Pollard
+    rho splits it with no bound on its work.
+    """
     if n == 0:
         raise ValueError("cannot factor zero")
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _HEAD_PRIMES:
         if p * p > m:
             # No prime up to sqrt(m) divides m, so m is 1 or a prime.
             if m > 1:
@@ -176,12 +193,25 @@ def factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
+    else:
+        # g is the squarefree product of the tail primes dividing m.
+        g = gcd(m, _TAIL_PRODUCT)
+        for p in _TAIL_PRIMES:
+            if g == 1:
+                break
+            if p * p > g:
+                p = g  # no tail prime up to sqrt(g) divides g, so g is a prime
+            if g % p == 0:
+                g //= p
+                while m % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    m //= p
     if m > 1:
-        # Trial division stopped below sqrt(m).  The pseudo-random stream is
-        # local to this call and seeded from n, so repeated factorizations
-        # are reproducible; it is built only when Pollard-Brent first runs.
-        # No piece has a prime factor below TRIAL_DIVISION_BOUND, so a piece
-        # below its square is prime.
+        # Every prime below TRIAL_DIVISION_BOUND is divided out, so a piece
+        # below its square is prime.  The pseudo-random stream is local to
+        # this call and seeded from the cofactor m, so repeated
+        # factorizations are reproducible; it is built only when
+        # Pollard-Brent first runs.
         seed = m ^ 0x5DEECE66D
         rng = None
         stack = [m]

@@ -55,6 +55,9 @@ def _suite_hilbert() -> None:
 def _suite_factor_integer() -> None:
     p, q = 10**9 + 7, 10**9 + 9
     _check(factor_integer(p * q) == (1, [(p, 1), (q, 1)]), "factors of pq")
+    # Repeated primes from the gcd with the product of the primes 101..9973.
+    n = -(101**3) * 9973**2 * 10007
+    _check(factor_integer(n) == (-1, [(101, 3), (9973, 2), (10007, 1)]), f"factors of {n}")
     for n in (-360, 9_973, 2**61 - 1, -12 * p * q):
         sign, factors = factor_integer(n)
         _check(sign * prod(r**e for r, e in factors) == n, f"factors of {n}")

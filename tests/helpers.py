@@ -10,7 +10,15 @@ import random
 from fractions import Fraction
 from math import prod
 
-from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
+from torusembed.arith.integers import (
+    _SMALL_PRIMES,
+    _TRIAL_DIVISION_SQUARE,
+    SquareClass,
+    _pollard_brent,
+    factor_integer,
+    factor_rational,
+    is_probable_prime,
+)
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import fp_gcd, fp_pow_mod, fp_reduce, fp_rem
 from torusembed.arith.polyq import PolyQ, power_sums
@@ -283,6 +291,41 @@ def is_irreducible_mod_p(f: list[int], p: int) -> bool:
         if len(fp_gcd(f, fp_reduce(g, p), p)) != 1:
             return False
     return True
+
+
+def trial_division_factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """Reference for ``factor_integer``: trial division by every prime below
+    10^4 in turn, ending as soon as p^2 exceeds the cofactor, then the same
+    Pollard-Brent stage with the same seed."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    sign = -1 if n < 0 else 1
+    m = abs(n)
+    counts: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            if m > 1:
+                counts[m] = 1
+                m = 1
+            break
+        while m % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
+    if m > 1:
+        seed = m ^ 0x5DEECE66D
+        rng = None
+        stack = [m]
+        while stack:
+            x = stack.pop()
+            if x < _TRIAL_DIVISION_SQUARE or is_probable_prime(x):
+                counts[x] = counts.get(x, 0) + 1
+                continue
+            if rng is None:
+                rng = random.Random(seed)
+            d = _pollard_brent(x, rng)
+            stack.append(d)
+            stack.append(x // d)
+    return sign, sorted(counts.items())
 
 
 def squarefree_part(x: int | Fraction) -> int:

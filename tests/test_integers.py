@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusembed.arith import integers
 from torusembed.arith.integers import (
     SquareClass,
     _is_strong_lucas_probable_prime,
@@ -18,7 +19,7 @@ from torusembed.arith.integers import (
     iter_primes,
 )
 
-from helpers import squarefree_part
+from helpers import squarefree_part, trial_division_factor_integer
 
 
 def sieve(limit: int) -> list[int]:
@@ -90,6 +91,12 @@ def test_factor_integer_shapes():
     assert factor_integer(1) == (1, [])
     assert factor_integer(-1) == (-1, [])
     assert factor_integer(97) == (1, [(97, 1)])
+    # Repeated primes from the gcd stage, on both sides of the head/tail split.
+    assert factor_integer(-(101**3) * 9973**2 * 10007) == (
+        -1,
+        [(101, 3), (9973, 2), (10007, 1)],
+    )
+    assert factor_integer(97**2 * 101**6) == (1, [(97, 2), (101, 6)])
 
 
 def test_factor_integer_semiprimes():
@@ -135,6 +142,81 @@ def test_factor_integer_random_roundtrip():
             product *= p**e
         assert product == n
         assert factors == sorted(factors)
+
+
+def _differential_cases() -> list[int]:
+    """Integers on every path through the small-prime stages, plus random ones."""
+    rng = random.Random(17)
+    edge = (97, 101, 9973, 10007)  # the head/tail split and the trial bound
+    cases = [1, -1, 2, -2, 96, 97 * 97, 100, 10**8, 10**8 + 7]
+    for p in (2, 3, 97, 101, 103, 9967, 9973, 10007, 65537):
+        cases += [p**e for e in range(1, 7)] + [-p, -(p**3)]
+    cases += [a * b for a in edge for b in edge]
+    cases += [101 * 103, 9973**2, 101**3 * 9973**2 * 10007, 2**5 * 97**2 * 101]
+    tail = integers._TAIL_PRIMES
+    for _ in range(40):
+        a, b = rng.choice(tail), rng.choice(tail)
+        cases += [a * b, -a * b * rng.randint(1, 10**4), a**2 * b]
+    big = [10**9 + 7, 10**9 + 9, 2**61 - 1]
+    for p in (101, 9973):
+        # One tail prime above a cofactor that is prime above 10^8, and above
+        # one that rho has to split.
+        cases += [p * q for q in big] + [p * 10007 * 10009, p**2 * big[0] * big[1]]
+    for _ in range(20):
+        # The big-integers shape: 2 * p * q * d with 6-8 digit primes.
+        p, q, d = (
+            _prime_between(rng, 10**k, 10 ** (k + 1)) for k in rng.choices((5, 6, 7), k=3)
+        )
+        cases += [2 * p * q * d, -2 * p * q, p * d * rng.choice(tail)]
+    cases += [rng.randint(2, 10**12) * rng.choice((1, -1)) for _ in range(300)]
+    return cases
+
+
+def test_factor_integer_matches_trial_division_reference():
+    for n in _differential_cases():
+        assert factor_integer(n) == trial_division_factor_integer(n), n
+
+
+def test_factor_integer_walks_tail_primes_only_up_to_sqrt_of_the_gcd(monkeypatch):
+    # Once p^2 exceeds what is left of the gcd, that rest is a prime: the walk
+    # stops there instead of dividing by every tail prime up to it.
+    seen = []
+
+    class Recording(tuple):
+        def __iter__(self):
+            for p in tuple.__iter__(self):
+                seen.append(p)
+                yield p
+
+    monkeypatch.setattr(integers, "_TAIL_PRIMES", Recording(integers._TAIL_PRIMES))
+    assert factor_integer(101 * 9973**2 * (10**9 + 7)) == (
+        1,
+        [(101, 1), (9973, 2), (10**9 + 7, 1)],
+    )
+    assert seen == [101, 103, 107]
+    seen.clear()
+    assert factor_integer(9973 * 10007 * 10009) == (
+        1,
+        [(9973, 1), (10007, 1), (10009, 1)],
+    )
+    assert seen == [101, 103]
+
+
+FACTOR_POOL = (2, 3, 97, 101, 103, 9973, 10007, 10**9 + 7)
+small_products = st.lists(st.sampled_from(FACTOR_POOL), max_size=5).map(math.prod)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(small_products, st.integers(1, 10**12)),
+    st.one_of(small_products, st.integers(1, 10**12)),
+    st.sampled_from((1, -1)),
+)
+def test_factor_integer_of_a_product_adds_exponents(a, b, sign):
+    exponents = dict(factor_integer(a)[1])
+    for p, e in factor_integer(b)[1]:
+        exponents[p] = exponents.get(p, 0) + e
+    assert factor_integer(sign * a * b) == (sign, sorted(exponents.items()))
 
 
 def test_divisors():
