@@ -13,7 +13,7 @@ from torusembed.arith.symbols import (
     hilbert_symbol,
     legendre_symbol,
 )
-from torusembed.arith.polyq import PolyQ, discriminant, is_irreducible, resultant
+from torusembed.arith.polyq import PolyQ, is_irreducible
 from torusembed.arith.polyfp import factor_mod_p
 from torusembed.arith.sturm import RealRoot, isolate_real_roots
 
@@ -28,9 +28,7 @@ __all__ = [
     "hilbert_symbol",
     "legendre_symbol",
     "PolyQ",
-    "discriminant",
     "is_irreducible",
-    "resultant",
     "factor_mod_p",
     "RealRoot",
     "isolate_real_roots",

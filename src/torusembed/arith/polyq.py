@@ -1,9 +1,12 @@
 """Exact univariate polynomial arithmetic over Q.
 
-Includes resultants (integer subresultant PRS), discriminants, rational root
-extraction, and irreducibility testing over Q by Hensel lifting a mod-p
-factorization and trying factor recombinations (degrees up to 12 are
-supported, which keeps the subset search trivial; Cohen, GTM 138, 3.5).
+Includes the trace kernel (power sums by Newton's identities, the resultant
+Res_y(f, x^2 - theta) built from them, and Hermite's trace form, whose
+Bareiss pivots give real-root counts, signs at the real roots, and the
+discriminant), rational root extraction, and irreducibility testing over Q
+by Hensel lifting a mod-p factorization and trying factor recombinations
+(degrees up to 12 are supported, which keeps the subset search trivial;
+Cohen, GTM 138, 3.5).
 Integer polynomials are ascending int lists that share the ``polyfp``
 kernel's ``_raw_mul`` and ``_strip``; the modular factors and their lifts
 are kernel lists too.
@@ -192,86 +195,17 @@ def integerize(f: PolyQ) -> tuple[list[int], int]:
     return [int(c * d) for c in f.coeffs], d
 
 
-def _ip_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over Z: lc(b)^(deg a - deg b + 1) * a mod b."""
+def _ip_rem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of the integer polynomial a by the monic integer polynomial b."""
     rem = list(a)
     db = len(b) - 1
-    lb = b[-1]
-    steps = len(a) - len(b) + 1
     while rem and len(rem) - 1 >= db:
         k = len(rem) - 1 - db
         c = rem[-1]
-        rem = [lb * r for r in rem]
         for i, bc in enumerate(b):
             rem[k + i] -= c * bc
         _strip(rem)
-        steps -= 1
-    for _ in range(max(steps, 0)):
-        rem = [lb * r for r in rem]
     return rem
-
-
-def _int_resultant(A: list[int], B: list[int]) -> int:
-    """Resultant of integer polynomials via the subresultant PRS (exact)."""
-    A = _strip(list(A))
-    B = _strip(list(B))
-    if not A or not B:
-        return 0
-    if len(A) == 1:
-        return A[0] ** (len(B) - 1)
-    if len(B) == 1:
-        return B[0] ** (len(A) - 1)
-    s = 1
-    if len(A) < len(B):
-        if (len(A) - 1) % 2 == 1 and (len(B) - 1) % 2 == 1:
-            s = -s
-        A, B = B, A
-    g = h = 1
-    while True:
-        da, db = len(A) - 1, len(B) - 1
-        d = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        R = _ip_prem(A, B)
-        A = B
-        if not R:
-            return 0
-        denom = g * h**d
-        B = [c // denom for c in R]
-        g = A[-1]
-        if d == 1:
-            h = g
-        elif d > 1:
-            h = g**d // h ** (d - 1)
-        if len(B) == 1:
-            dA = len(A) - 1
-            return s * (B[0] ** dA // h ** (dA - 1))
-
-
-def resultant(f: PolyQ, g: PolyQ) -> Fraction:
-    """Res(f, g) over Q (exact)."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial is undefined here")
-    if f.degree == 0:
-        return Fraction(f.lc) ** g.degree
-    if g.degree == 0:
-        return Fraction(g.lc) ** f.degree
-    A, da = integerize(f)
-    B, db = integerize(g)
-    r = _int_resultant(A, B)
-    return Fraction(r, da**g.degree * db**f.degree)
-
-
-def discriminant(f: PolyQ) -> Fraction:
-    """disc(f) = (-1)^(m(m-1)/2) Res(f, f') / lc(f) for deg f = m >= 1."""
-    m = f.degree
-    if m < 1:
-        raise ValueError("discriminant requires degree >= 1")
-    if m == 1:
-        return Fraction(1)
-    r = resultant(f, f.derivative())
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * r / f.lc
 
 
 def power_sums(a, count: int) -> list:
@@ -284,6 +218,82 @@ def power_sums(a, count: int) -> list:
         acc = k * a[m - k] if k <= m else 0
         s.append(-acc - sum(a[m - i] * s[k - i] for i in range(1, min(k, m + 1))))
     return s
+
+
+def bareiss_pivots(b: list[list[int]]) -> list[int]:
+    """Pivots a_1, ..., a_n of symmetric fraction-free elimination of the
+    symmetric integer matrix ``b``, which is consumed.
+
+    Step k replaces the trailing block by (a * B[i][j] - B[i][k] * B[k][j]) /
+    prev, an exact integer division, with a the pivot and prev the previous
+    one.  The trailing block is then a times the Schur complement, so the
+    form is congruent to the diagonal a_k / a_(k-1); without a basis change
+    the pivots are the leading principal minors, and a_n is always det b.
+    When the pivot is zero, a later nonzero diagonal entry is swapped in, and
+    when every remaining diagonal entry is zero, a basis change x -> x + y
+    manufactures a pivot.  Raises ValueError ("degenerate form") when the
+    matrix is singular.
+    """
+    n = len(b)
+    pivots: list[int] = []
+    prev = 1
+    # Only the trailing block b[k:][k:] is live at step k; it stays symmetric.
+    for k in range(n):
+        if b[k][k] == 0:
+            pivot = next((l for l in range(k + 1, n) if b[l][l] != 0), None)
+            if pivot is not None:
+                b[k], b[pivot] = b[pivot], b[k]
+                for row in b:
+                    row[k], row[pivot] = row[pivot], row[k]
+            else:
+                off = next((l for l in range(k + 1, n) if b[k][l] != 0), None)
+                if off is None:
+                    raise ValueError("degenerate form")
+                for j in range(k, n):
+                    b[k][j] += b[off][j]
+                for i in range(k, n):
+                    b[i][k] += b[i][off]
+        a = b[k][k]
+        if a == 0:
+            raise ValueError("degenerate form")
+        pivots.append(a)
+        row_k = b[k]
+        for i in range(k + 1, n):
+            row_i = b[i]
+            c = row_i[k]
+            for j in range(i, n):
+                row_i[j] = b[j][i] = (a * row_i[j] - c * row_k[j]) // prev
+        prev = a
+    return pivots
+
+
+def hermite_pivots(f: PolyQ, w: PolyQ) -> list[int]:
+    """Bareiss pivots of Hermite's form of monic f of degree m, weighted by w.
+
+    With c the lcm of f's denominators, g(z) = c^m f(z/c) is monic and
+    integral, and W(z) = c^e * d * w(z/c) is integral for e = deg w and d the
+    lcm of w's denominators; its roots are c times f's, where W has w's
+    signs.  The form is the m x m Hankel matrix [sum_k W_k s_(k+i+j)(g)] of
+    Tr(W(z) z^(i+j)) on Q[z]/(g).  Its signature, the count of pivot ratios
+    a_k / a_(k-1) > 0 less the count < 0, is the Tarski query: the sum of
+    sign w(x) over the real roots x of f (Basu, Pollack and Roy, *Algorithms
+    in Real Algebraic Geometry*, ch. 4).  For w = 1 the last pivot is its
+    determinant disc(g) = c^(m(m-1)) disc(f).  Raises ValueError
+    ("degenerate form") when the form is singular, that is, when f is not
+    squarefree or w vanishes at a root of f.
+    """
+    A, c = integerize(f)
+    B, _ = integerize(w)
+    e = len(B) - 1
+    return _hermite_pivots(_monicize(A), [b * c ** (e - i) for i, b in enumerate(B)])
+
+
+def _hermite_pivots(g: list[int], W: list[int]) -> list[int]:
+    """``hermite_pivots`` on monic integer g, weighted by integer W."""
+    m = len(g) - 1
+    s = power_sums(g, 2 * m - 2 + len(W))
+    h = [sum(x * y for x, y in zip(W, s[n:])) for n in range(2 * m - 1)]
+    return bareiss_pivots([h[i : i + m] for i in range(m)])
 
 
 def resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
@@ -303,14 +313,13 @@ def resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
     g = _monicize(A)
     B, d = integerize(theta)
     e = max(len(B) - 1, 0)
-    # g is monic, so a pseudo-remainder by g is the remainder.
-    T = _ip_prem([b * c ** (e - i) for i, b in enumerate(B)], g)
+    T = _ip_rem([b * c ** (e - i) for i, b in enumerate(B)], g)
     s = power_sums(g, m)
     t = [m]
     chi = [0] * m + [1]
     power = [1]
     for k in range(1, m + 1):
-        power = _ip_prem(_raw_mul(power, T), g)
+        power = _ip_rem(_raw_mul(power, T), g)
         t.append(sum(x * y for x, y in zip(power, s)))
         chi[m - k] = -(t[k] + sum(chi[m - i] * t[k - i] for i in range(1, k))) // k
     D, zero = c**e * d, Fraction(0)
@@ -427,9 +436,12 @@ def is_irreducible(f: PolyQ) -> bool:
     if A[0] == 0:
         return False
     g = _monicize(A)
-    # g is squarefree exactly when f is; then g mod p is squarefree at all
-    # but finitely many p, so the prime loop below ends.
-    if _int_resultant(g, [i * c for i, c in enumerate(g)][1:]) == 0:
+    # g is squarefree exactly when f is, that is, when its Hermite form is
+    # nonsingular; then g mod p is squarefree at all but finitely many p, so
+    # the prime loop below ends.
+    try:
+        _hermite_pivots(g, [1])
+    except ValueError:
         return False
 
     # An irreducible reduction mod any good prime settles it; otherwise keep
@@ -468,8 +480,7 @@ def is_irreducible(f: PolyQ) -> bool:
             prod = [1]
             for i in subset:
                 prod = fp_mul(prod, lifted[i], m)
-            # A product of monic lifts is monic, so its pseudo-remainder is
-            # the remainder.
-            if not _ip_prem(g, _centered(prod, m)):
+            # A product of monic lifts is monic.
+            if not _ip_rem(g, _centered(prod, m)):
                 return False
     return True

@@ -31,6 +31,7 @@ rendering is deterministic and byte-identical across runs.  One writer,
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
@@ -76,12 +77,14 @@ def parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputDocumentError(
-                path, f"malformed rational string {value!r}"
-            ) from None
+        # ASCII digits only: Fraction alone also takes decimals, exponents,
+        # spaces, underscores and other scripts' digits.
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise InputDocumentError(path, f"malformed rational string {value!r}")
     raise InputDocumentError(
         path, f"expected an integer or 'p/q' string, got {type(value).__name__}"
     )

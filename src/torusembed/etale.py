@@ -24,17 +24,19 @@ f mod p; h itself is factored only if theta is a square at the first few good
 primes.
 
 Each component also carries discriminant and determinant square classes, the
-counts of its real places (ramified = theta negative there) from Tarski
-queries, and a prime-splitting oracle.  The discriminant class is that of the
+counts of its real places (ramified = theta negative there), and a
+prime-splitting oracle.  The counts come from the power sums of f's roots too:
+Hermite's form Tr_{F/Q}(w * y^(i+j)) has signature sum sign w(x) over the real
+roots x of f, for w = 1 and w = theta.  The discriminant class is that of the
 norm Res(f, theta) = (-1)^m * chi(0), since disc(h) = 4^m * Res(f, theta) *
 disc(chi)^2.  For general components the splitting is read off the
 distinct-degree blocks of f mod p by the same rule, exactly at odd primes away
-from a finite documented gap set (primes dividing the data's discriminants
-and norm, plus 2); at the gap primes the oracle abstains unless the user
-supplies an annotation.  The block rule is the only splitting answer that
-costs more than O(1), so each component keeps its answers in
-``Component.square_at``: the field check's primes and every prime the engine
-asks about, each evaluated once.
+from a finite documented gap set (primes dividing the data's discriminants and
+norm, plus 2); at the gap primes the oracle abstains unless the user supplies
+an annotation.  The block rule is the only splitting answer that costs more
+than O(1), so each component keeps its answers in ``Component.square_at``: the
+field check's primes and every prime the engine asks about, each evaluated
+once.
 """
 
 from __future__ import annotations
@@ -55,13 +57,12 @@ from torusembed.arith.polyfp import fp_distinct_degree, fp_mulmod, fp_pow_mod
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
-    discriminant,
+    hermite_pivots,
     integerize,
     is_irreducible,
     power_sums,
     resultant_in_y,
 )
-from torusembed.arith.sturm import tarski_query
 from torusembed.arith.symbols import legendre_symbol
 from torusembed.errors import ComponentValidationError
 from torusembed.qform import pairwise_det_support
@@ -230,13 +231,16 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             if theta.is_zero:
                 raise ComponentValidationError("theta must be nonzero in F")
             raise ComponentValidationError(_NOT_FULL_DEGREE)
-        # The gap set: odd primes of the denominators, disc(f) and the norm
-        # Res(f, theta) = (-1)^m * chi(0).  Each number is factored after
-        # dividing out the primes already found.
+        # chi is irreducible, so Hermite's form of f is nonsingular for w = 1
+        # and w = theta; for w = 1 its last pivot is c^(m(m-1)) * disc(f).
+        ones = hermite_pivots(f, PolyQ.one())
+        # The gap set: odd primes of c (the lcm of f's denominators), disc(f),
+        # theta's denominators and the norm Res(f, theta) = (-1)^m * chi(0).
+        # Each number is factored after dividing out the primes already found.
         t = integerize(theta)[1]
         norm = (-1) ** f.degree * chi.coeff(0)
         bad: set[int] = set()
-        for x in (integerize(f)[1], discriminant(f), t, norm):
+        for x in (integerize(f)[1], ones[-1], t, norm):
             bad.update(factor_rational(x, bad)[1])
         # A square root of theta in F would reduce to one at every good
         # prime, where f stays squarefree and theta a unit: a good prime
@@ -256,8 +260,8 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         disc_class = SquareClass.from_factors(*factor_rational(norm, bad))
         gaps = frozenset(bad - {2})
         # Ramified real places are the roots of f where theta < 0.
-        real_count = tarski_query(f, PolyQ.one())
-        ramified_count = (real_count - tarski_query(f, theta)) // 2
+        real_count = _signature(ones)
+        ramified_count = (real_count - _signature(hermite_pivots(f, theta))) // 2
         # The power sums of h's roots, p_0 .. p_(6m-4): p_(2k) = 2 * s_k(chi),
         # and the odd ones are 0.
         zero = Fraction(0)
@@ -282,6 +286,11 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         exactness_gaps=gaps,
         square_at=square_at,
     )
+
+
+def _signature(pivots: list[int]) -> int:
+    """Signature of the form congruent to the pivot ratios a_k / a_(k-1)."""
+    return sum(1 if prev * a > 0 else -1 for prev, a in zip([1, *pivots], pivots))
 
 
 def _is_square_at(f: PolyQ, theta: PolyQ, p: int) -> bool:

@@ -54,10 +54,11 @@ from typing import Iterator, Sequence
 from .arith import PolyQ, SquareClass
 from .arith.integers import factor_rational
 from .arith.places import Place
+from .arith.polyq import bareiss_pivots
 from .arith.symbols import places_over
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
-from .qform import QFInvariants, QuadraticSpace, bareiss_pivots, hasse_support
+from .qform import QFInvariants, QuadraticSpace, hasse_support
 from .record import Record
 
 __all__ = [

@@ -6,9 +6,9 @@ by the local-global principle, two forms are equivalent over Q iff their
 invariant tuples agree.
 
 A Gram matrix is diagonalized fraction-free: Bareiss elimination
-(``bareiss_pivots``) runs over the integers on the matrix scaled by L, the
-lcm of its denominators, and each diagonal entry is a pivot over L times the
-previous pivot.  When no pivot is zero these are the ratios D_k / D_(k-1) of
+(``arith.polyq.bareiss_pivots``) runs over the integers on the matrix scaled
+by L, the lcm of its denominators, and each diagonal entry is a pivot over L
+times the previous pivot.  When no pivot is zero these are the ratios D_k / D_(k-1) of
 the leading principal minors D_k (Bareiss, Math. Comp. 22, 1968).  Only the
 n diagonal entries are Fractions.
 
@@ -39,6 +39,7 @@ from typing import Sequence
 
 from torusembed.arith.integers import SquareClass, factor_rational
 from torusembed.arith.places import INFINITY, TWO, Place
+from torusembed.arith.polyq import bareiss_pivots
 from torusembed.arith.symbols import hasse_bit, places_over
 from torusembed.record import Record
 
@@ -86,53 +87,6 @@ def diagonalize_gram(gram) -> tuple[Fraction, ...]:
     return tuple(
         Fraction(a, scale * prev) for prev, a in zip([1, *pivots], pivots)
     )
-
-
-def bareiss_pivots(b: list[list[int]]) -> list[int]:
-    """Pivots a_1, ..., a_n of symmetric fraction-free elimination of the
-    symmetric integer matrix ``b``, which is consumed.
-
-    Step k replaces the trailing block by (a * B[i][j] - B[i][k] * B[k][j]) /
-    prev, an exact integer division, with a the pivot and prev the previous
-    one.  The trailing block is then a times the Schur complement, so the
-    form is congruent to the diagonal a_k / a_(k-1); without a basis change
-    the pivots are the leading principal minors, and a_n is always det b.
-    When the pivot is zero, a later nonzero diagonal entry is swapped in, and
-    when every remaining diagonal entry is zero, a basis change x -> x + y
-    manufactures a pivot.  Raises ValueError ("degenerate form") when the
-    matrix is singular.
-    """
-    n = len(b)
-    pivots: list[int] = []
-    prev = 1
-    # Only the trailing block b[k:][k:] is live at step k; it stays symmetric.
-    for k in range(n):
-        if b[k][k] == 0:
-            pivot = next((l for l in range(k + 1, n) if b[l][l] != 0), None)
-            if pivot is not None:
-                b[k], b[pivot] = b[pivot], b[k]
-                for row in b:
-                    row[k], row[pivot] = row[pivot], row[k]
-            else:
-                off = next((l for l in range(k + 1, n) if b[k][l] != 0), None)
-                if off is None:
-                    raise ValueError("degenerate form")
-                for j in range(k, n):
-                    b[k][j] += b[off][j]
-                for i in range(k, n):
-                    b[i][k] += b[i][off]
-        a = b[k][k]
-        if a == 0:
-            raise ValueError("degenerate form")
-        pivots.append(a)
-        row_k = b[k]
-        for i in range(k + 1, n):
-            row_i = b[i]
-            c = row_i[k]
-            for j in range(i, n):
-                row_i[j] = b[j][i] = (a * row_i[j] - c * row_k[j]) // prev
-        prev = a
-    return pivots
 
 
 def hasse_support(entries, places) -> frozenset[Place]:

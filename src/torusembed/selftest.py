@@ -2,7 +2,8 @@
 
 Seven fixed-input suites, each running one kernel once against known
 answers: Hilbert symbols and Hasse bits, integer factorization, factorization
-mod p, irreducibility over Q, real-root counts, the trace forms of two pinned
+mod p, irreducibility over Q, real-root counts by isolation and the real
+places of pinned components from Hermite's form, the trace forms of two pinned
 elements (their signatures and the discriminant identity), and four
 decisions.  The randomized and brute-force checks, and the reference
 functions they compare against, live in ``tests/``.  ``torusembed selftest``
@@ -23,10 +24,10 @@ from .arith import (
     is_probable_prime,
 )
 from .arith.places import INFINITY, Place
-from .arith.sturm import isolate_real_roots, tarski_query
+from .arith.sturm import isolate_real_roots
 from .arith.symbols import hasse_bit, hilbert_symbol
 from .engine import decide
-from .etale import GeneralSpec, QuadSpec, build_algebra
+from .etale import GeneralSpec, QuadSpec, build_algebra, build_component
 from .oracle import make_element, trace_form
 from .qform import QuadraticSpace
 
@@ -77,6 +78,7 @@ def _suite_factor_mod_p() -> None:
 def _suite_irreducible() -> None:
     _check(is_irreducible(PolyQ.of((1, 0, 0, 0, 1))), "x^4 + 1 is irreducible")
     _check(not is_irreducible(PolyQ.of((6, 0, -5, 0, 1))), "(x^2 - 2)(x^2 - 3)")
+    _check(not is_irreducible(PolyQ.of((4, 0, -4, 0, 1))), "(x^2 - 2)^2")
 
 
 def _suite_real_roots() -> None:
@@ -85,8 +87,18 @@ def _suite_real_roots() -> None:
              ((-6, 11, -6, 1), 3), ((-2, 0, 0, 0, 1), 2)]
     for coeffs, count in known:
         f = PolyQ.of(coeffs)
-        _check(tarski_query(f, PolyQ.one()) == count, f"Tarski query of {f}")
         _check(len(isolate_real_roots(f)) == count, f"roots of {f}")
+    # (f, theta, real places of F, those where theta < 0): Q(2^(1/4)) with
+    # theta = y or -y - y^2, Q(sqrt(2)) with theta = 3 + y or y/3 - 1/2,
+    # Q(sqrt(1/2)) with theta = y - 3/4, and Q(2^(1/3)), one real place,
+    # with theta = -1 - y/2.
+    fields = [((-2, 0, 0, 0, 1), (0, 1), 2, 1), ((-2, 0, 0, 0, 1), (0, -1, -1), 2, 2),
+              ((-2, 0, 1), (3, 1), 2, 0), ((-2, 0, 1), ("-1/2", "1/3"), 2, 2),
+              (("-1/2", 0, 1), ("-3/4", 1), 2, 2), ((-2, 0, 0, 1), (-1, "-1/2"), 1, 1)]
+    for f, theta, real, ramified in fields:
+        c = build_component(GeneralSpec(PolyQ.of(f), PolyQ.of(theta)))
+        counts = (c.real_count, c.ramified_count)
+        _check(counts == (real, ramified), f"real places of {c.f}, {c.theta}")
 
 
 def _suite_trace_identities() -> None:
@@ -122,7 +134,7 @@ _SUITES = [
     ("integer factorization", _suite_factor_integer),
     ("polynomial factorization mod p", _suite_factor_mod_p),
     ("irreducibility over Q", _suite_irreducible),
-    ("real root isolation", _suite_real_roots),
+    ("real places and root isolation", _suite_real_roots),
     ("trace form identities", _suite_trace_identities),
     ("decision pipeline", _suite_decide),
 ]

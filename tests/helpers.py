@@ -22,7 +22,6 @@ from torusembed.arith.integers import (
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import fp_gcd, fp_pow_mod, fp_reduce, fp_rem
 from torusembed.arith.polyq import PolyQ, power_sums
-from torusembed.arith.sturm import tarski_query
 from torusembed.arith.symbols import (
     hilbert_symbol,
     legendre_symbol,
@@ -229,16 +228,17 @@ def ramified_sign_counts(alg: EtaleAlgebra, alpha: AlgebraElement) -> tuple[int,
     embeddings of the algebra.  The trace form's signature is then
     (2*pos + w, 2*neg + w) with w the unramified real weight.
 
-    With a the part's image in F and T(g) = tarski_query(f, g), the roots
-    where theta < 0 and a has sign e number (T(1) - T(theta) + e*T(a) -
-    e*T(theta*a)) / 4, and T(1) - T(theta) = 2 * ramified_count.
+    With a the part's image in F and T(g) = rational_tarski_query(f, g), the
+    roots where theta < 0 and a has sign e number (T(1) - T(theta) + e*T(a)
+    - e*T(theta*a)) / 4, and T(1) - T(theta) = 2 * ramified_count.
     """
     pos = neg = 0
     for comp, part in zip(alg.components, alpha.parts):
         a = fixed_field_image(comp, part)
         if a.is_zero:
             raise ValueError("element vanishes at a real embedding")
-        signed = tarski_query(comp.f, a) - tarski_query(comp.f, comp.theta * a)
+        T = rational_tarski_query
+        signed = T(comp.f, a) - T(comp.f, comp.theta * a)
         pos += (2 * comp.ramified_count + signed) // 4
         neg += (2 * comp.ramified_count - signed) // 4
     return pos, neg
@@ -337,7 +337,69 @@ def real_root_count(f: PolyQ) -> int:
     """Number of distinct real roots of nonzero f."""
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    return tarski_query(f.squarefree_part(), PolyQ.one())
+    return rational_tarski_query(f.squarefree_part(), PolyQ.one())
+
+
+def rational_tarski_query(f: PolyQ, g: PolyQ) -> int:
+    """Sum of sign g(x) over the distinct real roots x of squarefree f: the
+    sign variations at -oo less those at +oo of the signed remainder
+    sequence of f and f'g mod f over Q (Basu, Pollack and Roy, ch. 2).  The
+    reference for the signatures of Hermite's form."""
+    chain = [f]
+    a, b = f, f.derivative() * g % f
+    while not b.is_zero:
+        chain.append(b)
+        a, b = b, -(a % b)
+
+    def variations(direction: int) -> int:
+        signs = [(1 if c.lc > 0 else -1) * direction**c.degree for c in chain]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return variations(-1) - variations(+1)
+
+
+def sylvester_resultant(f: PolyQ, g: PolyQ) -> Fraction:
+    """Res(f, g): the determinant of the Sylvester matrix by Gaussian
+    elimination over Q."""
+    m, n = f.degree, g.degree
+    if m == 0:
+        return f.coeff(0) ** n
+    if n == 0:
+        return g.coeff(0) ** m
+    size = m + n
+    rows = []
+    fc = list(reversed([f.coeff(i) for i in range(m + 1)]))
+    gc = list(reversed([g.coeff(i) for i in range(n + 1)]))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            if factor:
+                rows[r] = [
+                    a - factor * b for a, b in zip(rows[r], rows[col], strict=True)
+                ]
+    return det
+
+
+def sylvester_discriminant(f: PolyQ) -> Fraction:
+    """disc(f) = (-1)^(m(m-1)/2) Res(f, f') / lc(f) for deg f = m >= 1; 0
+    when f has a repeated root."""
+    m = f.degree
+    if m < 1:
+        raise ValueError("discriminant requires degree >= 1")
+    sign = -1 if (m * (m - 1) // 2) % 2 else 1
+    return sign * sylvester_resultant(f, f.derivative()) / f.lc
 
 
 def candidate_places(values) -> list[Place]:

@@ -4,27 +4,32 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from torusembed import etale
 from torusembed.arith import integers
-from torusembed.arith.integers import is_probable_prime
+from torusembed.arith.integers import factor_rational, is_probable_prime
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyfp import factor_mod_p
-from torusembed.arith.polyq import (
-    PolyQ,
-    discriminant,
-    is_irreducible,
-    resultant,
-    resultant_in_y,
-)
+from torusembed.arith.polyq import PolyQ, is_irreducible, resultant_in_y
 from torusembed.arith.sturm import isolate_real_roots
 from torusembed.errors import ComponentValidationError
 from torusembed.etale import GeneralSpec, build_algebra, build_component
 from torusembed.oracle import make_element, trace_form
 
-from helpers import algebra, diag, general, quad, random_general_spec, squarefree_part
+from helpers import (
+    algebra,
+    diag,
+    general,
+    quad,
+    random_general_spec,
+    rational_tarski_query,
+    squarefree_part,
+    sylvester_discriminant,
+    sylvester_resultant,
+)
 
 V2, V3, V5 = (Place.finite(p) for p in (2, 3, 5))
 
@@ -110,7 +115,7 @@ def test_component_h_is_even_and_disc_matches_h():
     for spec in specs:
         c = build_component(spec)
         assert all(x == 0 for i, x in enumerate(c.h.coeffs) if i % 2 == 1)
-        assert c.disc_class.rep == squarefree_part(discriminant(c.h))
+        assert c.disc_class.rep == squarefree_part(sylvester_discriminant(c.h))
         half = c.degree // 2
         expected_det = c.disc_class.rep if half % 2 == 0 else -c.disc_class.rep
         assert c.det_class.rep == squarefree_part(expected_det)
@@ -129,12 +134,12 @@ def test_h_is_the_resultant_of_f_and_x2_minus_theta():
         m = c.fixed_degree
         assert c.h.degree == 2 * m and c.h.lc == 1
         for x0 in range(2 * m + 1):
-            expected = resultant(c.f, PolyQ.constant(x0 * x0) - c.theta)
+            expected = sylvester_resultant(c.f, PolyQ.constant(x0 * x0) - c.theta)
             assert c.h.evaluate(x0) == expected, (c.f.coeffs, c.theta.coeffs, x0)
 
 
 def test_real_counts_match_isolation_and_trace_signature():
-    # real_count and ramified_count come from Tarski queries.  The references
+    # real_count and ramified_count come from Hermite's form.  The references
     # are the isolated real roots of f and the signature (r, s) of the trace
     # form of alpha = 1, which is (2 * ramified + w, w).  The first 40 cases
     # have deg f <= 4, the rest reach deg f = 5; theta has any lower degree.
@@ -154,6 +159,43 @@ def test_real_counts_match_isolation_and_trace_signature():
         seen.add((c.fixed_degree, c.real_count, c.ramified_count))
     assert {m for m, _, _ in seen} == {1, 2, 3, 4, 5}
     assert len({(real, ram) for _, real, ram in seen}) >= 6
+
+
+def test_real_counts_and_gaps_match_the_sturm_and_sylvester_references():
+    # Components with deg f = 1..6, denominators in f and theta, and theta
+    # of full degree m - 1 two times in three.  The references: the isolated
+    # real roots of f, the Tarski query of theta over Q, and the gap set from
+    # the primes of f's and theta's denominators, the Sylvester discriminant
+    # of f and the norm Res(f, theta), less 2.
+    rng = random.Random(53)
+    seen = set()
+    built = 0
+    while built < 90:
+        m = 1 + built % 6
+        f = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(m)]
+        top = m if built % 3 else rng.randint(1, m)
+        theta = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5))) for _ in range(top)]
+        theta[-1] = theta[-1] or Fraction(1, 2)
+        try:
+            c = build_component(general(f + [1], theta))
+        except ComponentValidationError:
+            continue
+        built += 1
+        real = len(isolate_real_roots(c.f))
+        assert c.real_count == real, (f, theta)
+        assert c.ramified_count == (real - rational_tarski_query(c.f, c.theta)) // 2
+        primes: set[int] = set()
+        for x in (
+            lcm(*(a.denominator for a in f)),
+            sylvester_discriminant(c.f),
+            lcm(*(a.denominator for a in theta)),
+            sylvester_resultant(c.f, c.theta),
+        ):
+            primes.update(factor_rational(x)[1])
+        assert c.exactness_gaps == frozenset(primes - {2}), (f, theta)
+        seen.add((m, c.real_count, c.ramified_count))
+    assert {m for m, _, _ in seen} == set(range(1, 7))
+    assert len({(real, ram) for _, real, ram in seen}) >= 10
 
 
 def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
@@ -277,7 +319,7 @@ def test_degree_five_disc_class_needs_no_large_factoring(monkeypatch):
     c = build_component(general(f, theta))
     assert time.perf_counter() - start < 1.0
     assert c.disc_class.rep == 597993
-    assert len(str(discriminant(c.h).numerator)) == 87
+    assert len(str(sylvester_discriminant(c.h).numerator)) == 87
 
 
 def test_disc_h_is_the_norm_times_a_square():
@@ -289,9 +331,10 @@ def test_disc_h_is_the_norm_times_a_square():
         c = build_component(random_general_spec(rng, 5))
         m = c.fixed_degree
         chi = PolyQ(c.h.coeffs[::2])
-        assert resultant(c.f, c.theta) == (-1) ** m * chi.coeff(0), (c.f, c.theta)
-        expected = 4**m * resultant(c.f, c.theta) * discriminant(chi) ** 2
-        assert discriminant(c.h) == expected, (c.f, c.theta)
+        norm = sylvester_resultant(c.f, c.theta)
+        assert norm == (-1) ** m * chi.coeff(0), (c.f, c.theta)
+        expected = 4**m * norm * sylvester_discriminant(chi) ** 2
+        assert sylvester_discriminant(c.h) == expected, (c.f, c.theta)
         degrees.add((m, c.theta.degree))
     assert {(m, m - 1) for m in range(1, 6)} <= degrees
 
@@ -306,7 +349,8 @@ def test_block_rule_splitting_against_factor_counts():
         spec = random_general_spec(rng) if i < 6 else random_general_spec(rng, 5)
         c = build_component(spec)
         alg = build_algebra([spec])
-        bad = discriminant(c.f).numerator * discriminant(c.h).numerator
+        disc_f, disc_h = sylvester_discriminant(c.f), sylvester_discriminant(c.h)
+        bad = disc_f.numerator * disc_h.numerator
         for p in primes_up_to(60):
             if p == 2 or p in c.exactness_gaps or bad % p == 0:
                 continue
@@ -447,8 +491,8 @@ def test_general_splitting_against_factor_count_oracle():
     for spec in specs:
         c = build_component(spec)
         alg = build_algebra([spec])
-        disc_f = discriminant(c.f)
-        disc_h = discriminant(c.h)
+        disc_f = sylvester_discriminant(c.f)
+        disc_h = sylvester_discriminant(c.h)
         for p in primes_up_to(80):
             if p == 2 or p in c.exactness_gaps:
                 continue

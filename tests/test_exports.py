@@ -1,5 +1,6 @@
 """Every name in a public module's ``__all__`` resolves, and some program
-file outside the tests loads it."""
+file outside the tests loads it, as it loads every public module-level
+function and class of the package."""
 
 import ast
 import importlib
@@ -50,3 +51,25 @@ def test_all_names_have_a_caller_outside_tests(name):
     loaded = _loaded_names()
     exported = importlib.import_module(name).__all__
     assert [n for n in exported if n not in loaded] == []
+
+
+def _public_definitions() -> list[tuple[str, str]]:
+    """(module path, name) of every module-level function and class under
+    ``src/torusembed`` whose name has no leading underscore."""
+    out = []
+    for path in sorted((ROOT / "src" / "torusembed").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    out.append((str(path.relative_to(ROOT / "src")), node.name))
+    return out
+
+
+def test_public_definitions_have_a_caller_outside_tests():
+    # A public function or class that only the tests read belongs in
+    # tests/helpers.py, exported or not.
+    defined = _public_definitions()
+    assert ("torusembed/arith/polyq.py", "hermite_pivots") in defined
+    loaded = _loaded_names()
+    assert [f"{path}: {name}" for path, name in defined if name not in loaded] == []

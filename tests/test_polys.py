@@ -21,25 +21,23 @@ from torusembed.arith.polyfp import (
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
-    discriminant,
+    hermite_pivots,
     integerize,
     is_irreducible,
     rational_roots,
-    resultant,
     resultant_in_y,
 )
-from torusembed.arith.sturm import (
-    RealRoot,
-    isolate_real_roots,
-    root_bound,
-    tarski_query,
-)
+from torusembed.arith.sturm import RealRoot, isolate_real_roots, root_bound
+from torusembed.etale import _signature
 
 from helpers import (
     fraction_resultant_in_y,
     is_irreducible_mod_p,
     random_general_spec,
+    rational_tarski_query,
     real_root_count,
+    sylvester_discriminant,
+    sylvester_resultant,
 )
 
 P = PolyQ.of
@@ -54,38 +52,15 @@ def random_poly(rng: random.Random, degree: int, with_fractions: bool = True) ->
             return P(coeffs)
 
 
-def sylvester_resultant(f: PolyQ, g: PolyQ) -> Fraction:
-    """Independent oracle: determinant of the Sylvester matrix by Gaussian
-    elimination over Q."""
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.coeff(0) ** n
-    if n == 0:
-        return g.coeff(0) ** m
-    size = m + n
-    rows = []
-    fc = list(reversed([f.coeff(i) for i in range(m + 1)]))
-    gc = list(reversed([g.coeff(i) for i in range(n + 1)]))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] / rows[col][col]
-            if factor:
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[col], strict=True)
-                ]
-    return det
+def hermite_discriminant(f: PolyQ) -> Fraction:
+    """disc(f) for monic f from the last Hermite pivot c^(m(m-1)) disc(f)."""
+    m = f.degree
+    c = integerize(f)[1]
+    return Fraction(hermite_pivots(f, P([1]))[-1], c ** (m * (m - 1)))
+
+
+def hermite_signature(f: PolyQ, w: PolyQ) -> int:
+    return _signature(hermite_pivots(f, w))
 
 
 def test_poly_basic_arithmetic():
@@ -129,28 +104,40 @@ def test_derivative_and_squarefree_part():
 
 
 def test_resultant_frozen_values():
-    assert resultant(P([-2, 0, 1]), P([-3, 0, 1])) == 1
-    assert resultant(P([-3, 1]), P([1, 1, 1])) == 13  # g(3)
-    assert resultant(P([1, 0, 1]), P([1, 1])) == 2
-    assert resultant(P([5]), P([1, 1, 1])) == 25
+    # The Sylvester determinant, the tests' reference for every resultant.
+    assert sylvester_resultant(P([-2, 0, 1]), P([-3, 0, 1])) == 1
+    assert sylvester_resultant(P([-3, 1]), P([1, 1, 1])) == 13  # g(3)
+    assert sylvester_resultant(P([1, 0, 1]), P([1, 1])) == 2
+    assert sylvester_resultant(P([5]), P([1, 1, 1])) == 25
 
 
-def test_resultant_matches_sylvester_oracle():
+def test_hermite_discriminant_matches_sylvester_oracle():
+    # Monic f with rational coefficients: the last Hermite pivot is
+    # c^(m(m-1)) * disc(f).  A repeated root makes the form singular.
     rng = random.Random(23)
     for _ in range(60):
-        f = random_poly(rng, rng.randint(1, 5))
-        g = random_poly(rng, rng.randint(1, 5))
-        assert resultant(f, g) == sylvester_resultant(f, g), (f.coeffs, g.coeffs)
+        f = random_poly(rng, rng.randint(1, 5)).monic()
+        if sylvester_discriminant(f) == 0:
+            with pytest.raises(ValueError, match="degenerate form"):
+                hermite_pivots(f, P([1]))
+            continue
+        assert hermite_discriminant(f) == sylvester_discriminant(f), f.coeffs
+    with pytest.raises(ValueError, match="degenerate form"):
+        hermite_pivots(P([-2, 0, 1]) * P([-2, 0, 1]) * P([1, 1]), P([1]))
 
 
 def test_discriminant_frozen_values():
-    assert discriminant(P([1, 0, 1])) == -4
-    assert discriminant(P([0, -1, 0, 1])) == 4
-    assert discriminant(P([-2, 0, 0, 0, 1])) == -2048
-    assert discriminant(P([1, 0, 0, 0, 1])) == 256
-    assert discriminant(P([2, 0, 4, 0, 1])) == 2048
-    assert discriminant(P([-1, 0, 1])) == 4
-    assert discriminant(P([Fraction(1, 2), 1])) == 1  # linear
+    for disc in (sylvester_discriminant, hermite_discriminant):
+        assert disc(P([1, 0, 1])) == -4
+        assert disc(P([0, -1, 0, 1])) == 4
+        assert disc(P([-2, 0, 0, 0, 1])) == -2048
+        assert disc(P([1, 0, 0, 0, 1])) == 256
+        assert disc(P([2, 0, 4, 0, 1])) == 2048
+        assert disc(P([-1, 0, 1])) == 4
+        assert disc(P([Fraction(1, 2), 1])) == 1  # linear
+        assert disc(P([Fraction(-1, 2), 0, 1])) == 2
+    # c = 6: the last pivot is 6^2 * disc(y^2 + y/2 - 1/3) = 9 + 48.
+    assert hermite_pivots(P([Fraction(-1, 3), Fraction(1, 2), 1]), P([1]))[-1] == 57
 
 
 def test_integerize_clears_denominators():
@@ -176,6 +163,8 @@ def test_is_irreducible():
     assert not is_irreducible(P([-1, 0, 0, 0, 1]))
     assert is_irreducible(P([-2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]))  # x^12 - 2
     assert not is_irreducible(P([1, 2, 1]))
+    assert not is_irreducible(P([4, 0, -4, 0, 1]))  # (x^2 - 2)^2
+    assert not is_irreducible(P([Fraction(1, 4), 0, -1, 0, 1]))  # (x^2 - 1/2)^2
     assert is_irreducible(P([7, 1]))
     assert MAX_IRREDUCIBILITY_DEGREE == 12
     with pytest.raises(ValueError):
@@ -402,45 +391,49 @@ def test_isolate_and_refine_real_roots():
 
 
 def test_real_root_sign_of():
+    # (f, w, sum of sign w(x) over the real roots x of f, whether w vanishes
+    # at a root of f, which makes Hermite's form singular).
     f = P([-2, 0, 1])
-    assert tarski_query(f, P([1])) == 2
-    assert tarski_query(f, P([0, 1])) == 0  # -1 at -sqrt(2), +1 at sqrt(2)
-    assert tarski_query(f, P([-2, 0, 1])) == 0  # vanishes at both roots
-    assert tarski_query(f, P([5])) == 2
-    assert tarski_query(f, P([-2, 1])) == -2  # y - 2 is negative at both roots
-    assert tarski_query(f, P([-1, 1])) == 0  # y - 1: -1, then +1
-    assert tarski_query(f * P([-1, 1]), P([0, 1])) == 1  # adds the root 1
-
-
-def _rational_tarski_query(f: PolyQ, g: PolyQ) -> int:
-    """The signed remainder count over Q, the reference for the integer one."""
-    chain = [f]
-    a, b = f, f.derivative() * g % f
-    while not b.is_zero:
-        chain.append(b)
-        a, b = b, -(a % b)
-
-    def variations(direction: int) -> int:
-        signs = [(1 if c.lc > 0 else -1) * direction**c.degree for c in chain]
-        return sum(x != y for x, y in zip(signs, signs[1:]))
-
-    return variations(-1) - variations(+1)
+    cases = [
+        (f, P([1]), 2, False),
+        (f, P([0, 1]), 0, False),  # -1 at -sqrt(2), +1 at sqrt(2)
+        (f, P([-2, 0, 1]), 0, True),  # vanishes at both roots
+        (f, P([5]), 2, False),
+        (f, P([-2, 1]), -2, False),  # y - 2 is negative at both roots
+        (f, P([-1, 1]), 0, False),  # y - 1: -1, then +1
+        (f * P([-1, 1]), P([0, 1]), 1, False),  # adds the root 1
+        (f * P([-1, 1]), P([-1, 1]), 0, True),  # vanishes at the root 1
+    ]
+    for f, w, query, singular in cases:
+        assert rational_tarski_query(f, w) == query, (f, w)
+        if singular:
+            with pytest.raises(ValueError, match="degenerate form"):
+                hermite_pivots(f, w)
+        else:
+            assert hermite_signature(f, w) == query, (f, w)
 
 
 def test_integer_tarski_query_matches_the_rational_sequence():
-    # f squarefree, never monic, with rational coefficients and a leading
-    # coefficient of either sign; g of either sign and any degree, half of
-    # the time sharing a factor (so roots) with f.
+    # The integer Tarski query is the signature of Hermite's form.  f is
+    # squarefree, never monic until Hermite's form is taken, with rational
+    # coefficients and a leading coefficient of either sign; w of either
+    # sign and any degree, half of the time sharing a factor (so roots) with
+    # f.  A common root makes the form singular.
     rng = random.Random(19)
     seen = set()
     for _ in range(300):
         f1 = random_poly(rng, rng.randint(1, 3))
         f2 = random_poly(rng, rng.randint(0, 3))
         f = (f1 * f2).squarefree_part().scale(Fraction(rng.choice((-3, -1, 2, 5)), 7))
-        g = random_poly(rng, rng.randint(0, f.degree + 2))
+        w = random_poly(rng, rng.randint(0, f.degree + 2))
         shares = rng.random() < 0.5
         if shares:
-            g = g * f1
-        assert tarski_query(f, g) == _rational_tarski_query(f, g), (f, g)
-        seen.add((f.lc < 0, g.lc < 0, g.degree >= f.degree, shares))
+            w = w * f1
+        if f.gcd(w).degree > 0:
+            with pytest.raises(ValueError, match="degenerate form"):
+                hermite_pivots(f.monic(), w)
+        else:
+            want = rational_tarski_query(f, w)
+            assert hermite_signature(f.monic(), w) == want, (f, w)
+        seen.add((f.lc < 0, w.lc < 0, w.degree >= f.degree, shares))
     assert len(seen) == 16
