@@ -20,10 +20,6 @@ class Place:
         return hash((self.p,))
 
     @classmethod
-    def infinity(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
     def finite(cls, p: int) -> "Place":
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -44,7 +40,7 @@ class Place:
         return f"Place({self})"
 
 
-INFINITY = Place.infinity()
+INFINITY = Place(None)
 TWO = Place(2)
 
 

@@ -20,9 +20,9 @@ standard error unless ``--json`` (or its alias ``--quiet``) is given.
 Exit codes: decide maps verdicts to 0 (realizable), 1 (locally fails),
 2 (not realizable up to the bound), 3 (inconclusive); local uses 0/1/3 for
 pass/fail/indeterminate; oracle uses 0/1 for found/not found; 4 means a
-malformed input document and 70 an internal audit failure.  Both errors are
-rendered in place of the document's report as an error object.  Batch mode
-exits with the maximum code over the documents, and an empty batch with 0.
+malformed input document or a report integer too long to print, 64 a usage
+error, and 70 an internal audit failure; 4 and 70 print an error object in
+place of the report.  A batch exits with its maximum code, an empty one with 0.
 """
 
 from __future__ import annotations
@@ -215,10 +215,19 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 64 (``EX_USAGE``), not argparse's 2, which is the
+    ``not_realizable_up_to_bound`` verdict.  Subparsers take this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args leaves the parser unchanged.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusembed",
         description="Decide realizability of quadratic forms as trace forms "
         "of etale algebras with involution.",
@@ -289,25 +298,29 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
     codes: list[int] = []
-    outputs: list[dict] = []
+    texts: list[str] = []
+    newline = "\n  " if batch else "\n"  # a batch's reports are list items
     for k, doc in enumerate(documents):
         try:
             code, rendered, summary = handler(doc, args)
+            text = dump_json(rendered, newline)
         except InputDocumentError as exc:
-            code, rendered = EXIT_INPUT_ERROR, render_error(exc)
+            code, text = EXIT_INPUT_ERROR, dump_json(render_error(exc), newline)
             summary = [f"error: {exc}"]
         except AuditError as exc:
             code, rendered = EXIT_AUDIT_ERROR, render_error(exc)
-            summary = [rendered["error"]["message"]]
+            text, summary = dump_json(rendered, newline), [rendered["error"]["message"]]
         codes.append(code)
-        outputs.append(rendered)
+        texts.append(text)
         if chatty:
             prefix = f"[{k}] " if batch else ""
             for line in summary:
                 print(prefix + line, file=sys.stderr)
 
-    payload: Any = outputs if batch else outputs[0]
-    print(dump_json(payload))
+    if batch:
+        print("[" + newline + ("," + newline).join(texts) + "\n]" if texts else "[]")
+    else:
+        print(texts[0])
     if chatty:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)

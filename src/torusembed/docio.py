@@ -32,6 +32,7 @@ rendering is deterministic and byte-identical across runs.  One writer,
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
@@ -93,7 +94,15 @@ def parse_rational(value: Any, path: str) -> Fraction:
 def render_rational(value: Fraction) -> int | str:
     if value.denominator == 1:
         return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
+def _digit_limit_error() -> InputDocumentError:
+    n = sys.get_int_max_str_digits()  # the interpreter's limit for int -> str
+    return InputDocumentError("$", f"the report holds an integer over {n} digits long")
 
 
 def _expect_object(value: Any, path: str) -> Mapping[str, Any]:
@@ -520,15 +529,20 @@ _SCALARS = {
 }
 
 
-def dump_json(payload: Any) -> str:
+def dump_json(payload: Any, newline: str = "\n") -> str:
     """``payload`` as ``json.dumps(payload, indent=2)`` prints it, byte for
-    byte, without ``json``'s pure-Python indenting encoder.
+    byte, without ``json``'s pure-Python indenting encoder.  ``newline``
+    starts each further line: ``"\\n  "`` prints it as an item of a list.
 
     A report holds only dicts with str keys, lists, tuples, str, bool, int and
     None.  Anything else raises ``TypeError``: also a float, an int subclass
-    other than bool and a non-str key, which ``json.dumps`` would accept."""
+    other than bool and a non-str key, which ``json.dumps`` would accept.  An
+    int past the digit limit raises ``InputDocumentError``."""
     out: list[str] = []
-    _write_json(payload, "\n", out)
+    try:
+        _write_json(payload, newline, out)
+    except ValueError:
+        raise _digit_limit_error() from None
     return "".join(out)
 
 

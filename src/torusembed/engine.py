@@ -5,7 +5,7 @@ quadratic form ``q`` of dimension 2n, the pipeline decides whether ``q`` is
 equivalent to some trace form of ``E`` by purely local bookkeeping:
 
 1. ``check_local`` — discriminant equality, hyperbolicity at the places where
-   the algebra splits, and a signature condition at the real place.
+   every component splits, and a signature condition at the real place.
 2. ``bad_places`` — the finite set of places where any local invariant of
    ``q``, of the hyperbolic form, or of the pairwise determinant pairing can
    be nontrivial.
@@ -35,7 +35,7 @@ from itertools import chain
 from .arith import iter_primes
 from .arith.places import INFINITY, TWO, Place, sorted_places
 from .errors import AuditError, NeedAnnotations, format_pairs
-from .etale import EtaleAlgebra
+from .etale import INDETERMINATE, NONSPLIT, EtaleAlgebra
 from .qform import (
     QuadraticSpace,
     hyperbolic_deviation_set,
@@ -59,7 +59,6 @@ __all__ = [
     "DecisionReport",
     "check_local",
     "bad_places",
-    "achievable_bits",
     "construct_baseline",
     "parity_vector",
     "build_graph",
@@ -123,7 +122,9 @@ class LocalCheckResult(Record):
 
 def check_local(algebra: EtaleAlgebra, form: QuadraticSpace) -> LocalCheckResult:
     """Local realizability: disc equality, hyperbolicity at split places
-    restricted to the finite deviation set, and the signature condition.
+    restricted to the finite deviation set, and the signature condition.  A
+    place whose status row has no non-split entry leaves hyperbolicity
+    pending on its indeterminate (component, prime) pairs.
 
     When several conditions fail, the reported certificate prefers the
     signature (place infinity), then hyperbolicity (smallest failing prime),
@@ -141,12 +142,13 @@ def check_local(algebra: EtaleAlgebra, form: QuadraticSpace) -> LocalCheckResult
     for v in sorted_places(hyperbolic_deviation_set(form)):
         if v.is_infinite:
             continue
-        status = algebra.split_at(v)
-        if status.is_split:
+        row = algebra.statuses(v)
+        if NONSPLIT in row:
+            continue
+        if INDETERMINATE not in row:
             hyper_failing = v
             break
-        if status.is_indeterminate:
-            pending.extend(algebra.indeterminate_pairs_at(v))
+        pending.extend((i, v.p) for i, s in enumerate(row) if s.is_indeterminate)
     if hyper_failing is not None:
         hyperbolicity_ok: bool | None = False
     elif pending:
@@ -188,24 +190,6 @@ def bad_places(algebra: EtaleAlgebra, form: QuadraticSpace) -> tuple[Place, ...]
     return tuple(sorted_places(places))
 
 
-def achievable_bits(algebra: EtaleAlgebra, i: int, v: Place) -> frozenset[int] | None:
-    """Local Hasse bits achievable by component ``i`` at a finite place.
-
-    A split component only carries the hyperbolic form of its dimension, so
-    its bit is forced; a non-split component achieves both bits; an
-    undetermined status abstains (``None``).
-    """
-    if v.is_infinite:
-        raise ValueError("finite place required")
-    status = algebra.component_split(i, v)
-    if status.is_indeterminate:
-        return None
-    if status.is_split:
-        dim = algebra.components[i].degree
-        return frozenset({int(v in hyperbolic_hasse_support(dim))})
-    return frozenset({0, 1})
-
-
 class BaselineCollection(Record):
     """One deterministic choice of per-component local data over the bad
     places.
@@ -238,14 +222,15 @@ def construct_baseline(
 
     At each finite bad place the parity of the component bit-sum is pinned by
     the form's Hasse bit and the pairwise determinant bit, read off the
-    form's Hasse support and the pairwise determinant support; split
-    components have forced bits, the rest default to 0, and the last free
-    component flips when the pinned parity demands it.  At infinity the
-    positive ramified slots are distributed greedily left to right.
+    form's Hasse support and the pairwise determinant support.  By the
+    place's status row, a split component has the forced hyperbolic bit, a
+    non-split one defaults to 0, and the last non-split one flips when the
+    pinned parity demands it.  At infinity the positive ramified slots are
+    distributed greedily left to right.
 
-    Raises :class:`NeedAnnotations` when undetermined splitting statuses
-    block some place, and :class:`AuditError` on any infeasibility (which the
-    prior local checks are supposed to exclude).
+    Raises :class:`NeedAnnotations` with every indeterminate entry of the
+    rows, and :class:`AuditError` on any infeasibility (which the prior local
+    checks are supposed to exclude).
     """
     if places is None:
         places = bad_places(algebra, form)
@@ -256,22 +241,15 @@ def construct_baseline(
     for v in places:
         if v.is_infinite:
             continue
-        bits: list[int] = []
-        free: list[int] = []
-        blocked = False
-        for i in range(len(comps)):
-            achievable = achievable_bits(algebra, i, v)
-            if achievable is None:
-                pending.extend(algebra.indeterminate_pairs_at(v))
-                blocked = True
-                break
-            if len(achievable) == 1:
-                bits.append(next(iter(achievable)))
-            else:
-                bits.append(0)
-                free.append(i)
-        if blocked:
+        row = algebra.statuses(v)
+        if INDETERMINATE in row:
+            pending.extend((i, v.p) for i, s in enumerate(row) if s.is_indeterminate)
             continue
+        bits = [
+            int(s.is_split and v in hyperbolic_hasse_support(c.degree))
+            for c, s in zip(comps, row)
+        ]
+        free = [i for i, s in enumerate(row) if s.is_nonsplit]
         if sum(bits) % 2 != (v in odd):
             if not free:
                 raise AuditError(
@@ -475,7 +453,7 @@ def decide(
         )
 
     notes: list[str] = []
-    if algebra.has_nonrational_fixed_field:
+    if any(c.fixed_degree >= 2 for c in algebra.components):
         notes.append(
             "components with nonrational fixed fields present; unramified real "
             "embeddings are counted with degree weights"

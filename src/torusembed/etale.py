@@ -4,8 +4,8 @@ An algebra is a product of components K = F(sqrt(theta)): F is a number field
 given by a monic irreducible polynomial f, and theta is a nonzero element of F
 given as a polynomial in the generator of F.  The involution fixes F and
 negates sqrt(theta).  The quadratic-over-Q shorthand (K = Q(sqrt(d))) is
-normalized internally to f = y - d, theta = y, but keeps an exact splitting
-rule at every prime.
+normalized internally to f = y - d and the constant theta = d, but keeps an
+exact splitting rule at every prime.
 
 A component's arithmetic over Q comes from one trace kernel, Newton's
 identities.  The traces Tr_{F/Q}(theta^k), read off theta^k mod f and the
@@ -394,10 +394,6 @@ class EtaleAlgebra:
         """All fixed fields totally real and theta totally negative."""
         return self.unramified_real_weight == 0
 
-    @property
-    def has_nonrational_fixed_field(self) -> bool:
-        return any(c.fixed_degree >= 2 for c in self.components)
-
     def component_split(self, i: int, v: Place) -> SplitStatus:
         """Whether component i splits at v; at infinity, split iff theta is
         positive at every real embedding of F."""
@@ -406,25 +402,9 @@ class EtaleAlgebra:
             return SPLIT if c.ramified_count == 0 else NONSPLIT
         return component_split_at(c, v.p, self.annotations.get((i, v.p)))
 
-    def split_at(self, v: Place) -> SplitStatus:
-        """Three-valued conjunction over the components."""
-        indeterminate = False
-        for i in range(len(self.components)):
-            st = self.component_split(i, v)
-            if st.is_nonsplit:
-                return st
-            indeterminate |= st.is_indeterminate
-        return INDETERMINATE if indeterminate else SPLIT
-
-    def indeterminate_pairs_at(self, v: Place) -> list[tuple[int, int]]:
-        """(component, prime) annotation keys that abstain at the finite place v."""
-        if v.is_infinite:
-            return []
-        return [
-            (i, v.p)
-            for i in range(len(self.components))
-            if self.component_split(i, v).is_indeterminate
-        ]
+    def statuses(self, v: Place) -> tuple[SplitStatus, ...]:
+        """The status row at v: each component's splitting status, in order."""
+        return tuple(self.component_split(i, v) for i in range(len(self.components)))
 
     @cached_property
     def pairwise_det_support(self) -> frozenset[Place]:

@@ -66,8 +66,6 @@ __all__ = [
     "TraceFormResult",
     "SearchResult",
     "make_element",
-    "is_symmetric",
-    "is_unit",
     "trace_form",
     "search_realizing_element",
 ]
@@ -106,30 +104,12 @@ def make_element(algebra: EtaleAlgebra, parts: Sequence) -> AlgebraElement:
     return AlgebraElement(tuple(reduced))
 
 
-def is_symmetric(x: AlgebraElement) -> bool:
-    """True when the involution fixes ``x`` (only even powers appear)."""
-    return all(
-        c == 0
-        for part in x.parts
-        for i, c in enumerate(part.coeffs)
-        if i % 2
-    )
-
-
-def is_unit(algebra: EtaleAlgebra, x: AlgebraElement) -> bool:
-    """True when every part is coprime to its component's defining poly."""
-    return all(
-        not part.is_zero and part.gcd(comp.h).degree == 0
-        for comp, part in zip(algebra.components, x.parts)
-    )
-
-
 def _component_gram(comp: Component, part: PolyQ) -> list[list[Fraction]]:
     """Gram block of q_alpha restricted to one component, over the monomial
-    basis 1, y, ..., y^(d-1): with p_w = Tr(y^w) from the component,
+    basis 1, y, ..., y^(d-1), of a part reduced mod h: with p_w = Tr(y^w),
         B[u][v] = Tr(part * y^u * sigma(y^v)) = (-1)^v * sum_k c_2k * p_(2k+u+v)."""
     d, p = comp.degree, comp.power_sums
-    c = (part % comp.h).coeffs
+    c = part.coeffs
     sums = [
         sum(c[k] * p[k + w] for k in range(0, len(c), 2)) for w in range(2 * d - 1)
     ]
@@ -157,20 +137,23 @@ class TraceFormResult:
 def trace_form(algebra: EtaleAlgebra, alpha: AlgebraElement) -> TraceFormResult:
     """The quadratic form x -> Tr(alpha * x * sigma(x)) on the algebra.
 
-    ``alpha`` must be fixed by the involution and invertible; the Gram matrix
-    is block diagonal across components because cross-component products
-    vanish.
+    ``alpha`` must be fixed by the involution, so no part has an odd power,
+    and invertible.  Every component is a field, so a part is a unit exactly
+    when it is nonzero mod the component's ``h``.  The Gram matrix is block
+    diagonal across components because cross-component products vanish.
     """
-    if len(alpha.parts) != len(algebra.components):
+    comps = algebra.components
+    if len(alpha.parts) != len(comps):
         raise ValueError("element does not match the algebra's components")
-    if not is_symmetric(alpha):
+    if any(any(part.coeffs[1::2]) for part in alpha.parts):
         raise ValueError("element is not fixed by the involution")
-    if not is_unit(algebra, alpha):
+    reduced = [part % comp.h for comp, part in zip(comps, alpha.parts)]
+    if any(part.is_zero for part in reduced):
         raise ValueError("singular trace form: element is not a unit")
     size = algebra.rank
     rows = [[Fraction(0)] * size for _ in range(size)]
     offset = 0
-    for comp, part in zip(algebra.components, alpha.parts):
+    for comp, part in zip(comps, reduced):
         block = _component_gram(comp, part)
         d = comp.degree
         for u in range(d):
@@ -302,7 +285,7 @@ def _streams(
     Every nonzero vector gives a unit: its part is a nonzero polynomial of
     degree below ``deg h``, and ``h`` is irreducible because every component
     is validated as a field, so the part is coprime to ``h``.  No gcd is
-    needed; ``trace_form`` still checks ``is_unit`` on every match.
+    needed; ``trace_form`` still rejects a part that is 0 mod ``h``.
     """
     if height < 1:
         raise ValueError("height must be at least 1")

@@ -4,11 +4,11 @@ Seven fixed-input suites, each running one kernel once against known
 answers: Hilbert symbols and Hasse bits, integer factorization, factorization
 mod p, irreducibility over Q, real-root counts by isolation and the real
 places of pinned components from Hermite's form, the trace forms of two pinned
-elements (their signatures and the discriminant identity), and four
-decisions.  The randomized and brute-force checks, and the reference
-functions they compare against, live in ``tests/``.  ``torusembed selftest``
-drives :func:`run_all`.  The suites check with :func:`_check`, not
-``assert``, so they still check under ``python -O``.
+elements (their signatures and the discriminant identity), and six
+decisions, two with a status indeterminate at 2.  The randomized and
+brute-force checks, and the reference functions they compare against, live in
+``tests/``.  ``torusembed selftest`` drives :func:`run_all`.  The suites
+check with :func:`_check`, not ``assert``, so they still check under ``-O``.
 """
 
 from __future__ import annotations
@@ -101,11 +101,14 @@ def _suite_real_roots() -> None:
         _check(counts == (real, ramified), f"real places of {c.f}, {c.theta}")
 
 
+# Q(2^(1/4)) = Q(sqrt 2)(sqrt y), indeterminate at 2.
+_SQRT2 = GeneralSpec(PolyQ.of((-2, 0, 1)), PolyQ.of((0, 1)))
+
+
 def _suite_trace_identities() -> None:
     # Q(sqrt(-3)) x Q(2^(1/4)): per element, the parts and the signature of
     # its trace form; every trace form's discriminant is the algebra's.
-    sqrt2 = GeneralSpec(PolyQ.of((-2, 0, 1)), PolyQ.of((0, 1)))
-    algebra = build_algebra([QuadSpec(-3), sqrt2])
+    algebra = build_algebra([QuadSpec(-3), _SQRT2])
     known = [((-1, (-1, 0, -1)), (3, 3)), ((-1, (1, 0, 1)), (1, 5))]
     for (a, b), signature in known:
         alpha = make_element(algebra, [a, PolyQ.of(b)])
@@ -127,6 +130,15 @@ def _suite_decide() -> None:
     d4 = decide(pair, QuadraticSpace.of([1, 1, 1, 1]))
     _check(d4.verdict == "locally_fails", "<1, 1, 1, 1> fails")
     _check(d4.local.failing_condition == "disc", "<1, 1, 1, 1> fails the disc")
+    # The status at 2 blocks check_local; beside Q(i) the star fast path
+    # decides, and only the baseline is blocked.
+    d5 = decide(build_algebra([_SQRT2]), QuadraticSpace.of([1, 1, 1, -2]))
+    _check(d5.verdict == "inconclusive", "<1, 1, 1, -2> is inconclusive")
+    _check(d5.needed_annotations == ((0, 2),), "<1, 1, 1, -2> needs (0, 2)")
+    both = build_algebra([_SQRT2, QuadSpec(-1)])
+    d6 = decide(both, trace_form(both, make_element(both, [1, 1])).space)
+    _check((d6.verdict, d6.fast_path) == ("realizable", "star"), "alpha = (1, 1)")
+    _check(d6.needed_annotations == ((0, 2),), "alpha = (1, 1) needs (0, 2)")
 
 
 _SUITES = [

@@ -127,7 +127,7 @@ def test_criterion_04_split_bad_places_are_hyperbolic(unit_corpus):
     checked = 0
     for name, alg, alpha, tf in unit_corpus:
         for v in bad_places(alg, tf.space):
-            if v.is_infinite or not alg.split_at(v).is_split:
+            if v.is_infinite or not all(s.is_split for s in alg.statuses(v)):
                 continue
             checked += 1
             assert is_locally_hyperbolic(tf.space, v), (name, alpha, v)
@@ -233,7 +233,7 @@ def test_criterion_07_cm_verdict_matches_checklist():
         ok_hyp = all(
             is_locally_hyperbolic(form, v)
             for v in bad_places(alg, form)
-            if not v.is_infinite and alg.split_at(v).is_split
+            if not v.is_infinite and all(s.is_split for s in alg.statuses(v))
         )
         ok_sig = form.invariants.signature[0] % 2 == 0
         checklist = ok_disc and ok_hyp and ok_sig

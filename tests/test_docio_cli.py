@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from enum import IntEnum
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -733,6 +735,68 @@ def test_cli_empty_batch_prints_empty_list():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["decide", "doc.json", "--bound", "abc"], ["decide", "--frobnicate"], ["frob"], []],
+    ids=["bad-value", "unknown-flag", "unknown-command", "no-command"],
+)
+def test_cli_usage_errors_exit_64(argv, capsys):
+    # Exit 2 is the not_realizable_up_to_bound verdict, so a usage error
+    # exits 64 (EX_USAGE) instead.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: torusembed") and "error: " in err
+
+
+def test_cli_help_still_exits_0(capsys):
+    for argv in (["--help"], ["decide", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: torusembed" in capsys.readouterr().out
+
+
+def _huge_h(theta):
+    return {
+        "algebra": [{"type": "general", "f": [-2, 0, 1], "theta": [0, theta]}],
+        "form": {"diagonal": [1, 1, 1, 1]},
+        "options": {"oracle_height": 1},
+    }
+
+
+# f = y^2 - 2 and theta = 2^13290 * y: h = x^4 - 2^26581 has a coefficient of
+# 8,002 digits, above the interpreter's digit limit for int -> str.  With
+# theta = y / 2^13290 that coefficient is a denominator.
+_HUGE_H = _huge_h(2**13290)
+
+
+@pytest.mark.parametrize("theta", [2**13290, f"1/{2**13290}"], ids=["int", "fraction"])
+@pytest.mark.parametrize("command", ["invariants", "decide", "oracle"])
+def test_cli_report_integer_past_the_digit_limit_is_an_error(tmp_path, command, theta):
+    assert len(str(2**13290)) < sys.get_int_max_str_digits() < 8_002
+    code, out, err = run_cli([command, write_doc(tmp_path, _huge_h(theta))])
+    assert code == 4
+    error = json.loads(out)["error"]
+    assert error["path"] == "$"
+    assert "digits" in error["message"]
+    assert f"error: $: {error['message']}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_batch_keeps_the_bytes_of_a_report_beside_a_digit_limit_error(tmp_path):
+    first = json.loads((GOLDEN / "01-gaussian-sum-of-squares.input.json").read_text())
+    golden = (GOLDEN / "01-gaussian-sum-of-squares.report.json").read_text()
+    code, out, _ = run_cli(["decide", write_doc(tmp_path, [first, _HUGE_H]), "--json"])
+    assert code == 4
+    reports = json.loads(out)
+    assert reports[1]["error"]["path"] == "$"
+    assert out == dump_json([json.loads(golden), reports[1]]) + "\n"
+    assert out.startswith("[\n  " + golden.rstrip("\n").replace("\n", "\n  ") + ",\n")
+
+
 def test_cli_overlong_integer_literal_is_an_input_error():
     text = '{"algebra": [{"type": "quad", "d": ' + "7" * 5000 + "}]}"
     code, out, _ = run_cli(["decide", "--json"], stdin_text=text)
@@ -979,8 +1043,13 @@ def test_cli_selftest_needs_no_test_dependencies():
         "import torusembed.etale as et\n"
         "kernel = et.hermite_pivots\n"
         "et.hermite_pivots = lambda f, w: [-a for a in kernel(f, w)]",
+        # Every abstention becomes a non-split answer.
+        "import torusembed.etale as et\n"
+        "kernel = et.component_split_at\n"
+        "et.component_split_at = lambda c, p, a=None: (\n"
+        "    et.NONSPLIT if kernel(c, p, a).is_indeterminate else kernel(c, p, a))",
     ],
-    ids=["hilbert_symbol", "trace_form", "hermite_pivots"],
+    ids=["hilbert_symbol", "trace_form", "hermite_pivots", "indeterminate"],
 )
 def test_selftest_still_checks_under_optimize(breakage):
     # python -O strips assert statements; a broken kernel must still fail
@@ -1007,6 +1076,68 @@ def test_selftest_still_checks_under_optimize(breakage):
 
 def test_cli_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+# ------------------------------------------------------ metamorphic properties
+
+
+@cache
+def _permutation_bases():
+    """Multi-component documents that reach all four verdicts: goldens 03,
+    04, 08 and 09, and a pair over Q(sqrt 2) whose planted trace form, of
+    alpha = (1, 1), has no witness below the bound 2."""
+    docs = [
+        json.loads(next(GOLDEN.glob(f"{k}-*.input.json")).read_text())
+        for k in ("03", "04", "08", "09")
+    ]
+    pair = {
+        "algebra": [
+            {"type": "general", "f": [-2, 0, 1], "theta": [2, 1]},
+            {"type": "general", "f": [-2, 0, 1], "theta": [3, 1]},
+        ],
+        "options": {"prime_bound": 2},
+    }
+    algebra, _ = build_inputs(parse_problem(dict(pair, form={"diagonal": [1] * 8})))
+    gram = trace_form(algebra, make_element(algebra, [1, 1])).gram
+    pair["form"] = {"gram": [[render_rational(x) for x in row] for row in gram]}
+    return docs + [pair]
+
+
+def _permuted(doc, order):
+    """``doc`` with component ``order[j]`` moved to position ``j``."""
+    out = json.loads(json.dumps(doc))
+    out["algebra"] = [doc["algebra"][i] for i in order]
+    for note in out.get("options", {}).get("annotations", []):
+        note["component"] = order.index(note["component"])
+    return out
+
+
+def test_component_permutation_keeps_the_verdict():
+    seen = Counter()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(_permutation_bases()).flatmap(
+            lambda doc: st.tuples(
+                st.just(doc), st.permutations(range(len(doc["algebra"])))
+            )
+        )
+    )
+    def check(case):
+        doc, order = case
+        code, out, _ = run_cli(["decide", "--json"], json.dumps(doc))
+        verdict = json.loads(out)["verdict"]
+        moved_code, moved, _ = run_cli(["decide", "--json"], json.dumps(_permuted(doc, order)))
+        assert (moved_code, json.loads(moved)["verdict"]) == (code, verdict), order
+        seen[verdict] += 1
+
+    check()
+    assert set(seen) == {
+        "realizable",
+        "locally_fails",
+        "not_realizable_up_to_bound",
+        "inconclusive",
+    }, seen
 
 
 # ---------------------------------------------------------------- parser fuzz

@@ -18,7 +18,6 @@ from torusembed.engine import (
     VERDICT_NOT_REALIZABLE_UP_TO_BOUND,
     VERDICT_REALIZABLE,
     WitnessGraph,
-    achievable_bits,
     bad_places,
     build_graph,
     check_local,
@@ -27,6 +26,7 @@ from torusembed.engine import (
     parity_vector,
 )
 from torusembed.errors import AuditError, NeedAnnotations
+from torusembed.etale import INDETERMINATE, NONSPLIT, SPLIT
 from torusembed.oracle import trace_form
 from torusembed.qform import QuadraticSpace
 
@@ -126,16 +126,41 @@ def test_bad_places_always_include_two_and_infinity():
     assert places == (TWO, V3, INFINITY)
 
 
+def _bits_at(alg, form, v):
+    """The baseline's bits at the one finite place v."""
+    ((place, bits),) = construct_baseline(alg, form, (v,)).finite_bits
+    assert place == v
+    return bits
+
+
 def test_achievable_bits():
+    # The status row sets the baseline's bits at a finite place: a non-split
+    # component achieves both bits, a split one only the hyperbolic bit (0 in
+    # dimension 2), and an indeterminate one blocks the place.
     alg = algebra(quad(-1))
-    assert achievable_bits(alg, 0, V3) == frozenset({0, 1})
-    assert achievable_bits(alg, 0, V5) == frozenset({0})
+    assert alg.statuses(V3) == (NONSPLIT,)
+    assert {_bits_at(alg, diag(1, 1), V3), _bits_at(alg, diag(3, 3), V3)} == {
+        (0,),
+        (1,),
+    }
+    assert alg.statuses(V5) == (SPLIT,)
+    assert _bits_at(alg, diag(1, 1), V5) == (0,)
+    with pytest.raises(AuditError, match="every bit is forced"):
+        construct_baseline(alg, diag(2, 5), (V5,))  # odd at 5
     quartic = algebra(general([-2, 0, 1], [0, 1]))
-    assert achievable_bits(quartic, 0, V2) is None
+    assert quartic.statuses(V2) == (INDETERMINATE,)
+    with pytest.raises(NeedAnnotations) as exc:
+        construct_baseline(quartic, diag(1, 1, -1, 3), (V2,))
+    assert exc.value.pending == ((0, 2),)
     noted = algebra(general([-2, 0, 1], [0, 1]), annotations={(0, 2): "nonsplit"})
-    assert achievable_bits(noted, 0, V2) == frozenset({0, 1})
-    with pytest.raises(ValueError):
-        achievable_bits(alg, 0, INFINITY)
+    assert noted.statuses(V2) == (NONSPLIT,)
+    assert {
+        _bits_at(noted, diag(1, 1, 1, -1), V2),
+        _bits_at(noted, diag(1, 1, -1, 3), V2),  # odd at 2
+    } == {(0,), (1,)}
+    # Infinity has a status but carries a signature, not a bit.
+    assert alg.statuses(INFINITY) == (NONSPLIT,)
+    assert construct_baseline(alg, diag(1, 1), (INFINITY,)).finite_bits == ()
 
 
 def test_construct_baseline_demo_values():

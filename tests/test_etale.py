@@ -15,8 +15,16 @@ from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyfp import factor_mod_p
 from torusembed.arith.polyq import PolyQ, is_irreducible, resultant_in_y
 from torusembed.arith.sturm import isolate_real_roots
-from torusembed.errors import ComponentValidationError
-from torusembed.etale import GeneralSpec, build_algebra, build_component
+from torusembed.engine import check_local, construct_baseline
+from torusembed.errors import ComponentValidationError, NeedAnnotations
+from torusembed.etale import (
+    INDETERMINATE,
+    NONSPLIT,
+    SPLIT,
+    GeneralSpec,
+    build_algebra,
+    build_component,
+)
 from torusembed.oracle import make_element, trace_form
 
 from helpers import (
@@ -557,7 +565,7 @@ def test_algebra_level_invariants():
     assert alg.rank == 4 and alg.rank // 2 == 2
     assert alg.disc_class.rep == 3
     assert alg.is_cm
-    assert not alg.has_nonrational_fixed_field
+    assert max(c.fixed_degree for c in alg.components) == 1
     assert alg.ramified_real_count == 2
     assert alg.unramified_real_weight == 0
 
@@ -568,7 +576,7 @@ def test_algebra_level_invariants():
     assert mixed.pairwise_det_support == frozenset({V2, V5})
 
     quartic = algebra(general([-2, 0, 1], [0, 1]))
-    assert quartic.has_nonrational_fixed_field
+    assert max(c.fixed_degree for c in quartic.components) >= 2
     assert quartic.unramified_real_weight == 1
     assert quartic.unramified_place_count == 1
 
@@ -578,25 +586,37 @@ def test_algebra_level_invariants():
 
 
 def test_algebra_split_conjunction():
+    # check_local reads a place as split when every entry of its status row
+    # is split, and as pending when none is non-split but some is
+    # indeterminate.
     alg = algebra(quad(-1), general([-2, 0, 1], [0, 1]))
     # NonSplit (quad at 2) dominates the quartic's indeterminacy.
-    assert alg.split_at(V2).is_nonsplit
-    assert alg.split_at(V5).is_nonsplit
-    assert alg.split_at(INFINITY).is_nonsplit
+    assert alg.statuses(V2) == (NONSPLIT, INDETERMINATE)
+    assert alg.statuses(V5) == (SPLIT, NONSPLIT)
+    assert alg.statuses(INFINITY) == (NONSPLIT, NONSPLIT)
     # Split everywhere requires every component split.
     pair = algebra(quad(-1), quad(-3))
-    assert pair.split_at(Place.finite(13)).is_split  # 13 = 1 mod 4 and mod 3
-    assert pair.split_at(Place.finite(5)).is_nonsplit  # 5 = 2 mod 3
+    assert pair.statuses(Place.finite(13)) == (SPLIT, SPLIT)  # 1 mod 4 and 3
+    assert pair.statuses(Place.finite(5)) == (SPLIT, NONSPLIT)  # 5 = 2 mod 3
     # Indeterminate blocks an otherwise-split conjunction.
     blocked = algebra(quad(-1), general([-5, 0, 1], [0, 1]))
-    assert blocked.split_at(V5).is_indeterminate
+    assert blocked.statuses(V5) == (SPLIT, INDETERMINATE)
+    # The first form deviates from the split one at 2 and infinity, the
+    # second at 5 and infinity.
+    assert check_local(alg, diag(1, 1, 1, 1, 1, 2)).pending == ()
+    assert check_local(blocked, diag(1, 1, 1, 1, 2, 5)).pending == ((1, 5),)
 
 
 def test_indeterminate_pairs_reported_per_component():
+    # construct_baseline reports every indeterminate entry of a row.
     alg = algebra(general([-5, 0, 1], [0, 1]), general([-2, 0, 1], [0, 1]))
-    assert alg.indeterminate_pairs_at(V5) == [(0, 5)]
-    assert alg.indeterminate_pairs_at(V2) == [(0, 2), (1, 2)]
-    assert alg.indeterminate_pairs_at(V3) == []
+    form = diag(1, 1, 1, 1, 1, 1, -1, -1)
+    for v, pairs in ((V5, ((0, 5),)), (V2, ((0, 2), (1, 2)))):
+        with pytest.raises(NeedAnnotations) as exc:
+            construct_baseline(alg, form, (v,))
+        assert exc.value.pending == pairs
+    assert alg.statuses(V3) == (SPLIT, SPLIT)
+    construct_baseline(alg, form, (V3,))
 
 
 def test_empty_algebra_rejected():

@@ -19,11 +19,9 @@ from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyq import PolyQ
 from torusembed.arith.symbols import places_over
 from torusembed.errors import AuditError
-from torusembed.etale import EtaleAlgebra
+from torusembed.etale import NONSPLIT, SPLIT, EtaleAlgebra
 from torusembed.oracle import (
     AlgebraElement,
-    is_symmetric,
-    is_unit,
     make_element,
     search_realizing_element,
     trace_form,
@@ -70,17 +68,24 @@ def test_sigma_and_symmetry():
     x = make_element(alg, [P([1, 1, 1, 1])])
     sx = sigma_apply(x)
     assert sx.parts[0].coeffs == (1, -1, 1, -1)
-    assert not is_symmetric(x)
-    assert is_symmetric(make_element(alg, [P([1, 0, 5])]))
+    with pytest.raises(ValueError, match="not fixed by the involution"):
+        trace_form(alg, x)
+    assert trace_form(alg, make_element(alg, [P([1, 0, 5])])).space.dim == 4
     assert sigma_apply(sx).parts == x.parts  # sigma is an involution
 
 
 def test_is_unit():
+    # trace_form takes a part as a unit exactly when it is nonzero mod h.
     alg = algebra(quad(-1), quad(5))
-    assert is_unit(alg, make_element(alg, [1, 1]))
-    assert not is_unit(alg, make_element(alg, [0, 1]))
-    assert not is_unit(alg, make_element(alg, [1, 0]))
-    assert is_unit(alg, make_element(alg, [Fraction(-1, 3), 7]))
+    assert trace_form(alg, make_element(alg, [1, 1])).space.dim == 4
+    for parts in ([0, 1], [1, 0]):
+        with pytest.raises(ValueError, match="not a unit"):
+            trace_form(alg, make_element(alg, parts))
+    assert trace_form(alg, make_element(alg, [Fraction(-1, 3), 7])).space.dim == 4
+    # An unreduced part that h divides is 0 in the algebra.
+    quartic = algebra(general([-2, 0, 1], [0, 1]))  # h = x^4 - 2
+    with pytest.raises(ValueError, match="not a unit"):
+        trace_form(quartic, AlgebraElement((P([-6, 0, 0, 0, 3]),)))
 
 
 def test_one_element_trace_form_gaussian():
@@ -206,8 +211,8 @@ def test_enumerate_symmetric_units_order_and_count():
 def test_enumerated_elements_are_symmetric_units():
     alg = algebra(general([-2, 0, 1], [-2, 1]), quad(-3))
     for e in itertools.islice(enumerate_symmetric_units(alg, 2), 50):
-        assert is_symmetric(e)
-        assert is_unit(alg, e)
+        assert not any(any(part.coeffs[1::2]) for part in e.parts)
+        assert trace_form(alg, e).space.dim == alg.rank  # a symmetric unit
 
 
 def test_search_finds_planted_element():
@@ -254,7 +259,7 @@ def test_local_bits_cover_both_classes_at_nonsplit_places():
     for alg, nonsplit_v, height, split_v in cases:
         # Flipping the bit at an odd place needs an element of odd valuation
         # there, so the search height must reach the prime itself.
-        assert alg.split_at(nonsplit_v).is_nonsplit
+        assert alg.statuses(nonsplit_v) == (NONSPLIT,)
         bits = set()
         for e in enumerate_symmetric_units(alg, height):
             bits.add(trace_form(alg, e).space.local_hasse_bit(nonsplit_v))
@@ -263,7 +268,7 @@ def test_local_bits_cover_both_classes_at_nonsplit_places():
         assert bits == {0, 1}, (alg, nonsplit_v)
         if split_v is None:
             continue
-        assert alg.split_at(split_v).is_split
+        assert alg.statuses(split_v) == (SPLIT,)
         hyper_bit = QuadraticSpace.of([1, -1] * (alg.rank // 2)).local_hasse_bit(
             split_v
         )
