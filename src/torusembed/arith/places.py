@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from torusembed.arith.integers import is_probable_prime
-
 
 class Place:
     """A place of Q.  ``p`` is the prime for a finite place, None for the real one."""
@@ -18,12 +16,6 @@ class Place:
 
     def __hash__(self) -> int:
         return hash((self.p,))
-
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return cls(p)
 
     @property
     def is_infinite(self) -> bool:

@@ -1,15 +1,16 @@
 """Exact univariate polynomial arithmetic over Q.
 
-Includes the trace kernel (power sums by Newton's identities, the resultant
-Res_y(f, x^2 - theta) built from them, and Hermite's trace form, whose
-Bareiss pivots give real-root counts, signs at the real roots, and the
-discriminant), rational root extraction, and irreducibility testing over Q
-by Hensel lifting a mod-p factorization and trying factor recombinations
-(degrees up to 12 are supported, which keeps the subset search trivial;
-Cohen, GTM 138, 3.5).
-Integer polynomials are ascending int lists that share the ``polyfp``
-kernel's ``_raw_mul`` and ``_strip``; the modular factors and their lifts
-are kernel lists too.
+Includes a component's integer trace kernel: ``integer_kernel`` integerizes
+f and theta once and takes the power sums of the roots (Newton's
+identities), from which ``resultant_in_y`` gives theta's characteristic
+polynomial over Z and ``hankel_pivots`` the Bareiss pivots of Hermite's trace
+form (real-root counts, signs at the real roots, the discriminant).  Also
+rational roots, and irreducibility over Q of a monic integer polynomial with
+its power sums, by Hensel lifting a mod-p factorization and trying factor
+recombinations (degrees up to 12 keep the subset search trivial; Cohen,
+GTM 138, 3.5).  Integer polynomials are ascending int lists that share the
+``polyfp`` kernel's ``_raw_mul`` and ``_strip``; the modular factors and
+their lifts are kernel lists too.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ class PolyQ(Record):
     @classmethod
     def zero(cls) -> "PolyQ":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "PolyQ":
-        return cls.of((1,))
 
     @classmethod
     def constant(cls, c) -> "PolyQ":
@@ -267,54 +264,54 @@ def bareiss_pivots(b: list[list[int]]) -> list[int]:
     return pivots
 
 
-def hermite_pivots(f: PolyQ, w: PolyQ) -> list[int]:
-    """Bareiss pivots of Hermite's form of monic f of degree m, weighted by w.
+def integer_kernel(
+    f: PolyQ, theta: PolyQ
+) -> tuple[list[int], int, list[int], int, list[int]]:
+    """(g, c, W, D, s): monic f of degree m and theta, each integerized once.
 
     With c the lcm of f's denominators, g(z) = c^m f(z/c) is monic and
-    integral, and W(z) = c^e * d * w(z/c) is integral for e = deg w and d the
-    lcm of w's denominators; its roots are c times f's, where W has w's
-    signs.  The form is the m x m Hankel matrix [sum_k W_k s_(k+i+j)(g)] of
-    Tr(W(z) z^(i+j)) on Q[z]/(g).  Its signature, the count of pivot ratios
-    a_k / a_(k-1) > 0 less the count < 0, is the Tarski query: the sum of
-    sign w(x) over the real roots x of f (Basu, Pollack and Roy, *Algorithms
-    in Real Algebraic Geometry*, ch. 4).  For w = 1 the last pivot is its
-    determinant disc(g) = c^(m(m-1)) disc(f).  Raises ValueError
-    ("degenerate form") when the form is singular, that is, when f is not
-    squarefree or w vanishes at a root of f.
+    integral, and its roots are c times f's.  With e = deg theta and d the
+    lcm of theta's denominators, W(z) = c^e * d * theta(z/c) is integral:
+    theta = W(z)/D at z = c*y for D = c^e * d, and W has theta's signs at
+    g's roots.  s holds the power sums s_0, ..., s_(2m-2+e) of g's roots,
+    enough for ``resultant_in_y`` and for Hermite's forms weighted by 1 and W.
     """
     A, c = integerize(f)
-    B, _ = integerize(w)
-    e = len(B) - 1
-    return _hermite_pivots(_monicize(A), [b * c ** (e - i) for i, b in enumerate(B)])
+    B, d = integerize(theta)
+    m, e = len(A) - 1, max(len(B) - 1, 0)
+    g = _monicize(A)
+    W = [b * c ** (e - i) for i, b in enumerate(B)]
+    return g, c, W, c**e * d, power_sums(g, 2 * m - 1 + e)
 
 
-def _hermite_pivots(g: list[int], W: list[int]) -> list[int]:
-    """``hermite_pivots`` on monic integer g, weighted by integer W."""
-    m = len(g) - 1
-    s = power_sums(g, 2 * m - 2 + len(W))
+def hankel_pivots(W: list[int], s: list[int], m: int) -> list[int]:
+    """Bareiss pivots of Hermite's form of a monic integer g of degree m,
+    weighted by the integer polynomial W, from the power sums s of g's roots.
+
+    The form is the m x m Hankel matrix [sum_k W_k s_(k+i+j)] of
+    Tr(W(z) z^(i+j)) on Q[z]/(g).  Its signature, the count of pivot ratios
+    a_k / a_(k-1) > 0 less the count < 0, is the Tarski query: the sum of
+    sign W(x) over the real roots x of g (Basu, Pollack and Roy, *Algorithms
+    in Real Algebraic Geometry*, ch. 4).  For W = 1 the last pivot is its
+    determinant disc(g).  Raises ValueError ("degenerate form") when g is
+    not squarefree or W vanishes at a root of g.
+    """
     h = [sum(x * y for x, y in zip(W, s[n:])) for n in range(2 * m - 1)]
     return bareiss_pivots([h[i : i + m] for i in range(m)])
 
 
-def resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
-    """Res_y(f(y), x^2 - theta(y)) for monic f of degree m >= 1.
+def resultant_in_y(g: list[int], W: list[int], s: list[int]) -> list[int]:
+    """Res_y(f(y), x^2 - theta(y)) over Z, from ``integer_kernel``'s g, W, s.
 
-    It is chi(x^2), chi the characteristic polynomial of theta on Q[y]/(f),
-    computed over Z.  With c the lcm of f's denominators, g(z) = c^m f(z/c)
-    is monic and integral, and theta = T(z)/D with z = c*y, T integral and
-    D = c^(deg theta) * (lcm of theta's denominators).  The traces
-    Tr(T^k) = sum_i [z^i](T^k mod g) * s_i(g), k = 1..m, with s_i(g) the
-    power sums of g's roots, are integers.  T is integral over Z, so Newton's
-    identities turn them into its integer characteristic polynomial with
-    exact divisions, and chi's coefficient of x^(m-k) is that one's over D^k.
+    The resultant is chi(x^2), chi the characteristic polynomial of theta on
+    Q[y]/(f).  This returns the monic integer chi_T of T = W mod g on
+    Z[z]/(g), whose coefficient of x^j is D^(m-j) times chi's.  The traces
+    Tr(T^k) = sum_i [z^i](T^k mod g) * s_i, k = 1..m, are integers.  T is
+    integral over Z, so Newton's identities turn them into chi_T with exact
+    divisions.
     """
-    m = f.degree
-    A, c = integerize(f)
-    g = _monicize(A)
-    B, d = integerize(theta)
-    e = max(len(B) - 1, 0)
-    T = _ip_rem([b * c ** (e - i) for i, b in enumerate(B)], g)
-    s = power_sums(g, m)
+    m = len(g) - 1
+    T = _ip_rem(W, g)
     t = [m]
     chi = [0] * m + [1]
     power = [1]
@@ -322,10 +319,7 @@ def resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
         power = _ip_rem(_raw_mul(power, T), g)
         t.append(sum(x * y for x, y in zip(power, s)))
         chi[m - k] = -(t[k] + sum(chi[m - i] * t[k - i] for i in range(1, k))) // k
-    D, zero = c**e * d, Fraction(0)
-    return PolyQ._trusted(
-        [q for j in range(m + 1) for q in (Fraction(chi[j], D ** (m - j)), zero)][:-1]
-    )
+    return chi
 
 
 def rational_roots(f: PolyQ) -> list[Fraction]:
@@ -425,22 +419,26 @@ def _monicize(A: list[int]) -> list[int]:
 
 def is_irreducible(f: PolyQ) -> bool:
     """Whether f is irreducible over Q.  Supports degrees up to 12."""
-    n = f.degree
+    if f.degree <= 0:
+        return False
+    g = _monicize(integerize(f)[0])
+    return is_monic_irreducible(g, power_sums(g, 2 * f.degree - 1))
+
+
+def is_monic_irreducible(g: list[int], s: list[int]) -> bool:
+    """Whether the monic integer g of degree 1..12 is irreducible over Q,
+    given the power sums s_0, ..., s_(2n-2) of its roots, n = deg g."""
+    n = len(g) - 1
     if n > MAX_IRREDUCIBILITY_DEGREE:
         raise ValueError(f"unsupported degree {n} (max {MAX_IRREDUCIBILITY_DEGREE})")
-    if n <= 0:
-        return False
     if n == 1:
         return True
-    A, _ = integerize(f)
-    if A[0] == 0:
+    if g[0] == 0:
         return False
-    g = _monicize(A)
-    # g is squarefree exactly when f is, that is, when its Hermite form is
-    # nonsingular; then g mod p is squarefree at all but finitely many p, so
-    # the prime loop below ends.
+    # g is squarefree exactly when its Hermite form is nonsingular; then g mod
+    # p is squarefree at all but finitely many p, so the prime loop ends.
     try:
-        _hermite_pivots(g, [1])
+        hankel_pivots([1], s, n)
     except ValueError:
         return False
 

@@ -76,13 +76,16 @@ _VERDICT_EXIT = {
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The bytes of the file, or of standard input for ``-``, as strict UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise InputDocumentError("$", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputDocumentError("$", f"input is not UTF-8 (byte {exc.start})") from None
 
 
 def _load_documents(path: str) -> tuple[list[Any], bool]:

@@ -7,14 +7,14 @@ negates sqrt(theta).  The quadratic-over-Q shorthand (K = Q(sqrt(d))) is
 normalized internally to f = y - d and the constant theta = d, but keeps an
 exact splitting rule at every prime.
 
-A component's arithmetic over Q comes from one trace kernel, Newton's
-identities.  The traces Tr_{F/Q}(theta^k), read off theta^k mod f and the
-power sums of f's roots, are the power sums of the characteristic polynomial
-chi of theta, and h(x) = chi(x^2) = Res_y(f(y), x^2 - theta(y)) is the
-minimal polynomial of sqrt(theta) (an even polynomial of degree 2*[F:Q]).
-The power sums of h's roots, p_w = Tr_{K/Q}(sqrt(theta)^w), which are
-2*Tr_{F/Q}(theta^(w/2)) for even w and 0 for odd w, give every trace-form
-Gram block.
+A general component's arithmetic over Q comes from one integer kernel, built
+once: f and theta become g(z) = c^m f(z/c) and theta = W(z)/D over Z, with
+the power sums of g's roots by Newton's identities.  The traces of W^k mod g
+give chi_T, the characteristic polynomial of D*theta; with chi that of theta,
+h(x) = chi(x^2) = Res_y(f(y), x^2 - theta(y)) is the minimal polynomial of
+sqrt(theta).  chi_T's power sums test chi's irreducibility and give those of
+h's roots, p_w = Tr_{K/Q}(sqrt(theta)^w), which are 2*Tr_{F/Q}(theta^(w/2))
+for even w and 0 for odd w, and which give every trace-form Gram block.
 
 A general component is a field exactly when h is irreducible, that is, when
 chi is irreducible (theta generates F) and theta is not a square in F.  The
@@ -25,9 +25,9 @@ primes.
 
 Each component also carries discriminant and determinant square classes, the
 counts of its real places (ramified = theta negative there), and a
-prime-splitting oracle.  The counts come from the power sums of f's roots too:
+prime-splitting oracle.  The counts come from the power sums of g's roots too:
 Hermite's form Tr_{F/Q}(w * y^(i+j)) has signature sum sign w(x) over the real
-roots x of f, for w = 1 and w = theta.  The discriminant class is that of the
+roots x of f, for w = 1 and w = theta (W over Z).  The discriminant class is that of the
 norm Res(f, theta) = (-1)^m * chi(0), since disc(h) = 4^m * Res(f, theta) *
 disc(chi)^2.  For general components the splitting is read off the
 distinct-degree blocks of f mod p by the same rule, exactly at odd primes away
@@ -57,9 +57,10 @@ from torusembed.arith.polyfp import fp_distinct_degree, fp_mulmod, fp_pow_mod
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
-    hermite_pivots,
-    integerize,
+    hankel_pivots,
+    integer_kernel,
     is_irreducible,
+    is_monic_irreducible,
     power_sums,
     resultant_in_y,
 )
@@ -217,30 +218,37 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
                 f"{MAX_IRREDUCIBILITY_DEGREE}"
             )
         theta = theta % f
+        m = f.degree
+        # One integer kernel: g = c^m f(z/c), theta = W(z)/D at z = c*y, the
+        # power sums s of g's roots, and chi_T, the characteristic polynomial
+        # of D*theta, whose power sums t_k = D^k s_k(chi) serve both chi's
+        # irreducibility test and h's power sums.
+        g, c, W, D, s = integer_kernel(f, theta)
+        chi_T = resultant_in_y(g, W, s)
+        t = power_sums(chi_T, 3 * m - 1)
         # h = chi(x^2) is monic of degree 2m; it is the minimal polynomial of
         # sqrt(theta) over Q exactly when K is a field, that is, when theta
         # generates F (chi irreducible, which needs f irreducible and theta
         # nonzero) and theta is not a square in F.  f is tested only to name
         # why chi is not irreducible.
-        h = resultant_in_y(f, theta)
-        assert all(h.coeff(j) == 0 for j in range(1, h.degree, 2)), "h must be even"
-        chi = PolyQ(h.coeffs[::2])
-        if theta.is_zero or not is_irreducible(chi):
+        if theta.is_zero or not is_monic_irreducible(chi_T, t):
             if not is_irreducible(f):
                 raise ComponentValidationError("not a field component: f is reducible")
             if theta.is_zero:
                 raise ComponentValidationError("theta must be nonzero in F")
             raise ComponentValidationError(_NOT_FULL_DEGREE)
-        # chi is irreducible, so Hermite's form of f is nonsingular for w = 1
-        # and w = theta; for w = 1 its last pivot is c^(m(m-1)) * disc(f).
-        ones = hermite_pivots(f, PolyQ.one())
+        zero = Fraction(0)
+        h = PolyQ(tuple(q for j, a in enumerate(chi_T)
+                        for q in (Fraction(a, D ** (m - j)), zero))[:-1])
+        # chi is irreducible, so Hermite's form of g is nonsingular for W = 1
+        # and W; for W = 1 its last pivot is disc(g) = c^(m(m-1)) * disc(f).
+        ones = hankel_pivots([1], s, m)
         # The gap set: odd primes of c (the lcm of f's denominators), disc(f),
-        # theta's denominators and the norm Res(f, theta) = (-1)^m * chi(0).
-        # Each number is factored after dividing out the primes already found.
-        t = integerize(theta)[1]
-        norm = (-1) ** f.degree * chi.coeff(0)
+        # D (theta's denominators, with c) and the norm Res(f, theta) =
+        # (-1)^m * chi(0), each factored after dividing out those found.
+        norm = (-1) ** m * h.coeffs[0]
         bad: set[int] = set()
-        for x in (integerize(f)[1], ones[-1], t, norm):
+        for x in (c, ones[-1], D, norm):
             bad.update(factor_rational(x, bad)[1])
         # A square root of theta in F would reduce to one at every good
         # prime, where f stays squarefree and theta a unit: a good prime
@@ -261,12 +269,11 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         gaps = frozenset(bad - {2})
         # Ramified real places are the roots of f where theta < 0.
         real_count = _signature(ones)
-        ramified_count = (real_count - _signature(hermite_pivots(f, theta))) // 2
-        # The power sums of h's roots, p_0 .. p_(6m-4): p_(2k) = 2 * s_k(chi),
+        ramified_count = (real_count - _signature(hankel_pivots(W, s, m))) // 2
+        # The power sums of h's roots, p_0 .. p_(6m-4): p_(2k) = 2 * t_k / D^k,
         # and the odd ones are 0.
-        zero = Fraction(0)
         sums = tuple(
-            c for s in power_sums(chi.coeffs, 3 * f.degree - 1) for c in (2 * s, zero)
+            q for k, x in enumerate(t) for q in (Fraction(2 * x, D**k), zero)
         )[:-1]
 
     det_sign = -1 if (h.degree // 2) % 2 else 1

@@ -21,7 +21,7 @@ from torusembed.arith.integers import (
 )
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import fp_gcd, fp_pow_mod, fp_reduce, fp_rem
-from torusembed.arith.polyq import PolyQ, power_sums
+from torusembed.arith.polyq import PolyQ, hankel_pivots, integer_kernel, power_sums
 from torusembed.arith.symbols import (
     hilbert_symbol,
     legendre_symbol,
@@ -87,12 +87,26 @@ def fraction_resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
     s = power_sums(f.coeffs, m)
     t = [Fraction(m)]
     chi = [Fraction(0)] * m + [Fraction(1)]
-    power = PolyQ.one()
+    power = PolyQ.of((1,))
     for k in range(1, m + 1):
         power = (power * theta) % f
         t.append(sum((c * si for c, si in zip(power.coeffs, s)), Fraction(0)))
         chi[m - k] = -(t[k] + sum(chi[m - i] * t[k - i] for i in range(1, k))) / k
     return PolyQ.of([c for x in chi for c in (x, 0)][:-1])
+
+
+def hermite_pivots(f: PolyQ, w: PolyQ) -> list[int]:
+    """Bareiss pivots of Hermite's form of monic f of degree m, weighted by w.
+
+    With c the lcm of f's denominators, the form is that of g = c^m f(z/c)
+    weighted by W = c^e * d * w(z/c) (``integer_kernel``), whose signs at
+    g's roots are w's at f's.  So its signature is the sum of sign w(x) over
+    the real roots x of f, and for w = 1 the last pivot is
+    c^(m(m-1)) disc(f).  Raises ValueError ("degenerate form") when f is not
+    squarefree or w vanishes at a root of f.
+    """
+    _, _, W, _, s = integer_kernel(f, w)
+    return hankel_pivots(W, s, f.degree)
 
 
 def fraction_diagonalize(gram, branches: list[str] | None = None):
@@ -214,7 +228,7 @@ def fixed_field_image(component: Component, part: PolyQ) -> PolyQ:
     f = component.f
     theta = component.theta % f
     result = PolyQ.zero()
-    power = PolyQ.one()
+    power = PolyQ.of((1,))
     for m in range(part.degree // 2 + 1):
         c = part.coeff(2 * m)
         if c:
@@ -337,7 +351,7 @@ def real_root_count(f: PolyQ) -> int:
     """Number of distinct real roots of nonzero f."""
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    return rational_tarski_query(f.squarefree_part(), PolyQ.one())
+    return rational_tarski_query(f.squarefree_part(), PolyQ.of((1,)))
 
 
 def rational_tarski_query(f: PolyQ, g: PolyQ) -> int:
@@ -476,8 +490,9 @@ def is_locally_hyperbolic(q: QuadraticSpace, v: Place) -> bool:
     return q.local_hasse_bit(v) == (v in hyperbolic_hasse_support(q.dim))
 
 
-def run_cli(argv: list[str], stdin_text: str | None = None):
-    """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
+def run_cli(argv: list[str], stdin_text: str | bytes | None = None):
+    """Run the CLI in-process; returns (exit_code, stdout, stderr).  Text
+    for standard input is encoded as UTF-8; bytes are fed as they are."""
     out, err = io.StringIO(), io.StringIO()
     stack = contextlib.ExitStack()
     with stack:
@@ -487,7 +502,9 @@ def run_cli(argv: list[str], stdin_text: str | None = None):
             import sys
 
             old_stdin = sys.stdin
-            sys.stdin = io.StringIO(stdin_text)
+            if isinstance(stdin_text, str):
+                stdin_text = stdin_text.encode("utf-8")
+            sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text), encoding="utf-8")
             stack.callback(lambda: setattr(sys, "stdin", old_stdin))
         code = cli_main(argv)
     return code, out.getvalue(), err.getvalue()

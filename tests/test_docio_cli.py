@@ -707,6 +707,27 @@ def test_cli_reads_stdin_by_default():
     assert out2 == out
 
 
+@pytest.mark.parametrize("command", ["decide", "local", "invariants", "oracle"])
+def test_cli_input_that_is_not_utf8_is_an_error_object(command, tmp_path):
+    # A UTF-16 byte-order mark, and a bad byte after a valid prefix, from a
+    # file and from standard input: exit 4 with an error object at $.  A
+    # non-ASCII string in valid UTF-8 still reaches the parser.
+    for data, offset in ((b"\xff\xfe{}", 0), (b'{"algebra": \xc3(}', 12)):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        for argv, stdin in (([str(path)], None), (["-"], data)):
+            code, out, err = run_cli([command, *argv], stdin_text=stdin)
+            assert code == 4, (data, argv)
+            assert json.loads(out) == {
+                "error": {"path": "$", "message": f"input is not UTF-8 (byte {offset})"}
+            }
+            assert err == f"error: $: input is not UTF-8 (byte {offset})\n"
+    doc = json.dumps(quad_doc(-1, [1, 1]))[:-1] + ', "n\u00f6te": 1}'
+    code, out, _ = run_cli([command, "-", "--json"], stdin_text=doc.encode("utf-8"))
+    assert code == 4
+    assert json.loads(out) == {"error": {"path": "$", "message": "unknown key(s): n\u00f6te"}}
+
+
 def test_cli_batch_runs_every_document(tmp_path):
     batch = [
         quad_doc(-1, [1, 1]),
@@ -1041,8 +1062,8 @@ def test_cli_selftest_needs_no_test_dependencies():
         "    alg, st.make_element(alg, [1] * len(alg.components)))",
         # Hermite's form loses its first sign, so the real places miscount.
         "import torusembed.etale as et\n"
-        "kernel = et.hermite_pivots\n"
-        "et.hermite_pivots = lambda f, w: [-a for a in kernel(f, w)]",
+        "kernel = et.hankel_pivots\n"
+        "et.hankel_pivots = lambda W, s, m: [-a for a in kernel(W, s, m)]",
         # Every abstention becomes a non-split answer.
         "import torusembed.etale as et\n"
         "kernel = et.component_split_at\n"

@@ -42,7 +42,7 @@ from helpers import (
     random_symmetric_unit,
 )
 
-V2, V3, V5, V7 = (Place.finite(p) for p in (2, 3, 5, 7))
+V2, V3, V5, V7 = (Place(p) for p in (2, 3, 5, 7))
 
 
 # -------------------------------------------------------------- local checks
@@ -266,7 +266,7 @@ def _reference_graph(alg, bound, cap):
             quad_pair = alg.components[i].is_quad and alg.components[j].is_quad
             limit = max(bound, cap) if quad_pair else bound
             primes = (p for p in range(2, limit + 1) if is_probable_prime(p))
-            places = chain([INFINITY], map(Place.finite, primes))
+            places = chain([INFINITY], map(Place, primes))
             witness = next(
                 (
                     v

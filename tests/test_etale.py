@@ -12,8 +12,14 @@ from torusembed import etale
 from torusembed.arith import integers
 from torusembed.arith.integers import factor_rational, is_probable_prime
 from torusembed.arith.places import INFINITY, Place
-from torusembed.arith.polyfp import factor_mod_p
-from torusembed.arith.polyq import PolyQ, is_irreducible, resultant_in_y
+from torusembed.arith.polyfp import factor_mod_p, fp_pow_mod
+from torusembed.arith.polyq import (
+    PolyQ,
+    integer_kernel,
+    is_irreducible,
+    power_sums,
+    resultant_in_y,
+)
 from torusembed.arith.sturm import isolate_real_roots
 from torusembed.engine import check_local, construct_baseline
 from torusembed.errors import ComponentValidationError, NeedAnnotations
@@ -30,16 +36,18 @@ from torusembed.oracle import make_element, trace_form
 from helpers import (
     algebra,
     diag,
+    fraction_resultant_in_y,
     general,
     quad,
     random_general_spec,
     rational_tarski_query,
+    real_root_count,
     squarefree_part,
     sylvester_discriminant,
     sylvester_resultant,
 )
 
-V2, V3, V5 = (Place.finite(p) for p in (2, 3, 5))
+V2, V3, V5 = (Place(p) for p in (2, 3, 5))
 
 
 def primes_up_to(limit: int):
@@ -206,24 +214,95 @@ def test_real_counts_and_gaps_match_the_sturm_and_sylvester_references():
     assert len({(real, ram) for _, real, ram in seen}) >= 10
 
 
+def _square_at_every_factor(f: PolyQ, theta: PolyQ, p: int) -> bool:
+    """Euler's criterion modulo each irreducible factor of f mod p: the
+    per-prime reference for the block rule kept in ``square_at``."""
+    theta_p = theta.reduce_mod_p(p)
+    return all(
+        fp_pow_mod(theta_p, (p ** (len(phi) - 1) - 1) // 2, phi, p) == [1]
+        for phi, _ in factor_mod_p(f.reduce_mod_p(p), p)
+    )
+
+
+def test_integer_kernel_matches_the_fraction_references():
+    # f and theta are integerized once, as g = c^m f(z/c) and theta = W/D.
+    # No corpus or golden document has c != 1 or d != 1 (the lcms of f's and
+    # theta's denominators), so this test is what reaches them.  Components
+    # have deg f = 1..6 and theta of full degree two times in three.  The
+    # references, all over Q: h at m + 1 values of x^2 is the Sylvester
+    # resultant Res_y(f, x^2 - theta); the power sums are Newton's identities
+    # on chi's Fractions; the real and ramified counts are Tarski queries of
+    # 1 and theta; the gap set comes from the primes of the denominators,
+    # disc(f) and Res(f, theta); and square_at, after the primes below 60
+    # are asked, agrees with Euler's criterion modulo each factor of f.
+    rng = random.Random(71)
+    built = with_c = with_d = 0
+    while built < 60:
+        m = 1 + built % 6
+        f = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(m)]
+        top = m if built % 3 else rng.randint(1, m)
+        theta = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5))) for _ in range(top)]
+        theta[-1] = theta[-1] or Fraction(1, 3)
+        try:
+            c = build_component(general(f + [1], theta))
+        except ComponentValidationError:
+            continue
+        built += 1
+        f_den = lcm(*(a.denominator for a in c.f.coeffs))
+        theta_den = lcm(*(a.denominator for a in c.theta.coeffs))
+        with_c += f_den > 1
+        with_d += theta_den > 1
+        for x in range(m + 1):
+            want = sylvester_resultant(c.f, PolyQ.of([x * x]) - c.theta)
+            assert c.h.evaluate(x) == want, (f, theta, x)
+        chi = fraction_resultant_in_y(c.f, c.theta).coeffs[::2]
+        sums = [q for s in power_sums(chi, 3 * m - 1) for q in (2 * s, 0)][:-1]
+        assert list(c.power_sums) == sums, (f, theta)
+        real = real_root_count(c.f)
+        tarski = rational_tarski_query(c.f, c.theta)
+        assert (c.real_count, c.ramified_count) == (real, (real - tarski) // 2)
+        primes: set[int] = set()
+        for n in (f_den, sylvester_discriminant(c.f), theta_den,
+                  sylvester_resultant(c.f, c.theta)):
+            primes.update(factor_rational(n)[1])
+        assert c.exactness_gaps == frozenset(primes - {2}), (f, theta)
+        for p in primes_up_to(60):
+            if p != 2 and p not in primes:
+                etale.component_split_at(c, p)
+        for p, square in c.square_at.items():
+            assert square == _square_at_every_factor(c.f, c.theta, p), (f, theta, p)
+    assert with_c >= 40 and with_d >= 40
+
+
 def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
-    # A valid component is checked through chi = h's even coefficients and
-    # a good prime where theta is a non-square; h is factored only when
-    # theta is a square at every prime tried, and f only to name an error.
+    # A valid component is checked through chi, as the integer chi_T of
+    # D * theta from the resultant's Newton loop, and a good prime where
+    # theta is a non-square; h is factored only when theta is a square at
+    # every prime tried, and f only to name an error.
     calls = []
     real_is_irreducible = etale.is_irreducible
+    real_is_monic_irreducible = etale.is_monic_irreducible
 
     def counting(g):
         calls.append(g)
         return real_is_irreducible(g)
 
+    def counting_monic(g, s):
+        calls.append(g)
+        return real_is_monic_irreducible(g, s)
+
+    def chi_T(f, theta):
+        g, _, W, _, s = integer_kernel(f, theta)
+        return resultant_in_y(g, W, s)
+
     rng = random.Random(11)
     specs = [random_general_spec(rng) for _ in range(20)]
     monkeypatch.setattr(etale, "is_irreducible", counting)
+    monkeypatch.setattr(etale, "is_monic_irreducible", counting_monic)
     for spec in specs:
         calls.clear()
         c = build_component(spec)
-        assert calls == [PolyQ(c.h.coeffs[::2])], spec
+        assert calls == [chi_T(c.f, c.theta)], spec
     # Each message for its own input, in the old precedence: a reducible f
     # is named even when theta is also 0 mod f.
     f2 = [-2, 0, 1]
@@ -241,20 +320,21 @@ def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
     ]
     for f_coeffs, theta_coeffs, message, names in cases:
         f = PolyQ.of(f_coeffs)
-        h = resultant_in_y(f, PolyQ.of(theta_coeffs) % f)
-        polys = {"f": f, "h": h, "chi": PolyQ(h.coeffs[::2])}
+        theta = PolyQ.of(theta_coeffs) % f
+        h = fraction_resultant_in_y(f, theta)
+        polys = {"f": f, "h": h, "chi": chi_T(f, theta)}
         calls.clear()
         with pytest.raises(ComponentValidationError, match=message):
             build_component(general(f_coeffs, theta_coeffs))
         assert calls == [polys[n] for n in names], (f_coeffs, theta_coeffs)
-    assert polys["chi"] == PolyQ.of([1, -6, 1])
+    assert polys["chi"] == [1, -6, 1]
 
 
 def _reference_validation(f: PolyQ, theta: PolyQ) -> str | None:
     """Validation by h alone: None when h is irreducible, else the message
     naming why, with a reducible f named first."""
     theta = theta % f
-    if is_irreducible(resultant_in_y(f, theta)):
+    if is_irreducible(fraction_resultant_in_y(f, theta)):
         return None
     if not is_irreducible(f):
         return "f is reducible"
@@ -293,7 +373,7 @@ def test_field_check_matches_irreducibility_of_h():
         expected = _reference_validation(f, theta)
         kinds[kind, expected] = kinds.get((kind, expected), 0) + 1
         if kind == "square" and not (theta % f).is_zero:
-            chi = resultant_in_y(f, theta % f).coeffs[::2]
+            chi = fraction_resultant_in_y(f, theta % f).coeffs[::2]
             square_generators += is_irreducible(PolyQ(chi))
         if expected is None:
             build_component(GeneralSpec(f, theta))
@@ -364,7 +444,7 @@ def test_block_rule_splitting_against_factor_counts():
                 continue
             f_factors = factor_mod_p(c.f.reduce_mod_p(p), p)
             h_factors = factor_mod_p(c.h.reduce_mod_p(p), p)
-            status = alg.component_split(0, Place.finite(p))
+            status = alg.component_split(0, Place(p))
             assert status.is_split == (len(h_factors) == 2 * len(f_factors)), (spec, p)
             degrees = [len(g) - 1 for g, _ in f_factors]
             multi += len(degrees) > len(set(degrees))
@@ -425,7 +505,7 @@ def test_quad_splitting_matches_legendre_behaviour():
         c = build_component(quad(d))
         alg = algebra(quad(d))
         for p in primes_up_to(60):
-            status = alg.component_split(0, Place.finite(p))
+            status = alg.component_split(0, Place(p))
             assert not status.is_indeterminate
             if p == 2:
                 expected = d % 8 == 1
@@ -451,19 +531,20 @@ def test_degree_one_general_twin_matches_quad():
         for p in primes_up_to(60):
             if p == 2 or p in twin.exactness_gaps:
                 continue
-            got = talg.component_split(0, Place.finite(p))
-            want = ralg.component_split(0, Place.finite(p))
+            got = talg.component_split(0, Place(p))
+            want = ralg.component_split(0, Place(p))
             assert not got.is_indeterminate
             assert got == want, (d, p)
         assert talg.component_split(0, INFINITY) == ralg.component_split(0, INFINITY)
 
 
 def test_quad_components_are_built_in_closed_form(monkeypatch):
-    # h = x^2 - d and the power sums (2, 0, 2d) need no resultant and no
-    # Newton's identities; the degree-one general twin, which runs both,
-    # shows the counter is live and that the results agree.
+    # h = x^2 - d and the power sums (2, 0, 2d) need no integer kernel, no
+    # resultant and no Newton's identities; the degree-one general twin,
+    # which runs all three, shows the counter is live and that the results
+    # agree.
     calls: list[str] = []
-    for name in ("resultant_in_y", "power_sums"):
+    for name in ("integer_kernel", "resultant_in_y", "power_sums"):
         original = getattr(etale, name)
 
         def counting(*args, _name=name, _original=original):
@@ -476,7 +557,7 @@ def test_quad_components_are_built_in_closed_form(monkeypatch):
         component = build_component(quad(d))
         assert calls == []
         twin = build_component(general([-1, 1], [d]))
-        assert calls == ["resultant_in_y", "power_sums"]
+        assert calls == ["integer_kernel", "resultant_in_y", "power_sums"]
         assert component.h == twin.h
         assert component.power_sums == twin.power_sums
     calls.clear()
@@ -510,7 +591,7 @@ def test_general_splitting_against_factor_count_oracle():
             hp = c.h.reduce_mod_p(p)
             f_factors = sum(e for _, e in factor_mod_p(fp, p))
             h_factors = sum(e for _, e in factor_mod_p(hp, p))
-            status = alg.component_split(0, Place.finite(p))
+            status = alg.component_split(0, Place(p))
             assert not status.is_indeterminate
             assert status.is_split == (h_factors == 2 * f_factors), (spec, p)
             checked += 1
@@ -596,8 +677,8 @@ def test_algebra_split_conjunction():
     assert alg.statuses(INFINITY) == (NONSPLIT, NONSPLIT)
     # Split everywhere requires every component split.
     pair = algebra(quad(-1), quad(-3))
-    assert pair.statuses(Place.finite(13)) == (SPLIT, SPLIT)  # 1 mod 4 and 3
-    assert pair.statuses(Place.finite(5)) == (SPLIT, NONSPLIT)  # 5 = 2 mod 3
+    assert pair.statuses(Place(13)) == (SPLIT, SPLIT)  # 1 mod 4 and 3
+    assert pair.statuses(Place(5)) == (SPLIT, NONSPLIT)  # 5 = 2 mod 3
     # Indeterminate blocks an otherwise-split conjunction.
     blocked = algebra(quad(-1), general([-5, 0, 1], [0, 1]))
     assert blocked.statuses(V5) == (SPLIT, INDETERMINATE)
@@ -628,5 +709,5 @@ def test_quad_components_never_indeterminate():
     alg = algebra(quad(-1), quad(10), quad(-15))
     for i in range(3):
         for p in primes_up_to(40):
-            assert not alg.component_split(i, Place.finite(p)).is_indeterminate
+            assert not alg.component_split(i, Place(p)).is_indeterminate
         assert not alg.component_split(i, INFINITY).is_indeterminate

@@ -48,7 +48,7 @@ from helpers import (
 )
 
 P = PolyQ.of
-V3, V5 = Place.finite(3), Place.finite(5)
+V3, V5 = Place(3), Place(5)
 
 
 def test_make_element_coercions_and_reduction():
@@ -250,11 +250,11 @@ def test_local_bits_cover_both_classes_at_nonsplit_places():
     at a split place only the hyperbolic bit appears."""
     cases = [
         (algebra(quad(-1)), V3, 3, V5),  # 3 inert, 5 split in Q(i)
-        (algebra(quad(-3)), V5, 5, Place.finite(13)),  # 5 inert, 13 = 1 mod 3
+        (algebra(quad(-3)), V5, 5, Place(13)),  # 5 inert, 13 = 1 mod 3
         (algebra(general([-2, 0, 1], [0, 1])), V5, 5, None),
         (algebra(general([-2, 0, 1], [-2, 1])), V5, 5, None),
-        (algebra(quad(2)), V5, 5, Place.finite(7)),  # 2 nonresidue mod 5
-        (algebra(quad(-7)), V5, 5, Place.finite(2)),  # -7 = 1 mod 8: 2 splits
+        (algebra(quad(2)), V5, 5, Place(7)),  # 2 nonresidue mod 5
+        (algebra(quad(-7)), V5, 5, Place(2)),  # -7 = 1 mod 8: 2 splits
     ]
     for alg, nonsplit_v, height, split_v in cases:
         # Flipping the bit at an odd place needs an element of odd valuation

@@ -21,7 +21,7 @@ from torusembed.arith.polyfp import (
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
-    hermite_pivots,
+    integer_kernel,
     integerize,
     is_irreducible,
     rational_roots,
@@ -32,6 +32,7 @@ from torusembed.etale import _signature
 
 from helpers import (
     fraction_resultant_in_y,
+    hermite_pivots,
     is_irreducible_mod_p,
     random_general_spec,
     rational_tarski_query,
@@ -189,16 +190,24 @@ def test_is_irreducible_lifts_and_recombines():
 
 
 def test_resultant_in_y_eliminates_the_variable():
-    # h(x) = Res_y(f(y), x^2 - theta(y)) for f = y^2 - 2, theta = y gives f(x^2).
-    f = P([-2, 0, 1])
-    assert resultant_in_y(f, P([0, 1])).coeffs == (-2, 0, 0, 0, 1)
-    # Constant theta: Res_y(f(y), x^2 - c) = (x^2 - c)^(deg f).
-    assert resultant_in_y(f, P([3])).coeffs == (9, 0, -6, 0, 1)
+    # Res_y(f(y), x^2 - theta(y)) = chi(x^2) comes back as the integer chi_T
+    # of T = D * theta.  For f = y^2 - 2, theta = y it gives f(x^2).
+    def chi_T(f, theta):
+        g, _, W, D, s = integer_kernel(f, theta)
+        return resultant_in_y(g, W, s), D
 
+    f = P([-2, 0, 1])
+    assert chi_T(f, P([0, 1])) == ([-2, 0, 1], 1)
+    # Constant theta: Res_y(f(y), x^2 - c) = (x^2 - c)^(deg f).
+    assert chi_T(f, P([3])) == ([9, -6, 1], 1)
+    # f = y^2 - 1/2 has c = 2 and g = z^2 - 2; theta = y/3 has D = 6, so
+    # chi_T = 36 * chi(x/6) = x^2 - 2 for chi = x^2 - 1/18.
+    assert chi_T(P([Fraction(-1, 2), 0, 1]), P([0, Fraction(1, 3)])) == ([-2, 0, 1], 6)
 
 
 def test_resultant_in_y_matches_the_fraction_reference():
-    # The integer traces give the same h as the Fraction reference on valid
+    # The integer traces give the same h as the Fraction reference, once
+    # chi_T's coefficient of x^j is divided by D^(m-j), on valid
     # components of degree 1-5 with rational coefficients, on raw pairs with
     # theta unreduced or zero, and on the degree-5 component whose theta has
     # full degree and denominators in both f and theta.
@@ -220,7 +229,11 @@ def test_resultant_in_y_matches_the_fraction_reference():
     full = rational = 0
     for f, theta in pairs:
         want = fraction_resultant_in_y(f, theta)
-        assert resultant_in_y(f, theta) == want, (f, theta)
+        g, _, W, D, s = integer_kernel(f, theta)
+        m = f.degree
+        chi = [Fraction(a, D ** (m - j)) for j, a in enumerate(resultant_in_y(g, W, s))]
+        assert list(want.coeffs[::2]) == chi, (f, theta)
+        assert not any(want.coeffs[1::2]), (f, theta)
         full += theta.degree == f.degree - 1 and f.degree == 5
         rational += any(c.denominator > 1 for c in f.coeffs + theta.coeffs)
     assert full >= 10 and rational >= 100

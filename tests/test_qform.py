@@ -24,8 +24,8 @@ from helpers import (
     symbol_support,
 )
 
-V2, V3, V5 = (Place.finite(p) for p in (2, 3, 5))
-PLACES = [V2, V3, V5, Place.finite(7), Place.finite(11), INFINITY]
+V2, V3, V5 = (Place(p) for p in (2, 3, 5))
+PLACES = [V2, V3, V5, Place(7), Place(11), INFINITY]
 
 
 def random_space(rng: random.Random, dim: int) -> QuadraticSpace:
@@ -286,7 +286,7 @@ def test_invariants_factor_each_entry_not_the_determinant(monkeypatch):
     # 12! is 2^10 3^5 5^2 7 11, so det and disc lie in the class of 231.
     assert (inv.det.rep, inv.disc.rep, inv.signature) == (231, 231, (12, 0))
     assert inv.hasse_support == frozenset(
-        Place.finite(v) for v in (2, 5, 11, 10**9 + 9)
+        Place(v) for v in (2, 5, 11, 10**9 + 9)
     )
-    places = [Place.finite(v) for v in (2, 3, 5, 7, 11, p, q)] + [INFINITY]
+    places = [Place(v) for v in (2, 3, 5, 7, 11, p, q)] + [INFINITY]
     assert inv.hasse_support == {v for v in places if space.local_hasse_bit(v)}

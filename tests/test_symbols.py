@@ -21,7 +21,7 @@ from torusembed.etale import QuadSpec, build_algebra
 from bruteforce import brute_hilbert_bit
 from helpers import candidate_places, is_local_square, symbol_support
 
-V2, V3, V5, V7 = (Place.finite(p) for p in (2, 3, 5, 7))
+V2, V3, V5, V7 = (Place(p) for p in (2, 3, 5, 7))
 
 
 def test_legendre_symbol_small_cases():
@@ -76,7 +76,7 @@ def test_hilbert_symbol_against_brute_force_grid():
 
 def test_hilbert_symbol_laws_random():
     rng = random.Random(7)
-    places = [V2, V3, V5, V7, Place.finite(13), INFINITY]
+    places = [V2, V3, V5, V7, Place(13), INFINITY]
     for _ in range(300):
         a = Fraction(rng.randint(-60, 60) or 1, rng.randint(1, 12))
         b = Fraction(rng.randint(-60, 60) or 1, rng.randint(1, 12))
@@ -137,13 +137,11 @@ def test_symbol_support_frozen_and_even():
 
 
 def test_place_basics():
-    assert Place.finite(2) == V2
+    assert Place(2) == V2
     assert INFINITY.is_infinite
     assert not V3.is_infinite
     assert str(INFINITY) == "inf"
     assert str(V7) == "7"
-    with pytest.raises(ValueError):
-        Place.finite(4)
     ordered = sorted([INFINITY, V5, V2], key=Place.sort_key)
     assert ordered == [V2, V5, INFINITY]
 
@@ -151,7 +149,7 @@ def test_place_basics():
 # ------------------------------------------------ one-pass Hasse bit kernel
 
 PRIME7 = 1_000_003
-KERNEL_PLACES = (INFINITY, V2, V3, V5, Place.finite(PRIME7))
+KERNEL_PLACES = (INFINITY, V2, V3, V5, Place(PRIME7))
 
 # Numerators and denominators carry powers of 2, 3 and a 7-digit prime, times
 # a small cofactor that varies the unit parts.

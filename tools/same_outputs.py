@@ -9,7 +9,10 @@ Each ``*_SRC`` is a directory that holds the ``torusembed`` package (the
 by ``bench/corpus.py`` at seeds 1 and 2, ``bench/run.py``'s ``E2E_COUNT`` of
 them per workload (at most N with ``--count``).  Every document is run through
 ``decide``, ``local`` and ``invariants``, and every ``oracle-search`` document
-also through ``oracle``.  The runs keep the human summary, so standard error
+also through ``oracle``.  So do ``RATIONAL_COUNT`` documents generated here
+(at most N with ``--count``), whose one ``general`` component has
+denominators in f and theta, which no corpus document has: 12,980 runs in
+all.  The runs keep the human summary, so standard error
 is compared too, without its ``elapsed:`` timing line.  Each tree runs all of
 them in one child process, as in-process ``torusembed.cli.main`` calls.  The
 tool exits 1 at the first run whose stdout, stderr or exit code differs, and 0
@@ -21,9 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +66,44 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
 
 _PARTS = ("exit code", "stdout", "stderr")
 
+RATIONAL_COUNT = 60
+
+
+def rational_documents(count: int) -> list[tuple[dict, dict]]:
+    """``count`` seeded documents, each one ``general`` component with
+    denominators in f and theta, as (document, {}) operations.
+
+    A field from ``corpus._general_component`` (deg f 2-5, integral) is
+    rewritten in the generator y/a of F, so f(a*y)/a^m has denominators, and
+    theta(a*y) is divided by the square b^2, so K does not change.  Odd
+    documents carry the planted trace form of a random alpha, even ones a
+    random diagonal form of the same rank.
+    """
+    rng = random.Random("rational-components")
+    ops = []
+    for k in range(count):
+        m = 2 + k % 4
+        f, theta = corpus._general_component(rng, m)
+        a, b = rng.choice((2, 3)), rng.choice((2, 3, 5))
+        f = [Fraction(c, a ** (m - i)) for i, c in enumerate(f)]
+        theta = [Fraction(c * a**i, b * b) for i, c in enumerate(theta)]
+        if k % 2:
+            alpha = corpus._random_alpha(rng, m, 2)
+            form = corpus._form(gram=corpus.trace_gram(f, theta, alpha))
+        else:
+            entries = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                for _ in range(2 * m)
+            ]
+            form = corpus._form(entries=entries)
+        component = {
+            "type": "general",
+            "f": [corpus._rational(c) for c in f],
+            "theta": [corpus._rational(c) for c in theta],
+        }
+        ops.append(({"algebra": [component], "form": form}, {}))
+    return ops
+
 
 def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
     """Write every generated document under ``work``; return the argv lists."""
@@ -76,6 +119,10 @@ def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
                     runs.append([command, entry["path"]])
                 if workload == "oracle-search":
                     runs.append(["oracle", entry["path"]])
+    n = RATIONAL_COUNT if count is None else min(count, RATIONAL_COUNT)
+    for entry in corpus.write_corpus(rational_documents(n), work / "rational"):
+        for command in ("decide", "local", "invariants"):
+            runs.append([command, entry["path"]])
     return runs
 
 
