@@ -10,7 +10,8 @@ its power sums, by Hensel lifting a mod-p factorization and trying factor
 recombinations (degrees up to 12 keep the subset search trivial; Cohen,
 GTM 138, 3.5).  Integer polynomials are ascending int lists that share the
 ``polyfp`` kernel's ``_raw_mul`` and ``_strip``; the modular factors and
-their lifts are kernel lists too.
+their lifts are kernel lists too.  A ``PolyQ`` is never reduced mod p: the
+modular readers take the kernel's integer lists to ``polyfp.fp_reduce``.
 """
 
 from __future__ import annotations
@@ -157,16 +158,6 @@ class PolyQ(Record):
         if self.degree < 1:
             return self.monic()
         return (self // self.gcd(self.derivative())).monic()
-
-    def reduce_mod_p(self, p: int) -> list[int]:
-        """Image in F_p[x] as a kernel list; every coefficient denominator
-        must be prime to p."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator % p == 0:
-                raise ValueError(f"coefficient denominator divisible by {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p))
-        return fp_reduce(out, p)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -15,13 +15,16 @@ h(x) = chi(x^2) = Res_y(f(y), x^2 - theta(y)) is the minimal polynomial of
 sqrt(theta).  chi_T's power sums test chi's irreducibility and give those of
 h's roots, p_w = Tr_{K/Q}(sqrt(theta)^w), which are 2*Tr_{F/Q}(theta^(w/2))
 for even w and 0 for odd w, and which give every trace-form Gram block.
+A component keeps this kernel, not f and theta: g, W, D and chi_T's power
+sums t, with h for the report.  A quad component keeps the trivial kernel
+g = y - d, W = d, D = 1 and t = (1, d), so readers take one path.
 
 A general component is a field exactly when h is irreducible, that is, when
 chi is irreducible (theta generates F) and theta is not a square in F.  The
 second condition is settled by one good prime (an odd prime outside the gap
 set below) where theta is a non-square modulo a distinct-degree block of
-f mod p; h itself is factored only if theta is a square at the first few good
-primes.
+f mod p, read as D*W modulo the matching block of g mod p; h itself is
+factored only if theta is a square at the first few good primes.
 
 Each component also carries discriminant and determinant square classes, the
 counts of its real places (ramified = theta negative there), and a
@@ -30,7 +33,7 @@ Hermite's form Tr_{F/Q}(w * y^(i+j)) has signature sum sign w(x) over the real
 roots x of f, for w = 1 and w = theta (W over Z).  The discriminant class is that of the
 norm Res(f, theta) = (-1)^m * chi(0), since disc(h) = 4^m * Res(f, theta) *
 disc(chi)^2.  For general components the splitting is read off the
-distinct-degree blocks of f mod p by the same rule, exactly at odd primes away
+distinct-degree blocks of g mod p by the same rule, exactly at odd primes away
 from a finite documented gap set (primes dividing the data's discriminants and
 norm, plus 2); at the gap primes the oracle abstains unless the user supplies
 an annotation.  The block rule is the only splitting answer that costs more
@@ -53,7 +56,7 @@ from torusembed.arith.integers import (
     iter_primes,
 )
 from torusembed.arith.places import Place
-from torusembed.arith.polyfp import fp_distinct_degree, fp_mulmod, fp_pow_mod
+from torusembed.arith.polyfp import fp_distinct_degree, fp_mulmod, fp_pow_mod, fp_reduce
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
@@ -112,15 +115,16 @@ class GeneralSpec(Record):
 
 
 class Component:
-    """A validated field component of an etale algebra with involution."""
+    """A validated field component: its integer kernel g, W, D, t, and h."""
 
     def __init__(
         self,
         spec: QuadSpec | GeneralSpec,
-        f: PolyQ,
-        theta: PolyQ,
+        g: list[int],
+        W: list[int],
+        D: int,
+        t: list[int],
         h: PolyQ,
-        power_sums: tuple[Fraction, ...],
         degree: int,
         disc_class: SquareClass,
         det_class: SquareClass,
@@ -130,10 +134,11 @@ class Component:
         square_at: dict[int, bool],
     ) -> None:
         self.spec = spec
-        self.f = f
-        self.theta = theta
+        self.g = g
+        self.W = W
+        self.D = D
+        self.t = t
         self.h = h
-        self.power_sums = power_sums
         self.degree = degree
         self.disc_class = disc_class
         self.det_class = det_class
@@ -150,7 +155,7 @@ class Component:
 
     @property
     def fixed_degree(self) -> int:
-        return self.f.degree
+        return len(self.g) - 1
 
     @property
     def unramified_real_count(self) -> int:
@@ -195,11 +200,10 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         sign, facs = factor_integer(d)
         if any(e > 1 for _, e in facs):
             raise ComponentValidationError(f"d = {d} must be squarefree")
-        f = PolyQ.of((-d, 1))
-        theta = PolyQ.of((d,))
-        # h = x^2 - d, whose roots +-sqrt(d) have the power sums 2, 0, 2d.
+        # The trivial kernel of f = y - d and theta = d: g = f, W = d, D = 1,
+        # and chi_T = x - d, whose root d has the power sums 1, d.
+        g, W, D, t = [-d, 1], [d], 1, [1, d]
         h = PolyQ.of((-d, 0, 1))
-        sums = (Fraction(2), Fraction(0), Fraction(2 * d))
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
@@ -258,7 +262,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         good = (p for p in iter_primes() if p != 2 and p not in bad)
         square_at = {}
         for p in islice(good, 8):
-            square_at[p] = _is_square_at(f, theta, p)
+            square_at[p] = _is_square_at(g, W, D, p)
             if not square_at[p]:
                 break
         if all(square_at.values()) and not is_irreducible(h):
@@ -270,21 +274,17 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # Ramified real places are the roots of f where theta < 0.
         real_count = _signature(ones)
         ramified_count = (real_count - _signature(hankel_pivots(W, s, m))) // 2
-        # The power sums of h's roots, p_0 .. p_(6m-4): p_(2k) = 2 * t_k / D^k,
-        # and the odd ones are 0.
-        sums = tuple(
-            q for k, x in enumerate(t) for q in (Fraction(2 * x, D**k), zero)
-        )[:-1]
 
     det_sign = -1 if (h.degree // 2) % 2 else 1
     det_class = SquareClass.of(det_sign) * disc_class
 
     return Component(
         spec=spec,
-        f=f,
-        theta=theta,
+        g=g,
+        W=W,
+        D=D,
+        t=t,
         h=h,
-        power_sums=sums,
         degree=h.degree,
         disc_class=disc_class,
         det_class=det_class,
@@ -300,16 +300,17 @@ def _signature(pivots: list[int]) -> int:
     return sum(1 if prev * a > 0 else -1 for prev, a in zip([1, *pivots], pivots))
 
 
-def _is_square_at(f: PolyQ, theta: PolyQ, p: int) -> bool:
-    """Whether theta is a square at every place of F above the good prime p.
-
-    r = theta^((p^k - 1)/2) is 1 or -1 modulo each degree-k factor of f, and
-    1 where theta is a square; by the Chinese remainder theorem r is 1
-    modulo the block exactly when it is 1 modulo every factor.
+def _is_square_at(g: list[int], W: list[int], D: int, p: int) -> bool:
+    """Whether theta = W(z)/D is a square at every place of F above the good
+    prime p.  c and D are units mod p, so z = c*y maps the blocks of f mod p
+    onto those of g, and theta * D^2 = D * W(z).  So with T = D * W,
+    r = T^((p^k - 1)/2) is 1 or -1 modulo each degree-k factor of g, and 1
+    where theta is a square; by the Chinese remainder theorem r is 1 modulo
+    the block exactly when it is 1 modulo every factor.
     """
-    theta_p = theta.reduce_mod_p(p)
-    for block, k in fp_distinct_degree(f.reduce_mod_p(p), p):
-        r = fp_pow_mod(theta_p, (p**k - 1) // 2, block, p)
+    T = fp_reduce([D * w for w in W], p)
+    for block, k in fp_distinct_degree(fp_reduce(g, p), p):
+        r = fp_pow_mod(T, (p**k - 1) // 2, block, p)
         assert fp_mulmod(r, r, block, p) == [1], "theta is a unit at good primes"
         if r != [1]:
             return False
@@ -335,7 +336,7 @@ def component_split_at(
         return SplitStatus(annotation) if annotation else INDETERMINATE
     square = c.square_at.get(p)
     if square is None:
-        square = c.square_at[p] = _is_square_at(c.f, c.theta, p)
+        square = c.square_at[p] = _is_square_at(c.g, c.W, c.D, p)
     return SPLIT if square else NONSPLIT
 
 

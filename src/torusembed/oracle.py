@@ -48,13 +48,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, prod
-from typing import Iterator, Sequence
+from math import isqrt, prod
+from typing import Sequence
 
 from .arith import PolyQ, SquareClass
 from .arith.integers import factor_rational
 from .arith.places import Place
-from .arith.polyq import bareiss_pivots
+from .arith.polyq import bareiss_pivots, integerize
 from .arith.symbols import places_over
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
@@ -104,19 +104,30 @@ def make_element(algebra: EtaleAlgebra, parts: Sequence) -> AlgebraElement:
     return AlgebraElement(tuple(reduced))
 
 
+def _scaled_sums(comp: Component) -> tuple[int, list[int]]:
+    """(L, [L * s_n]) for n = 0 .. 3m-2, where s_n = 2 * t_n / D^n =
+    2 * Tr_F(theta^n) is the power sum p_(2n) of h's roots and L = D^(3m-2)."""
+    top = len(comp.t) - 1
+    return comp.D**top, [2 * x * comp.D ** (top - n) for n, x in enumerate(comp.t)]
+
+
+def _hankel(sums: list[int], vec: Sequence[int]) -> list[int]:
+    """The Hankel vector [sum_k vec_k * sums_(k+n)] for n < 2 * len(vec)."""
+    return [sum(c * sums[k + n] for k, c in enumerate(vec) if c) for n in range(2 * len(vec))]
+
+
 def _component_gram(comp: Component, part: PolyQ) -> list[list[Fraction]]:
     """Gram block of q_alpha restricted to one component, over the monomial
     basis 1, y, ..., y^(d-1), of a part reduced mod h: with p_w = Tr(y^w),
-        B[u][v] = Tr(part * y^u * sigma(y^v)) = (-1)^v * sum_k c_2k * p_(2k+u+v)."""
-    d, p = comp.degree, comp.power_sums
-    c = part.coeffs
-    sums = [
-        sum(c[k] * p[k + w] for k in range(0, len(c), 2)) for w in range(2 * d - 1)
-    ]
-    return [
-        [(-sums[u + v] if v % 2 else sums[u + v]) for v in range(d)]
-        for u in range(d)
-    ]
+        B[u][v] = Tr(part * y^u * sigma(y^v)) = (-1)^v * sum_k c_2k * p_(2k+u+v),
+    which is (-1)^v * H_((u+v)/2) / (L * den) for even u + v and 0 for odd,
+    with part = vec(y^2) / den over Z and H the Hankel vector of vec."""
+    scale, sums = _scaled_sums(comp)
+    coeffs, den = integerize(part)
+    m = comp.fixed_degree
+    h = _hankel(sums, (coeffs[::2] + [0] * m)[:m])
+    q = [x for n in h for x in (Fraction(n, scale * den), Fraction(0))]
+    return [[-q[u + v] if v % 2 else q[u + v] for v in range(2 * m)] for u in range(2 * m)]
 
 
 class TraceFormResult:
@@ -164,48 +175,25 @@ def trace_form(algebra: EtaleAlgebra, alpha: AlgebraElement) -> TraceFormResult:
     return TraceFormResult(gram=gram, space=QuadraticSpace.from_gram(rows))
 
 
-def _component_vectors(dim: int, height: int) -> Iterator[tuple[int, ...]]:
-    """All nonzero integer vectors of the given dimension with entries in
-    [-height, height], in ascending lexicographic order."""
-    rng = range(-height, height + 1)
-    for vec in itertools.product(rng, repeat=dim):
-        if any(vec):
-            yield vec
-
-
-def _vector_to_part(vec: Sequence[int]) -> PolyQ:
-    """Even-power polynomial with these coefficients: vec[m] * y^(2m)."""
-    coeffs: list[int] = []
-    for c in vec:
-        coeffs.append(c)
-        coeffs.append(0)
-    return PolyQ.of(coeffs[:-1] if coeffs else [0])
-
-
 class _Trace:
     """One component's trace data for one search, and the known places.
 
     With s_n = 2 * Tr_F(theta^n) = p_(2n), a block's Gram matrix splits over
     the bases {y^(2i)} and {y^(2i+1)} into the Hankel halves
     E[i][j] = sum_k c_k * s_(k+i+j) and O[i][j] = -sum_k c_k * s_(k+i+j+1),
-    because the odd power sums of the even h vanish.  ``known`` is the set
-    of places every block is compared on first.
+    because the odd power sums of the even h vanish; ``scaled_sums`` holds
+    the s_n over Z.  ``known`` is the set of places every block is compared
+    on first.
     """
 
     def __init__(self, component: Component, known: tuple[Place, ...] = ()) -> None:
         self.component = component
         self.known = known
+        self.scaled_sums = _scaled_sums(component)
 
     @cached_property
     def known_primes(self) -> frozenset[int]:
         return frozenset(v.p for v in self.known if not v.is_infinite)
-
-    @cached_property
-    def scaled_sums(self) -> tuple[int, list[int]]:
-        """(L, [L * s_n]) with L the lcm of the denominators of the s_n."""
-        sums = self.component.power_sums[::2]
-        scale = lcm(*(s.denominator for s in sums))
-        return scale, [s.numerator * (scale // s.denominator) for s in sums]
 
     @cached_property
     def unit_det(self) -> int:
@@ -224,7 +212,7 @@ def _halves(trace: _Trace, vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """
     scale, sums = trace.scaled_sums
     m = len(vec)
-    h = [sum(c * sums[k + n] for k, c in enumerate(vec) if c) for n in range(2 * m)]
+    h = _hankel(sums, vec)
     even = bareiss_pivots([h[i : i + m] for i in range(m)])
     odd = bareiss_pivots([[-x for x in h[i + 1 : i + 1 + m]] for i in range(m)])
     diagonal = tuple(
@@ -248,7 +236,8 @@ class _Block:
 
     @cached_property
     def part(self) -> PolyQ:
-        return _vector_to_part(self.vec)
+        """The even-power polynomial sum_i vec_i * y^(2i)."""
+        return PolyQ.of([x for c in self.vec for x in (c, 0)][:-1])
 
     @cached_property
     def halves(self) -> tuple[tuple[int, ...], int]:
@@ -293,8 +282,8 @@ def _streams(
     streams = []
     for comp in algebra.components:
         trace = _Trace(comp, known)
-        vectors = _component_vectors(comp.fixed_degree, height)
-        streams.append([_Block(trace, vec) for vec in vectors])
+        vectors = itertools.product(range(-height, height + 1), repeat=comp.fixed_degree)
+        streams.append([_Block(trace, vec) for vec in vectors if any(vec)])
     return streams
 
 

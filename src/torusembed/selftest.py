@@ -1,9 +1,10 @@
 """Embedded consistency suites that need only the standard library.
 
-Seven fixed-input suites, each running one kernel once against known
+Eight fixed-input suites, each running one kernel once against known
 answers: Hilbert symbols and Hasse bits, integer factorization, factorization
 mod p, irreducibility over Q, real-root counts by isolation and the real
-places of pinned components from Hermite's form, the trace forms of two pinned
+places of pinned components from Hermite's form, the block rule's splitting
+of a component with denominators in f and theta, the trace forms of two pinned
 elements (their signatures and the discriminant identity), and six
 decisions, two with a status indeterminate at 2.  The randomized and
 brute-force checks, and the reference functions they compare against, live in
@@ -27,7 +28,15 @@ from .arith.places import INFINITY, Place
 from .arith.sturm import isolate_real_roots
 from .arith.symbols import hasse_bit, hilbert_symbol
 from .engine import decide
-from .etale import GeneralSpec, QuadSpec, build_algebra, build_component
+from .etale import (
+    NONSPLIT,
+    SPLIT,
+    GeneralSpec,
+    QuadSpec,
+    build_algebra,
+    build_component,
+    component_split_at,
+)
 from .oracle import make_element, trace_form
 from .qform import QuadraticSpace
 
@@ -98,7 +107,15 @@ def _suite_real_roots() -> None:
     for f, theta, real, ramified in fields:
         c = build_component(GeneralSpec(PolyQ.of(f), PolyQ.of(theta)))
         counts = (c.real_count, c.ramified_count)
-        _check(counts == (real, ramified), f"real places of {c.f}, {c.theta}")
+        _check(counts == (real, ramified), f"real places of {f}, {theta}")
+
+
+def _suite_block_rule() -> None:
+    # F = Q(sqrt(1/2)), theta = y/3 (c = 2, D = 6): f splits mod 7 and 17 and
+    # is inert mod 11; theta is a non-square above 7 only.
+    c = build_component(GeneralSpec(PolyQ.of(("-1/2", 0, 1)), PolyQ.of((0, "1/3"))))
+    for p, status in ((7, NONSPLIT), (11, SPLIT), (17, SPLIT)):
+        _check(component_split_at(c, p) is status, f"splitting of y/3 at {p}")
 
 
 # Q(2^(1/4)) = Q(sqrt 2)(sqrt y), indeterminate at 2.
@@ -147,6 +164,7 @@ _SUITES = [
     ("polynomial factorization mod p", _suite_factor_mod_p),
     ("irreducibility over Q", _suite_irreducible),
     ("real places and root isolation", _suite_real_roots),
+    ("splitting by the block rule", _suite_block_rule),
     ("trace form identities", _suite_trace_identities),
     ("decision pipeline", _suite_decide),
 ]

@@ -39,7 +39,7 @@ from torusembed.etale import (
     build_algebra,
     build_component,
 )
-from torusembed.oracle import AlgebraElement, _component_gram, _streams, make_element
+from torusembed.oracle import AlgebraElement, _streams, make_element
 from torusembed.qform import (
     QFInvariants,
     QuadraticSpace,
@@ -77,6 +77,27 @@ def random_general_spec(rng: random.Random, max_degree: int = 4) -> GeneralSpec:
         except ComponentValidationError:
             continue
         return spec
+
+
+def base_field(component: Component) -> tuple[PolyQ, PolyQ]:
+    """(f, theta mod f) of a component, from its spec: (y - d, d) for a
+    quad component.  A component itself keeps only its integer kernel."""
+    spec = component.spec
+    if isinstance(spec, QuadSpec):
+        return P(-spec.d, 1), P(spec.d)
+    return spec.f, spec.theta % spec.f
+
+
+def reduce_mod_p(poly: PolyQ, p: int) -> list[int]:
+    """Image of poly in F_p[x] as a kernel list; every coefficient
+    denominator must be prime to p.  The reference for the block rule's
+    reduction of the integer kernel."""
+    out = []
+    for c in poly.coeffs:
+        if c.denominator % p == 0:
+            raise ValueError(f"coefficient denominator divisible by {p}")
+        out.append(c.numerator * pow(c.denominator, -1, p))
+    return fp_reduce(out, p)
 
 
 def fraction_resultant_in_y(f: PolyQ, theta: PolyQ) -> PolyQ:
@@ -225,8 +246,7 @@ def fixed_field_image(component: Component, part: PolyQ) -> PolyQ:
     """
     if any(c != 0 for i, c in enumerate(part.coeffs) if i % 2):
         raise ValueError("element is not fixed by the involution")
-    f = component.f
-    theta = component.theta % f
+    f, theta = base_field(component)
     result = PolyQ.zero()
     power = PolyQ.of((1,))
     for m in range(part.degree // 2 + 1):
@@ -252,7 +272,8 @@ def ramified_sign_counts(alg: EtaleAlgebra, alpha: AlgebraElement) -> tuple[int,
         if a.is_zero:
             raise ValueError("element vanishes at a real embedding")
         T = rational_tarski_query
-        signed = T(comp.f, a) - T(comp.f, comp.theta * a)
+        f, theta = base_field(comp)
+        signed = T(f, a) - T(f, theta * a)
         pos += (2 * comp.ramified_count + signed) // 4
         neg += (2 * comp.ramified_count - signed) // 4
     return pos, neg
@@ -434,11 +455,30 @@ def symbol_support(a: Fraction | int, b: Fraction | int) -> frozenset[Place]:
     )
 
 
+def fraction_component_gram(comp: Component, part: PolyQ) -> list[list[Fraction]]:
+    """Reference for the oracle's integer ``_component_gram``, in Fraction
+    arithmetic: the Gram block of q_alpha on one component, over the
+    monomial basis 1, y, ..., y^(d-1), of a part reduced mod h.  With the
+    power sums p_(2k) = 2 * t_k / D^k of h's roots (the odd ones are 0),
+        B[u][v] = Tr(part * y^u * sigma(y^v)) = (-1)^v * sum_k c_2k * p_(2k+u+v)."""
+    d, D = comp.degree, comp.D
+    p = [q for k, x in enumerate(comp.t) for q in (Fraction(2 * x, D**k), Fraction(0))]
+    c = part.coeffs
+    sums = [
+        sum(c[k] * p[k + w] for k in range(0, len(c), 2)) for w in range(2 * d - 1)
+    ]
+    return [
+        [(-sums[u + v] if v % 2 else sums[u + v]) for v in range(d)]
+        for u in range(d)
+    ]
+
+
 def factored_block_invariants(comp, vec) -> QFInvariants:
     """Reference for the oracle's bounded block invariants: those of the
     Gram block of the part with even-power coefficients ``vec``, with every
     diagonal entry factored."""
-    return QuadraticSpace.from_gram(_component_gram(comp, symmetric_part(vec))).invariants
+    gram = fraction_component_gram(comp, symmetric_part(vec))
+    return QuadraticSpace.from_gram(gram).invariants
 
 
 def equivalent_over_q(q1: QuadraticSpace, q2: QuadraticSpace) -> bool:

@@ -339,18 +339,19 @@ def test_witness_walk_matches_a_per_pair_search(monkeypatch):
 
 def test_decide_evaluates_each_block_rule_once(monkeypatch):
     # Within one document the field check and the engine share one answer
-    # per (component, prime); components are told apart by f and theta.
+    # per (component, prime); components are told apart by their kernel
+    # lists g and W.
     rng = random.Random(53)
     evaluations: list[tuple[int, int, int]] = []
     queries: set[tuple[int, int, int]] = set()
     is_square_at, split_at = etale._is_square_at, etale.component_split_at
 
-    def counting(f, theta, p):
-        evaluations.append((id(f), id(theta), p))
-        return is_square_at(f, theta, p)
+    def counting(g, W, D, p):
+        evaluations.append((id(g), id(W), p))
+        return is_square_at(g, W, D, p)
 
     def asking(c, p, annotation=None):
-        queries.add((id(c.f), id(c.theta), p))
+        queries.add((id(c.g), id(c.W), p))
         return split_at(c, p, annotation)
 
     monkeypatch.setattr(etale, "_is_square_at", counting)

@@ -35,6 +35,7 @@ from torusembed.oracle import make_element, trace_form
 
 from helpers import (
     algebra,
+    base_field,
     diag,
     fraction_resultant_in_y,
     general,
@@ -42,6 +43,7 @@ from helpers import (
     random_general_spec,
     rational_tarski_query,
     real_root_count,
+    reduce_mod_p,
     squarefree_part,
     sylvester_discriminant,
     sylvester_resultant,
@@ -147,11 +149,12 @@ def test_h_is_the_resultant_of_f_and_x2_minus_theta():
     rng = random.Random(41)
     for _ in range(60):
         c = build_component(random_general_spec(rng))
+        f, theta = base_field(c)
         m = c.fixed_degree
         assert c.h.degree == 2 * m and c.h.lc == 1
         for x0 in range(2 * m + 1):
-            expected = sylvester_resultant(c.f, PolyQ.constant(x0 * x0) - c.theta)
-            assert c.h.evaluate(x0) == expected, (c.f.coeffs, c.theta.coeffs, x0)
+            expected = sylvester_resultant(f, PolyQ.constant(x0 * x0) - theta)
+            assert c.h.evaluate(x0) == expected, (f.coeffs, theta.coeffs, x0)
 
 
 def test_real_counts_match_isolation_and_trace_signature():
@@ -164,7 +167,7 @@ def test_real_counts_match_isolation_and_trace_signature():
     for i in range(60):
         spec = random_general_spec(rng) if i < 40 else random_general_spec(rng, 5)
         c = build_component(spec)
-        assert c.real_count == len(isolate_real_roots(c.f)), spec
+        assert c.real_count == len(isolate_real_roots(spec.f)), spec
         alg = build_algebra([spec])
         # The signature from the signs of the diagonal: the full invariants
         # would factor its entries, which can be large at degree 10.
@@ -197,15 +200,16 @@ def test_real_counts_and_gaps_match_the_sturm_and_sylvester_references():
         except ComponentValidationError:
             continue
         built += 1
-        real = len(isolate_real_roots(c.f))
+        cf, ctheta = base_field(c)
+        real = len(isolate_real_roots(cf))
         assert c.real_count == real, (f, theta)
-        assert c.ramified_count == (real - rational_tarski_query(c.f, c.theta)) // 2
+        assert c.ramified_count == (real - rational_tarski_query(cf, ctheta)) // 2
         primes: set[int] = set()
         for x in (
             lcm(*(a.denominator for a in f)),
-            sylvester_discriminant(c.f),
+            sylvester_discriminant(cf),
             lcm(*(a.denominator for a in theta)),
-            sylvester_resultant(c.f, c.theta),
+            sylvester_resultant(cf, ctheta),
         ):
             primes.update(factor_rational(x)[1])
         assert c.exactness_gaps == frozenset(primes - {2}), (f, theta)
@@ -217,10 +221,10 @@ def test_real_counts_and_gaps_match_the_sturm_and_sylvester_references():
 def _square_at_every_factor(f: PolyQ, theta: PolyQ, p: int) -> bool:
     """Euler's criterion modulo each irreducible factor of f mod p: the
     per-prime reference for the block rule kept in ``square_at``."""
-    theta_p = theta.reduce_mod_p(p)
+    theta_p = reduce_mod_p(theta, p)
     return all(
         fp_pow_mod(theta_p, (p ** (len(phi) - 1) - 1) // 2, phi, p) == [1]
-        for phi, _ in factor_mod_p(f.reduce_mod_p(p), p)
+        for phi, _ in factor_mod_p(reduce_mod_p(f, p), p)
     )
 
 
@@ -248,31 +252,46 @@ def test_integer_kernel_matches_the_fraction_references():
         except ComponentValidationError:
             continue
         built += 1
-        f_den = lcm(*(a.denominator for a in c.f.coeffs))
-        theta_den = lcm(*(a.denominator for a in c.theta.coeffs))
+        cf, ctheta = base_field(c)
+        f_den = lcm(*(a.denominator for a in cf.coeffs))
+        theta_den = lcm(*(a.denominator for a in ctheta.coeffs))
         with_c += f_den > 1
         with_d += theta_den > 1
         for x in range(m + 1):
-            want = sylvester_resultant(c.f, PolyQ.of([x * x]) - c.theta)
+            want = sylvester_resultant(cf, PolyQ.of([x * x]) - ctheta)
             assert c.h.evaluate(x) == want, (f, theta, x)
-        chi = fraction_resultant_in_y(c.f, c.theta).coeffs[::2]
+        # The kernel's t_k / D^k are the power sums of chi's roots, and
+        # 2 * t_k / D^k those of h's roots at even powers.
+        chi = fraction_resultant_in_y(cf, ctheta).coeffs[::2]
         sums = [q for s in power_sums(chi, 3 * m - 1) for q in (2 * s, 0)][:-1]
-        assert list(c.power_sums) == sums, (f, theta)
-        real = real_root_count(c.f)
-        tarski = rational_tarski_query(c.f, c.theta)
+        got = [q for k, x in enumerate(c.t) for q in (Fraction(2 * x, c.D**k), 0)]
+        assert got[:-1] == sums, (f, theta)
+        real = real_root_count(cf)
+        tarski = rational_tarski_query(cf, ctheta)
         assert (c.real_count, c.ramified_count) == (real, (real - tarski) // 2)
         primes: set[int] = set()
-        for n in (f_den, sylvester_discriminant(c.f), theta_den,
-                  sylvester_resultant(c.f, c.theta)):
+        for n in (f_den, sylvester_discriminant(cf), theta_den,
+                  sylvester_resultant(cf, ctheta)):
             primes.update(factor_rational(n)[1])
         assert c.exactness_gaps == frozenset(primes - {2}), (f, theta)
         for p in primes_up_to(60):
             if p != 2 and p not in primes:
                 etale.component_split_at(c, p)
         for p, square in c.square_at.items():
-            assert square == _square_at_every_factor(c.f, c.theta, p), (f, theta, p)
+            assert square == _square_at_every_factor(cf, ctheta, p), (f, theta, p)
     assert with_c >= 40 and with_d >= 40
 
+
+def test_selftest_block_rule_answers_match_the_reference():
+    # selftest pins the block rule on f = y^2 - 1/2 and theta = y/3 (c = 2,
+    # D = 6) at 7, 11 and 17; Euler's criterion modulo each factor of f
+    # gives the same answers.
+    f, theta = PolyQ.of((Fraction(-1, 2), 0, 1)), PolyQ.of((0, Fraction(1, 3)))
+    c = build_component(GeneralSpec(f, theta))
+    assert (c.g, c.W, c.D) == ([-2, 0, 1], [0, 1], 6)
+    for p, square in ((7, False), (11, True), (17, True)):
+        assert _square_at_every_factor(f, theta, p) is square, p
+        assert etale.component_split_at(c, p) is (SPLIT if square else NONSPLIT), p
 
 def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
     # A valid component is checked through chi, as the integer chi_T of
@@ -302,7 +321,7 @@ def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
     for spec in specs:
         calls.clear()
         c = build_component(spec)
-        assert calls == [chi_T(c.f, c.theta)], spec
+        assert calls == [chi_T(*base_field(c))], spec
     # Each message for its own input, in the old precedence: a reducible f
     # is named even when theta is also 0 mod f.
     f2 = [-2, 0, 1]
@@ -417,13 +436,14 @@ def test_disc_h_is_the_norm_times_a_square():
     degrees = set()
     for _ in range(60):
         c = build_component(random_general_spec(rng, 5))
+        f, theta = base_field(c)
         m = c.fixed_degree
         chi = PolyQ(c.h.coeffs[::2])
-        norm = sylvester_resultant(c.f, c.theta)
-        assert norm == (-1) ** m * chi.coeff(0), (c.f, c.theta)
+        norm = sylvester_resultant(f, theta)
+        assert norm == (-1) ** m * chi.coeff(0), (f, theta)
         expected = 4**m * norm * sylvester_discriminant(chi) ** 2
-        assert sylvester_discriminant(c.h) == expected, (c.f, c.theta)
-        degrees.add((m, c.theta.degree))
+        assert sylvester_discriminant(c.h) == expected, (f, theta)
+        degrees.add((m, theta.degree))
     assert {(m, m - 1) for m in range(1, 6)} <= degrees
 
 
@@ -437,13 +457,13 @@ def test_block_rule_splitting_against_factor_counts():
         spec = random_general_spec(rng) if i < 6 else random_general_spec(rng, 5)
         c = build_component(spec)
         alg = build_algebra([spec])
-        disc_f, disc_h = sylvester_discriminant(c.f), sylvester_discriminant(c.h)
+        disc_f, disc_h = sylvester_discriminant(spec.f), sylvester_discriminant(c.h)
         bad = disc_f.numerator * disc_h.numerator
         for p in primes_up_to(60):
             if p == 2 or p in c.exactness_gaps or bad % p == 0:
                 continue
-            f_factors = factor_mod_p(c.f.reduce_mod_p(p), p)
-            h_factors = factor_mod_p(c.h.reduce_mod_p(p), p)
+            f_factors = factor_mod_p(reduce_mod_p(spec.f, p), p)
+            h_factors = factor_mod_p(reduce_mod_p(c.h, p), p)
             status = alg.component_split(0, Place(p))
             assert status.is_split == (len(h_factors) == 2 * len(f_factors)), (spec, p)
             degrees = [len(g) - 1 for g, _ in f_factors]
@@ -539,10 +559,10 @@ def test_degree_one_general_twin_matches_quad():
 
 
 def test_quad_components_are_built_in_closed_form(monkeypatch):
-    # h = x^2 - d and the power sums (2, 0, 2d) need no integer kernel, no
-    # resultant and no Newton's identities; the degree-one general twin,
-    # which runs all three, shows the counter is live and that the results
-    # agree.
+    # h = x^2 - d and the trivial kernel (W = d, D = 1, t = (1, d)) need no
+    # integer kernel, no resultant and no Newton's identities; the
+    # degree-one general twin, which runs all three, shows the counter is
+    # live and that the results agree.
     calls: list[str] = []
     for name in ("integer_kernel", "resultant_in_y", "power_sums"):
         original = getattr(etale, name)
@@ -559,7 +579,7 @@ def test_quad_components_are_built_in_closed_form(monkeypatch):
         twin = build_component(general([-1, 1], [d]))
         assert calls == ["integer_kernel", "resultant_in_y", "power_sums"]
         assert component.h == twin.h
-        assert component.power_sums == twin.power_sums
+        assert (component.W, component.D, component.t) == (twin.W, twin.D, twin.t)
     calls.clear()
     algebra(quad(-1), quad(2), quad(-15))
     assert calls == []
@@ -580,15 +600,15 @@ def test_general_splitting_against_factor_count_oracle():
     for spec in specs:
         c = build_component(spec)
         alg = build_algebra([spec])
-        disc_f = sylvester_discriminant(c.f)
+        disc_f = sylvester_discriminant(spec.f)
         disc_h = sylvester_discriminant(c.h)
         for p in primes_up_to(80):
             if p == 2 or p in c.exactness_gaps:
                 continue
             if disc_f.numerator % p == 0 or disc_h.numerator % p == 0:
                 continue
-            fp = c.f.reduce_mod_p(p)
-            hp = c.h.reduce_mod_p(p)
+            fp = reduce_mod_p(spec.f, p)
+            hp = reduce_mod_p(c.h, p)
             f_factors = sum(e for _, e in factor_mod_p(fp, p))
             h_factors = sum(e for _, e in factor_mod_p(hp, p))
             status = alg.component_split(0, Place(p))

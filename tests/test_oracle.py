@@ -18,7 +18,7 @@ from torusembed.arith.integers import factor_rational
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyq import PolyQ
 from torusembed.arith.symbols import places_over
-from torusembed.errors import AuditError
+from torusembed.errors import AuditError, ComponentValidationError
 from torusembed.etale import NONSPLIT, SPLIT, EtaleAlgebra
 from torusembed.oracle import (
     AlgebraElement,
@@ -31,11 +31,14 @@ from torusembed.qform import QuadraticSpace
 import helpers
 from helpers import (
     algebra,
+    base_field,
     diag,
     enumerate_symmetric_units,
     equivalent_over_q,
     factored_block_invariants,
     fixed_field_image,
+    fraction_component_gram,
+    fraction_diagonalize,
     general,
     orthogonal_sum,
     quad,
@@ -126,8 +129,9 @@ def test_trace_form_gram_matches_numeric_roots_of_h():
             offset = 0
             for comp, part in zip(alg.components, alpha.parts):
                 d = comp.degree
-                ys = np.roots([float(c) for c in reversed(comp.f.coeffs)])
-                theta = [float(c) for c in reversed(comp.theta.coeffs)]
+                f, theta = base_field(comp)
+                ys = np.roots([float(c) for c in reversed(f.coeffs)])
+                theta = [float(c) for c in reversed(theta.coeffs)]
                 half = np.sqrt(np.polyval(theta, ys).astype(complex))
                 roots = np.concatenate([half, -half])
                 at_roots = np.polyval([float(c) for c in reversed(part.coeffs)], roots)
@@ -484,7 +488,8 @@ def test_bounded_block_support_matches_the_factored_reference():
                 space = QuadraticSpace.from_gram(gram)
                 r = sum(1 for a in space.diagonal if a > 0)
                 assert (block.positives, 2 * m - block.positives) == (r, 2 * m - r)
-                norm = sylvester_resultant(comp.f, fixed_field_image(comp, block.part))
+                f = base_field(comp)[0]
+                norm = sylvester_resultant(f, fixed_field_image(comp, block.part))
                 assert Fraction(block.halves[1], trace.unit_det) == norm
                 assert not set(block.late_places) & set(known)
                 checked += 1
@@ -497,6 +502,78 @@ def test_bounded_block_support_matches_the_factored_reference():
                 compared[m] += 1
     assert checked == 240
     assert all(count >= 5 for count in compared.values()), compared
+
+
+def _rational_component(rng: random.Random, m: int):
+    """A component with deg f = m, denominators in f and theta two times in
+    three, and theta of any lower degree; m = 0 gives a quad component."""
+    while True:
+        if m == 0:
+            spec = quad(rng.choice([-15, -7, -3, -2, -1, 2, 3, 5, 6, 10]))
+        else:
+            dens = (1, 2, 3, 4) if rng.random() < 2 / 3 else (1,)
+            f = [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(m)]
+            theta = [
+                Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5)))
+                for _ in range(rng.randint(1, m))
+            ]
+            spec = general(f + [1], theta)
+        try:
+            return algebra(spec).components[0]
+        except ComponentValidationError:
+            continue
+
+
+def _is_rational_square(x: Fraction) -> bool:
+    return x > 0 and all(isqrt(n) ** 2 == n for n in (x.numerator, x.denominator))
+
+
+def test_integer_gram_and_halves_match_the_fraction_reference():
+    # The oracle's integer sums L * s_n = 2 * t_n * D^(top - n) against the
+    # Fraction sums 2 * t_n / D^n: on quad components and on deg f = 1..5
+    # with denominators in f and theta, each trace form's Gram block and
+    # diagonal equal the Fraction reference's, and each block's _halves
+    # diagonal is entry by entry in the square class of the reference's
+    # even and odd halves, diagonalized over Q.  Nothing here reads
+    # .invariants: factoring a large target has no budget yet (ROADMAP
+    # item 1).
+    rng = random.Random(211)
+    seen = {m: 0 for m in range(6)}
+    with_d = 0
+    for i in range(60):
+        comps = [_rational_component(rng, (i + k) % 6) for k in range(1 + i % 2)]
+        alg = EtaleAlgebra(tuple(comps))
+        for comp in comps:
+            seen[0 if comp.is_quad else comp.fixed_degree] += 1
+            with_d += comp.D > 1
+        for _ in range(2):
+            alpha = random_symmetric_unit(alg, rng, height=3, halves=True)
+            result = trace_form(alg, alpha)
+            want = [[Fraction(0)] * alg.rank for _ in range(alg.rank)]
+            offset = 0
+            for comp, part in zip(comps, alpha.parts):
+                block = fraction_component_gram(comp, part)
+                for u, row in enumerate(block):
+                    want[offset + u][offset : offset + len(row)] = row
+                offset += comp.degree
+            assert result.gram == tuple(map(tuple, want)), alpha
+            assert result.space.diagonal == fraction_diagonalize(want), alpha
+        for comp in comps:
+            m = comp.fixed_degree
+            trace = oracle._Trace(comp)
+            for height in (1, 2):
+                vec = _random_vector(rng, m, height)
+                gram = fraction_component_gram(comp, symmetric_part(vec))
+                reference = [
+                    *fraction_diagonalize([row[0::2] for row in gram[0::2]]),
+                    *fraction_diagonalize([row[1::2] for row in gram[1::2]]),
+                ]
+                got = oracle._halves(trace, vec)[0]
+                assert len(got) == len(reference) == 2 * m
+                assert all(
+                    _is_rational_square(a / r) for a, r in zip(got, reference)
+                ), (vec, got, reference)
+    assert min(seen.values()) >= 10 and with_d >= 20, (seen, with_d)
 
 
 def test_certificate_compares_signature_det_class_and_bits(unit_corpus):

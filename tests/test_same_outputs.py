@@ -24,8 +24,9 @@ def test_same_outputs_src_against_itself():
     assert done.returncode == 0, done.stdout + done.stderr
     # One document per workload at each of seeds 1 and 2, each run through
     # decide, local and invariants, plus two oracle runs on oracle-search,
-    # and the three runs of one rational-component document.
-    assert done.stdout.strip() == "29 runs: identical stdout, stderr and exit codes"
+    # and the four runs (decide, local, invariants, oracle) of one
+    # rational-component document.
+    assert done.stdout.strip() == "30 runs: identical stdout, stderr and exit codes"
 
 
 def test_same_outputs_stops_at_the_first_difference(tmp_path):

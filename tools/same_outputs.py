@@ -11,8 +11,9 @@ them per workload (at most N with ``--count``).  Every document is run through
 ``decide``, ``local`` and ``invariants``, and every ``oracle-search`` document
 also through ``oracle``.  So do ``RATIONAL_COUNT`` documents generated here
 (at most N with ``--count``), whose one ``general`` component has
-denominators in f and theta, which no corpus document has: 12,980 runs in
-all.  The runs keep the human summary, so standard error
+denominators in f and theta, which no corpus document has; they also run
+through ``oracle --height 2``, the height of their planted alpha, since only
+they reach the oracle's sums with D != 1: 13,040 runs in all.  The runs keep the human summary, so standard error
 is compared too, without its ``elapsed:`` timing line.  Each tree runs all of
 them in one child process, as in-process ``torusembed.cli.main`` calls.  The
 tool exits 1 at the first run whose stdout, stderr or exit code differs, and 0
@@ -123,6 +124,7 @@ def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
     for entry in corpus.write_corpus(rational_documents(n), work / "rational"):
         for command in ("decide", "local", "invariants"):
             runs.append([command, entry["path"]])
+        runs.append(["oracle", "--height", "2", entry["path"]])
     return runs
 
 
