@@ -11,5 +11,3 @@ independent bounded search that constructs realizing elements explicitly.
 """
 
 __version__ = "0.1.0"
-
-__all__ = ["__version__"]

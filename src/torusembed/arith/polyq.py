@@ -4,18 +4,20 @@ Includes a component's integer trace kernel: ``integer_kernel`` integerizes
 f and theta once and takes the power sums of the roots (Newton's
 identities), from which ``resultant_in_y`` gives theta's characteristic
 polynomial over Z and ``hankel_pivots`` the Bareiss pivots of Hermite's trace
-form (real-root counts, signs at the real roots, the discriminant).  Also
-rational roots, and irreducibility over Q of a monic integer polynomial with
-its power sums, by Hensel lifting a mod-p factorization and trying factor
-recombinations (degrees up to 12 keep the subset search trivial; Cohen,
-GTM 138, 3.5).  Integer polynomials are ascending int lists that share the
-``polyfp`` kernel's ``_raw_mul`` and ``_strip``; the modular factors and
-their lifts are kernel lists too.  A ``PolyQ`` is never reduced mod p: the
-modular readers take the kernel's integer lists to ``polyfp.fp_reduce``.
+form (real-root counts, signs at the real roots, the discriminant); ``hankel``
+builds its Hankel vector and the oracle's.  Also rational roots, and
+irreducibility over Q of a monic integer polynomial with its power sums, by
+Hensel lifting a mod-p factorization and trying factor recombinations
+(degrees up to 12 keep the subset search trivial; Cohen, GTM 138, 3.5).
+Integer polynomials are ascending int lists that share the ``polyfp``
+kernel's ``_raw_mul`` and ``_strip``; the modular factors and their lifts are
+kernel lists too.  A ``PolyQ`` is never reduced mod p: the modular readers
+take the kernel's integer lists to ``polyfp.fp_reduce``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
@@ -275,6 +277,12 @@ def integer_kernel(
     return g, c, W, c**e * d, power_sums(g, 2 * m - 1 + e)
 
 
+def hankel(vec: Sequence[int], sums: list[int], count: int) -> list[int]:
+    """The Hankel vector [sum_k vec_k * sums_(k+n)] for n < count; sums must
+    reach index len(vec) + count - 2."""
+    return [sum(c * sums[k + n] for k, c in enumerate(vec) if c) for n in range(count)]
+
+
 def hankel_pivots(W: list[int], s: list[int], m: int) -> list[int]:
     """Bareiss pivots of Hermite's form of a monic integer g of degree m,
     weighted by the integer polynomial W, from the power sums s of g's roots.
@@ -287,7 +295,7 @@ def hankel_pivots(W: list[int], s: list[int], m: int) -> list[int]:
     determinant disc(g).  Raises ValueError ("degenerate form") when g is
     not squarefree or W vanishes at a root of g.
     """
-    h = [sum(x * y for x, y in zip(W, s[n:])) for n in range(2 * m - 1)]
+    h = hankel(W, s, 2 * m - 1)
     return bareiss_pivots([h[i : i + m] for i in range(m)])
 
 

@@ -1,7 +1,7 @@
 """Real roots by Sturm sequences: isolation, the reference for Hermite's form.
 
 The program counts real roots, and the signs of a polynomial at them, with
-``polyq.hermite_pivots``.  ``isolate_real_roots`` is the reference those
+``polyq.hankel_pivots``.  ``isolate_real_roots`` is the reference those
 counts are tested against: it walks the Sturm sequence of f and f' over Q
 (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).  It
 splits off rational roots first, so bisection midpoints are never roots of

@@ -57,8 +57,6 @@ from .engine import (
 from .errors import AuditError, InputDocumentError, format_pairs
 from .oracle import search_realizing_element
 
-__all__ = ["main"]
-
 EXIT_INPUT_ERROR = 4
 EXIT_AUDIT_ERROR = 70
 

@@ -38,8 +38,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from . import __version__
-from .arith import PolyQ
 from .arith.places import Place
+from .arith.polyq import PolyQ
 from .engine import DEFAULT_PRIME_BOUND, DecisionReport, LocalCheckResult
 from .errors import AuditError, ComponentValidationError, InputDocumentError
 from .etale import (
@@ -52,23 +52,6 @@ from .etale import (
 )
 from .oracle import SearchResult
 from .qform import QuadraticSpace, signature_hasse_bit
-
-__all__ = [
-    "Problem",
-    "parse_rational",
-    "render_rational",
-    "parse_problem",
-    "build_inputs",
-    "check_option",
-    "normalize_problem",
-    "place_json",
-    "local_json",
-    "oracle_json",
-    "render_report",
-    "render_decision_report",
-    "render_error",
-    "dump_json",
-]
 
 
 def parse_rational(value: Any, path: str) -> Fraction:

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .arith import iter_primes
+from .arith.integers import iter_primes
 from .arith.places import INFINITY, TWO, Place, sorted_places
 from .errors import AuditError, NeedAnnotations, format_pairs
-from .etale import INDETERMINATE, NONSPLIT, EtaleAlgebra
+from .etale import INDETERMINATE, NONSPLIT, SPLIT, EtaleAlgebra
 from .qform import (
     QuadraticSpace,
     hyperbolic_deviation_set,
@@ -43,27 +43,6 @@ from .qform import (
     signature_hasse_bit,
 )
 from .record import Record
-
-__all__ = [
-    "CONDITION_DISC",
-    "CONDITION_HYPERBOLICITY",
-    "CONDITION_SIGNATURE",
-    "DEFAULT_PRIME_BOUND",
-    "VERDICT_LOCALLY_FAILS",
-    "VERDICT_REALIZABLE",
-    "VERDICT_NOT_REALIZABLE_UP_TO_BOUND",
-    "VERDICT_INCONCLUSIVE",
-    "LocalCheckResult",
-    "BaselineCollection",
-    "WitnessGraph",
-    "DecisionReport",
-    "check_local",
-    "bad_places",
-    "construct_baseline",
-    "parity_vector",
-    "build_graph",
-    "decide",
-]
 
 VERDICT_LOCALLY_FAILS = "locally_fails"
 VERDICT_REALIZABLE = "realizable"
@@ -148,7 +127,7 @@ def check_local(algebra: EtaleAlgebra, form: QuadraticSpace) -> LocalCheckResult
         if INDETERMINATE not in row:
             hyper_failing = v
             break
-        pending.extend((i, v.p) for i, s in enumerate(row) if s.is_indeterminate)
+        pending.extend((i, v.p) for i, s in enumerate(row) if s is INDETERMINATE)
     if hyper_failing is not None:
         hyperbolicity_ok: bool | None = False
     elif pending:
@@ -243,13 +222,13 @@ def construct_baseline(
             continue
         row = algebra.statuses(v)
         if INDETERMINATE in row:
-            pending.extend((i, v.p) for i, s in enumerate(row) if s.is_indeterminate)
+            pending.extend((i, v.p) for i, s in enumerate(row) if s is INDETERMINATE)
             continue
         bits = [
-            int(s.is_split and v in hyperbolic_hasse_support(c.degree))
+            int(s is SPLIT and v in hyperbolic_hasse_support(c.degree))
             for c, s in zip(comps, row)
         ]
-        free = [i for i, s in enumerate(row) if s.is_nonsplit]
+        free = [i for i, s in enumerate(row) if s is NONSPLIT]
         if sum(bits) % 2 != (v in odd):
             if not free:
                 raise AuditError(
@@ -376,8 +355,8 @@ def build_graph(algebra: EtaleAlgebra, bound: int) -> WitnessGraph:
         unsettled = []
         for i, j in pending:
             if (
-                algebra.component_split(i, v).is_nonsplit
-                and algebra.component_split(j, v).is_nonsplit
+                algebra.component_split(i, v) is NONSPLIT
+                and algebra.component_split(j, v) is NONSPLIT
             ):
                 witness[i, j] = v
             else:

@@ -77,23 +77,12 @@ class SplitStatus(Enum):
     """Result of a splitting query: split, nonsplit, or an abstention.
 
     The values are the wire format of a splitting annotation, which accepts
-    the first two."""
+    the first two.  A status is read by identity with ``SPLIT``,
+    ``NONSPLIT`` or ``INDETERMINATE``."""
 
     SPLIT = "split"
     NONSPLIT = "nonsplit"
     INDETERMINATE = "indeterminate"
-
-    @property
-    def is_split(self) -> bool:
-        return self is SplitStatus.SPLIT
-
-    @property
-    def is_nonsplit(self) -> bool:
-        return self is SplitStatus.NONSPLIT
-
-    @property
-    def is_indeterminate(self) -> bool:
-        return self is SplitStatus.INDETERMINATE
 
 
 SPLIT, NONSPLIT, INDETERMINATE = SplitStatus

@@ -51,24 +51,14 @@ from functools import cached_property
 from math import isqrt, prod
 from typing import Sequence
 
-from .arith import PolyQ, SquareClass
-from .arith.integers import factor_rational
+from .arith.integers import SquareClass, factor_rational
 from .arith.places import Place
-from .arith.polyq import bareiss_pivots, integerize
+from .arith.polyq import PolyQ, bareiss_pivots, hankel, integerize
 from .arith.symbols import places_over
 from .errors import AuditError
 from .etale import Component, EtaleAlgebra
 from .qform import QFInvariants, QuadraticSpace, hasse_support
 from .record import Record
-
-__all__ = [
-    "AlgebraElement",
-    "TraceFormResult",
-    "SearchResult",
-    "make_element",
-    "trace_form",
-    "search_realizing_element",
-]
 
 
 class AlgebraElement(Record):
@@ -111,11 +101,6 @@ def _scaled_sums(comp: Component) -> tuple[int, list[int]]:
     return comp.D**top, [2 * x * comp.D ** (top - n) for n, x in enumerate(comp.t)]
 
 
-def _hankel(sums: list[int], vec: Sequence[int]) -> list[int]:
-    """The Hankel vector [sum_k vec_k * sums_(k+n)] for n < 2 * len(vec)."""
-    return [sum(c * sums[k + n] for k, c in enumerate(vec) if c) for n in range(2 * len(vec))]
-
-
 def _component_gram(comp: Component, part: PolyQ) -> list[list[Fraction]]:
     """Gram block of q_alpha restricted to one component, over the monomial
     basis 1, y, ..., y^(d-1), of a part reduced mod h: with p_w = Tr(y^w),
@@ -125,7 +110,7 @@ def _component_gram(comp: Component, part: PolyQ) -> list[list[Fraction]]:
     scale, sums = _scaled_sums(comp)
     coeffs, den = integerize(part)
     m = comp.fixed_degree
-    h = _hankel(sums, (coeffs[::2] + [0] * m)[:m])
+    h = hankel(coeffs[::2], sums, 2 * m)
     q = [x for n in h for x in (Fraction(n, scale * den), Fraction(0))]
     return [[-q[u + v] if v % 2 else q[u + v] for v in range(2 * m)] for u in range(2 * m)]
 
@@ -212,7 +197,7 @@ def _halves(trace: _Trace, vec: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """
     scale, sums = trace.scaled_sums
     m = len(vec)
-    h = _hankel(sums, vec)
+    h = hankel(vec, sums, 2 * m)
     even = bareiss_pivots([h[i : i + m] for i in range(m)])
     odd = bareiss_pivots([[-x for x in h[i + 1 : i + 1 + m]] for i in range(m)])
     diagonal = tuple(

@@ -17,14 +17,10 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .arith import (
-    PolyQ,
-    factor_integer,
-    factor_mod_p,
-    is_irreducible,
-    is_probable_prime,
-)
+from .arith.integers import factor_integer, is_probable_prime
 from .arith.places import INFINITY, Place
+from .arith.polyfp import factor_mod_p
+from .arith.polyq import PolyQ, is_irreducible
 from .arith.sturm import isolate_real_roots
 from .arith.symbols import hasse_bit, hilbert_symbol
 from .engine import decide
@@ -39,8 +35,6 @@ from .etale import (
 )
 from .oracle import make_element, trace_form
 from .qform import QuadraticSpace
-
-__all__ = ["run_all"]
 
 
 def _check(ok: bool, what: str) -> None:

@@ -1068,12 +1068,18 @@ def test_cli_selftest_needs_no_test_dependencies():
         "import torusembed.etale as et\n"
         "kernel = et.component_split_at\n"
         "et.component_split_at = lambda c, p, a=None: (\n"
-        "    et.NONSPLIT if kernel(c, p, a).is_indeterminate else kernel(c, p, a))",
+        "    et.NONSPLIT if kernel(c, p, a) is et.INDETERMINATE else kernel(c, p, a))",
         # The block rule finds theta a square above every good prime.
         "import torusembed.etale as et\n"
         "et._is_square_at = lambda g, W, D, p: True",
+        # Every Hankel entry drops its last term, as a zip over too few
+        # sums would.
+        "import torusembed.arith.polyq as pq\n"
+        "import torusembed.oracle as orc\n"
+        "kernel = pq.hankel\n"
+        "pq.hankel = orc.hankel = lambda vec, sums, count: kernel(vec[:-1], sums, count)",
     ],
-    ids=["hilbert_symbol", "trace_form", "hermite_pivots", "indeterminate", "square_at"],
+    ids=["hilbert_symbol", "trace_form", "hermite_pivots", "indeterminate", "square_at", "hankel"],
 )
 def test_selftest_still_checks_under_optimize(breakage):
     # python -O strips assert statements; a broken kernel must still fail
@@ -1136,32 +1142,58 @@ def _permuted(doc, order):
     return out
 
 
-def test_component_permutation_keeps_the_verdict():
+def _assert_keeps_the_verdict(draws, move):
+    """``decide`` gives each base's exit code and verdict also on
+    ``move(doc, *case)``, for 12 derandomized cases drawn from the tuple of
+    strategies ``draws(doc)``.  Each base gets its own examples, so every
+    verdict is reached whatever the draw; the verdicts are counted."""
     seen = Counter()
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        st.sampled_from(_permutation_bases()).flatmap(
-            lambda doc: st.tuples(
-                st.just(doc), st.permutations(range(len(doc["algebra"])))
-            )
-        )
-    )
-    def check(case):
-        doc, order = case
+    for doc in _permutation_bases():
         code, out, _ = run_cli(["decide", "--json"], json.dumps(doc))
         verdict = json.loads(out)["verdict"]
-        moved_code, moved, _ = run_cli(["decide", "--json"], json.dumps(_permuted(doc, order)))
-        assert (moved_code, json.loads(moved)["verdict"]) == (code, verdict), order
-        seen[verdict] += 1
 
-    check()
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        @given(st.tuples(*draws(doc)))
+        def check(case):
+            moved_code, moved, _ = run_cli(["decide", "--json"], json.dumps(move(doc, *case)))
+            assert (moved_code, json.loads(moved)["verdict"]) == (code, verdict), case
+            seen[verdict] += 1
+
+        check()
     assert set(seen) == {
         "realizable",
         "locally_fails",
         "not_realizable_up_to_bound",
         "inconclusive",
     }, seen
+
+
+def test_component_permutation_keeps_the_verdict():
+    _assert_keeps_the_verdict(
+        lambda doc: (st.permutations(range(len(doc["algebra"]))),), _permuted
+    )
+
+
+def _gram(doc):
+    """The Gram matrix of ``doc``'s form, a diagonal form's included."""
+    form = doc["form"]
+    if "gram" in form:
+        return [[Fraction(str(x)) for x in row] for row in form["gram"]]
+    entries = [Fraction(str(a)) for a in form["diagonal"]]
+    n = len(entries)
+    return [[a if i == j else Fraction(0) for j in range(n)] for i, a in enumerate(entries)]
+
+
+def _congruent(doc, P):
+    """``doc`` with its form moved by the matrix P: a Gram form G becomes
+    P^T G P, and a diagonal form the diagonal of P^T G P, which is all of it
+    for a monomial P."""
+    G, n = _gram(doc), len(P)
+    PtG = [[sum(P[k][u] * G[k][v] for k in range(n)) for v in range(n)] for u in range(n)]
+    moved = [[sum(PtG[u][k] * P[k][v] for k in range(n)) for v in range(n)] for u in range(n)]
+    if "diagonal" in doc["form"]:
+        return dict(doc, form={"diagonal": [render_rational(moved[i][i]) for i in range(n)]})
+    return dict(doc, form={"gram": [[render_rational(x) for x in row] for row in moved]})
 
 
 # Rescalings stay in {1/2, 1, 2, 3}, as the parser fuzz keeps its integers
@@ -1172,53 +1204,47 @@ _RESCALINGS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
 def _monomial_congruent(doc, order, scales):
     """``doc`` with its form moved by the monomial matrix P whose column j
-    has ``scales[j]`` in row ``order[j]``: a diagonal form gets the entries
-    r_j^2 * a_(order[j]), and a Gram form G becomes P^T G P."""
-    out = json.loads(json.dumps(doc))
-    form = doc["form"]
-    if "diagonal" in form:
-        entries = [Fraction(str(form["diagonal"][i])) for i in order]
-        moved = [render_rational(r * r * a) for r, a in zip(scales, entries)]
-        out["form"] = {"diagonal": moved}
-    else:
-        gram = [[Fraction(str(x)) for x in row] for row in form["gram"]]
-        out["form"] = {
-            "gram": [
-                [render_rational(ri * rj * gram[i][j]) for j, rj in zip(order, scales)]
-                for i, ri in zip(order, scales)
-            ]
-        }
-    return out
+    has ``scales[j]`` in row ``order[j]``."""
+    n = len(order)
+    P = [[scales[j] if order[j] == i else 0 for j in range(n)] for i in range(n)]
+    return _congruent(doc, P)
 
 
 def test_monomial_congruence_keeps_the_verdict():
-    # Each base gets its own examples, so every verdict is reached whatever
-    # the derandomized draw.
-    seen = Counter()
-    for doc in _permutation_bases():
-        code, out, _ = run_cli(["decide", "--json"], json.dumps(doc))
-        verdict = json.loads(out)["verdict"]
-        form = doc["form"]
-        n = len(form.get("diagonal") or form["gram"])
-
-        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-        @given(
+    def draws(doc):
+        n = len(_gram(doc))
+        return (
             st.permutations(range(n)),
             st.lists(st.sampled_from(_RESCALINGS), min_size=n, max_size=n),
         )
-        def check(order, scales):
-            moved = _monomial_congruent(doc, order, scales)
-            moved_code, moved_out, _ = run_cli(["decide", "--json"], json.dumps(moved))
-            assert (moved_code, json.loads(moved_out)["verdict"]) == (code, verdict)
-            seen[verdict] += 1
 
-        check()
-    assert set(seen) == {
-        "realizable",
-        "locally_fails",
-        "not_realizable_up_to_bound",
-        "inconclusive",
-    }, seen
+    _assert_keeps_the_verdict(draws, _monomial_congruent)
+
+
+def _unimodular_congruent(doc, order, steps):
+    """``doc`` with its form, as a Gram matrix G, moved to P^T G P: P is the
+    permutation matrix whose column j is e_order[j], then for each step
+    (i, j, c) column j + (j >= i) gets c times column i added, so P stays
+    an integer matrix of determinant +-1."""
+    n = len(order)
+    P = [[int(order[j] == i) for j in range(n)] for i in range(n)]
+    for i, j, c in steps:
+        for row in P:
+            row[j + (j >= i)] += c * row[i]
+    gram = [[render_rational(x) for x in row] for row in _gram(doc)]
+    return _congruent(dict(doc, form={"gram": gram}), P)
+
+
+def test_gram_congruence_keeps_the_verdict():
+    # At most three steps x_i += c * x_j with c = +-1 keep the moved entries
+    # small: factoring has no work budget yet (ROADMAP item 1), so large
+    # entries could make one example run for minutes.
+    def draws(doc):
+        n = len(_gram(doc))
+        step = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), st.sampled_from((1, -1)))
+        return st.permutations(range(n)), st.lists(step, min_size=1, max_size=3)
+
+    _assert_keeps_the_verdict(draws, _unimodular_congruent)
 
 # ---------------------------------------------------------------- parser fuzz
 

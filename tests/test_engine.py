@@ -271,8 +271,8 @@ def _reference_graph(alg, bound, cap):
                 (
                     v
                     for v in places
-                    if alg.component_split(i, v).is_nonsplit
-                    and alg.component_split(j, v).is_nonsplit
+                    if alg.component_split(i, v) is etale.NONSPLIT
+                    and alg.component_split(j, v) is etale.NONSPLIT
                 ),
                 None,
             )

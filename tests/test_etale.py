@@ -465,7 +465,7 @@ def test_block_rule_splitting_against_factor_counts():
             f_factors = factor_mod_p(reduce_mod_p(spec.f, p), p)
             h_factors = factor_mod_p(reduce_mod_p(c.h, p), p)
             status = alg.component_split(0, Place(p))
-            assert status.is_split == (len(h_factors) == 2 * len(f_factors)), (spec, p)
+            assert (status is SPLIT) == (len(h_factors) == 2 * len(f_factors)), (spec, p)
             degrees = [len(g) - 1 for g, _ in f_factors]
             multi += len(degrees) > len(set(degrees))
             checked += 1
@@ -526,14 +526,14 @@ def test_quad_splitting_matches_legendre_behaviour():
         alg = algebra(quad(d))
         for p in primes_up_to(60):
             status = alg.component_split(0, Place(p))
-            assert not status.is_indeterminate
+            assert status is not INDETERMINATE
             if p == 2:
                 expected = d % 8 == 1
             elif d % p == 0:
                 expected = False  # ramified
             else:
                 expected = pow(d % p, (p - 1) // 2, p) == 1
-            assert status.is_split == expected, (d, p)
+            assert (status is SPLIT) == expected, (d, p)
 
 
 def test_degree_one_general_twin_matches_quad():
@@ -553,7 +553,7 @@ def test_degree_one_general_twin_matches_quad():
                 continue
             got = talg.component_split(0, Place(p))
             want = ralg.component_split(0, Place(p))
-            assert not got.is_indeterminate
+            assert got is not INDETERMINATE
             assert got == want, (d, p)
         assert talg.component_split(0, INFINITY) == ralg.component_split(0, INFINITY)
 
@@ -612,39 +612,31 @@ def test_general_splitting_against_factor_count_oracle():
             f_factors = sum(e for _, e in factor_mod_p(fp, p))
             h_factors = sum(e for _, e in factor_mod_p(hp, p))
             status = alg.component_split(0, Place(p))
-            assert not status.is_indeterminate
-            assert status.is_split == (h_factors == 2 * f_factors), (spec, p)
+            assert status is not INDETERMINATE
+            assert (status is SPLIT) == (h_factors == 2 * f_factors), (spec, p)
             checked += 1
     assert checked >= 120
 
 
 def test_split_at_infinity_is_ramification_free():
-    assert algebra(quad(5)).component_split(0, INFINITY).is_split
-    assert algebra(quad(-1)).component_split(0, INFINITY).is_nonsplit
-    assert (
-        algebra(general([-2, 0, 1], [0, 1]))
-        .component_split(0, INFINITY)
-        .is_nonsplit
-    )
-    assert (
-        algebra(general([-2, 0, 1], [2, 1])).component_split(0, INFINITY).is_split
-    )
-    assert (
-        algebra(general([1, 0, 1], [0, 1])).component_split(0, INFINITY).is_split
-    )
+    assert algebra(quad(5)).component_split(0, INFINITY) is SPLIT
+    assert algebra(quad(-1)).component_split(0, INFINITY) is NONSPLIT
+    assert algebra(general([-2, 0, 1], [0, 1])).component_split(0, INFINITY) is NONSPLIT
+    assert algebra(general([-2, 0, 1], [2, 1])).component_split(0, INFINITY) is SPLIT
+    assert algebra(general([1, 0, 1], [0, 1])).component_split(0, INFINITY) is SPLIT
 
 
 def test_general_component_is_indeterminate_at_two_and_gaps():
     alg = algebra(general([-5, 0, 1], [0, 1]))
-    assert alg.component_split(0, V2).is_indeterminate
-    assert alg.component_split(0, V5).is_indeterminate
-    assert not alg.component_split(0, V3).is_indeterminate
+    assert alg.component_split(0, V2) is INDETERMINATE
+    assert alg.component_split(0, V5) is INDETERMINATE
+    assert alg.component_split(0, V3) is not INDETERMINATE
     noted = algebra(
         general([-5, 0, 1], [0, 1]),
         annotations={(0, 2): "nonsplit", (0, 5): "split"},
     )
-    assert noted.component_split(0, V2).is_nonsplit
-    assert noted.component_split(0, V5).is_split
+    assert noted.component_split(0, V2) is NONSPLIT
+    assert noted.component_split(0, V5) is SPLIT
 
 
 def test_annotation_validation():
@@ -729,5 +721,5 @@ def test_quad_components_never_indeterminate():
     alg = algebra(quad(-1), quad(10), quad(-15))
     for i in range(3):
         for p in primes_up_to(40):
-            assert not alg.component_split(i, Place(p)).is_indeterminate
-        assert not alg.component_split(i, INFINITY).is_indeterminate
+            assert alg.component_split(i, Place(p)) is not INDETERMINATE
+        assert alg.component_split(i, INFINITY) is not INDETERMINATE

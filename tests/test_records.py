@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from torusembed import cli
-from torusembed.arith import PolyQ, SquareClass
+from torusembed.arith.integers import SquareClass
 from torusembed.arith.places import INFINITY, TWO, Place
+from torusembed.arith.polyq import PolyQ
 from torusembed.engine import (
     BaselineCollection,
     DecisionReport,
