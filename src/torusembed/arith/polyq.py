@@ -7,8 +7,9 @@ polynomial over Z and ``hankel_pivots`` the Bareiss pivots of Hermite's trace
 form (real-root counts, signs at the real roots, the discriminant); ``hankel``
 builds its Hankel vector and the oracle's.  Also rational roots, and
 irreducibility over Q of a monic integer polynomial with its power sums, by
-Hensel lifting a mod-p factorization and trying factor recombinations
-(degrees up to 12 keep the subset search trivial; Cohen, GTM 138, 3.5).
+the factor degrees mod a few primes, then by Hensel lifting a mod-p
+factorization and trying factor recombinations (degrees up to 12 keep the
+subset search trivial; Cohen, GTM 138, 3.5).
 Integer polynomials are ascending int lists that share the ``polyfp``
 kernel's ``_raw_mul`` and ``_strip``; the modular factors and their lifts are
 kernel lists too.  A ``PolyQ`` is never reduced mod p: the modular readers
@@ -441,10 +442,13 @@ def is_monic_irreducible(g: list[int], s: list[int]) -> bool:
     except ValueError:
         return False
 
-    # An irreducible reduction mod any good prime settles it; otherwise keep
-    # the prime giving the fewest modular factors (counted from the
-    # distinct-degree blocks) to minimize recombination.
+    # A factor over Q has a degree that the factors mod every good prime can
+    # sum to (Musser's degree sets; bit d of ``degrees`` for degree d), so
+    # g is irreducible once only 0 and n are left, as after one irreducible
+    # reduction.  Otherwise keep the prime giving the fewest modular factors
+    # (counted from the distinct-degree blocks) to minimize recombination.
     best: tuple[int, int, list[int]] | None = None
+    degrees = (1 << (n + 1)) - 1
     tried = 0
     for p in iter_primes():
         if p == 2:
@@ -452,8 +456,13 @@ def is_monic_irreducible(g: list[int], s: list[int]) -> bool:
         gp = fp_reduce(g, p)
         if len(fp_gcd(gp, fp_derivative(gp, p), p)) != 1:
             continue
-        count = sum((len(b) - 1) // k for b, k in fp_distinct_degree(gp, p))
-        if count == 1:
+        sums, count = 1, 0
+        for b, k in fp_distinct_degree(gp, p):
+            for _ in range((len(b) - 1) // k):
+                sums |= sums << k
+                count += 1
+        degrees &= sums
+        if degrees == 1 | 1 << n:
             return True
         if best is None or count < best[0]:
             best = (count, p, gp)

@@ -182,22 +182,18 @@ class BaselineCollection(Record):
 
     def __init__(
         self,
-        places: tuple[Place, ...],
         finite_bits: tuple[tuple[Place, tuple[int, ...]], ...],
         infinity_signatures: tuple[tuple[int, int], ...],
     ) -> None:
-        self.places = places
         self.finite_bits = finite_bits
         self.infinity_signatures = infinity_signatures
 
 
 def construct_baseline(
-    algebra: EtaleAlgebra,
-    form: QuadraticSpace,
-    places: tuple[Place, ...] | None = None,
+    algebra: EtaleAlgebra, form: QuadraticSpace, places: tuple[Place, ...]
 ) -> BaselineCollection:
     """Build the lexicographically minimal baseline collection over
-    ``places``, by default ``bad_places(algebra, form)``.
+    ``places``, which ``decide`` takes from ``bad_places(algebra, form)``.
 
     At each finite bad place the parity of the component bit-sum is pinned by
     the form's Hasse bit and the pairwise determinant bit, read off the
@@ -211,8 +207,6 @@ def construct_baseline(
     rows, and :class:`AuditError` on any infeasibility (which the prior local
     checks are supposed to exclude).
     """
-    if places is None:
-        places = bad_places(algebra, form)
     comps = algebra.components
     odd = form.invariants.hasse_support ^ algebra.pairwise_det_support
     pending: list[tuple[int, int]] = []
@@ -258,7 +252,6 @@ def construct_baseline(
         raise AuditError("assigned signatures do not sum to the form's signature")
 
     return BaselineCollection(
-        places=places,
         finite_bits=tuple(finite_entries),
         infinity_signatures=tuple(signatures),
     )

@@ -20,11 +20,10 @@ sums t, with h for the report.  A quad component keeps the trivial kernel
 g = y - d, W = d, D = 1 and t = (1, d), so readers take one path.
 
 A general component is a field exactly when h is irreducible, that is, when
-chi is irreducible (theta generates F) and theta is not a square in F.  The
-second condition is settled by one good prime (an odd prime outside the gap
-set below) where theta is a non-square modulo a distinct-degree block of
-f mod p, read as D*W modulo the matching block of g mod p; h itself is
-factored only if theta is a square at the first few good primes.
+chi is irreducible (theta generates F) and theta is not a square in F.  If
+theta = beta^2 in F, its norm N(theta) = N(beta)^2 is a rational square; so
+a norm outside the square class 1 settles the second condition, and h itself
+is factored only when the norm is a square.
 
 Each component also carries discriminant and determinant square classes, the
 counts of its real places (ramified = theta negative there), and a
@@ -32,14 +31,14 @@ prime-splitting oracle.  The counts come from the power sums of g's roots too:
 Hermite's form Tr_{F/Q}(w * y^(i+j)) has signature sum sign w(x) over the real
 roots x of f, for w = 1 and w = theta (W over Z).  The discriminant class is that of the
 norm Res(f, theta) = (-1)^m * chi(0), since disc(h) = 4^m * Res(f, theta) *
-disc(chi)^2.  For general components the splitting is read off the
-distinct-degree blocks of g mod p by the same rule, exactly at odd primes away
-from a finite documented gap set (primes dividing the data's discriminants and
-norm, plus 2); at the gap primes the oracle abstains unless the user supplies
-an annotation.  The block rule is the only splitting answer that costs more
-than O(1), so each component keeps its answers in ``Component.square_at``: the
-field check's primes and every prime the engine asks about, each evaluated
-once.
+disc(chi)^2.  For general components the splitting is exact at good primes:
+odd primes away from a finite documented gap set (primes dividing the data's
+discriminants and norm).  There theta is a square above p exactly when D*W is
+a square modulo each distinct-degree block of g mod p (the block rule); at 2
+and at the gap primes the oracle abstains unless the user supplies an
+annotation.  The block rule is the only splitting answer that costs more than
+O(1), so each component keeps its answers in ``Component.square_at``: every
+prime the engine asks about, each evaluated once.
 """
 
 from __future__ import annotations
@@ -47,14 +46,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 
-from torusembed.arith.integers import (
-    SquareClass,
-    factor_integer,
-    factor_rational,
-    iter_primes,
-)
+from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import fp_distinct_degree, fp_mulmod, fp_pow_mod, fp_reduce
 from torusembed.arith.polyq import (
@@ -120,7 +113,6 @@ class Component:
         real_count: int,
         ramified_count: int,
         exactness_gaps: frozenset[int],
-        square_at: dict[int, bool],
     ) -> None:
         self.spec = spec
         self.g = g
@@ -134,9 +126,9 @@ class Component:
         self.real_count = real_count
         self.ramified_count = ramified_count
         self.exactness_gaps = exactness_gaps
-        # The block rule's answer (theta a square above p) at the good primes
-        # asked so far, by the field check and by component_split_at.
-        self.square_at = square_at
+        # The block rule's answer (theta a square above p) at each good prime
+        # component_split_at has been asked about.
+        self.square_at: dict[int, bool] = {}
 
     @property
     def is_quad(self) -> bool:
@@ -196,7 +188,6 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
-        square_at: dict[int, bool] = {}
         # F = Q has one real place, ramified exactly when d < 0.
         real_count, ramified_count = 1, int(d < 0)
     else:
@@ -243,22 +234,14 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         bad: set[int] = set()
         for x in (c, ones[-1], D, norm):
             bad.update(factor_rational(x, bad)[1])
-        # A square root of theta in F would reduce to one at every good
-        # prime, where f stays squarefree and theta a unit: a good prime
-        # where theta is a non-square modulo one block proves that K is a
-        # field.  Only if none of the first few primes does is h factored.
-        # The answers are kept for component_split_at.
-        good = (p for p in iter_primes() if p != 2 and p not in bad)
-        square_at = {}
-        for p in islice(good, 8):
-            square_at[p] = _is_square_at(g, W, D, p)
-            if not square_at[p]:
-                break
-        if all(square_at.values()) and not is_irreducible(h):
-            raise ComponentValidationError(_NOT_FULL_DEGREE)
         # disc(h) = 4^m * Res(f, theta) * disc(chi)^2 is in the class of the
         # norm, whose primes are all in the gap set already.
         disc_class = SquareClass.from_factors(*factor_rational(norm, bad))
+        # theta = beta^2 in F would make the norm N(beta)^2 a rational
+        # square, so a norm outside the square class 1 proves that K is a
+        # field; only a square norm leaves h to be factored.
+        if disc_class.rep == 1 and not is_irreducible(h):
+            raise ComponentValidationError(_NOT_FULL_DEGREE)
         gaps = frozenset(bad - {2})
         # Ramified real places are the roots of f where theta < 0.
         real_count = _signature(ones)
@@ -280,7 +263,6 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         real_count=real_count,
         ramified_count=ramified_count,
         exactness_gaps=gaps,
-        square_at=square_at,
     )
 
 
@@ -409,8 +391,6 @@ class EtaleAlgebra:
         return pairwise_det_support([c.det_class for c in self.components])
 
 
-def build_algebra(
-    specs, annotations: dict[tuple[int, int], str] | None = None
-) -> EtaleAlgebra:
-    """Validate all component specs and the annotation keys."""
-    return EtaleAlgebra(tuple(build_component(s) for s in specs), annotations)
+def build_algebra(specs) -> EtaleAlgebra:
+    """Validate all component specs, for an algebra without annotations."""
+    return EtaleAlgebra(tuple(build_component(s) for s in specs))

@@ -36,7 +36,6 @@ from torusembed.etale import (
     EtaleAlgebra,
     GeneralSpec,
     QuadSpec,
-    build_algebra,
     build_component,
 )
 from torusembed.oracle import AlgebraElement, _streams, make_element
@@ -61,7 +60,7 @@ def general(f_coeffs, theta_coeffs) -> GeneralSpec:
 
 
 def algebra(*specs, annotations=None) -> EtaleAlgebra:
-    return build_algebra(specs, annotations)
+    return EtaleAlgebra(tuple(build_component(s) for s in specs), annotations)
 
 
 def random_general_spec(rng: random.Random, max_degree: int = 4) -> GeneralSpec:

@@ -154,7 +154,7 @@ def test_criterion_05_baseline_parity_is_even(unit_corpus):
             skipped += 1
             continue
         try:
-            baseline = construct_baseline(alg, tf.space)
+            baseline = construct_baseline(alg, tf.space, bad_places(alg, tf.space))
         except NeedAnnotations:
             # Unannotated components leave the bit at 2 undetermined even
             # when the local checks pass.

@@ -1246,6 +1246,38 @@ def test_gram_congruence_keeps_the_verdict():
 
     _assert_keeps_the_verdict(draws, _unimodular_congruent)
 
+
+def test_a_rising_bound_keeps_realizable_and_locally_fails():
+    # A larger bound only walks further, so a witness found stays found; the
+    # local checks do not read the bound.  So realizable stays realizable,
+    # locally_fails stays locally_fails, and not_realizable_up_to_bound may
+    # become realizable once the walk reaches a witness.
+    at_bound, moves = Counter(), Counter()
+    for doc in _permutation_bases():
+        bound = doc.get("options", {}).get("prime_bound", DEFAULT_PRIME_BOUND)
+        code, out, _ = run_cli(["decide", "--json"], json.dumps(doc))
+        verdict = json.loads(out)["verdict"]
+        at_bound[verdict] += 1
+
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        @given(st.integers(bound, DEFAULT_PRIME_BOUND))
+        def check(raised):
+            options = dict(doc.get("options", {}), prime_bound=raised)
+            raised_code, out, _ = run_cli(["decide", "--json"], json.dumps(dict(doc, options=options)))
+            raised_verdict = json.loads(out)["verdict"]
+            if verdict in ("realizable", "locally_fails"):
+                assert (raised_code, raised_verdict) == (code, verdict), raised
+            moves[verdict, raised_verdict] += 1
+
+        check()
+    assert set(at_bound) == {
+        "realizable",
+        "locally_fails",
+        "not_realizable_up_to_bound",
+        "inconclusive",
+    }, at_bound
+    assert moves["not_realizable_up_to_bound", "realizable"] >= 1, moves
+
 # ---------------------------------------------------------------- parser fuzz
 
 # Integers stay within |n| <= 10^6 and prime_bound within 10^3: factoring and

@@ -165,8 +165,9 @@ def test_achievable_bits():
 
 def test_construct_baseline_demo_values():
     alg, form = demo_algebra(), demo_form()
-    baseline = construct_baseline(alg, form)
-    assert baseline.places == (TWO, V3, INFINITY)
+    places = bad_places(alg, form)
+    assert places == (TWO, V3, INFINITY)
+    baseline = construct_baseline(alg, form, places)
     finite = dict(baseline.finite_bits)
     assert finite[TWO] == (0, 1)
     assert finite[V3] == (0, 1)
@@ -175,25 +176,28 @@ def test_construct_baseline_demo_values():
 
 
 def test_construct_baseline_cm_pair():
-    alg = algebra(quad(-3), quad(-1))
-    baseline = construct_baseline(alg, diag(1, 1, 1, 3))
+    alg, form = algebra(quad(-3), quad(-1)), diag(1, 1, 1, 3)
     # Component determinant classes are 3 and 1, a pair with empty pairing
     # support, and the form deviates from hyperbolic only at 2 and infinity.
-    assert baseline.places == (TWO, INFINITY)
+    places = bad_places(alg, form)
+    assert places == (TWO, INFINITY)
+    baseline = construct_baseline(alg, form, places)
     assert baseline.infinity_signatures == ((2, 0), (2, 0))
     total = sum(parity_vector(baseline))
     assert total % 2 == 0
 
 
 def test_construct_baseline_needs_annotations():
+    alg, form = algebra(general([-2, 0, 1], [0, 1])), diag(1, 1, 1, -2)
     with pytest.raises(NeedAnnotations) as info:
-        construct_baseline(algebra(general([-2, 0, 1], [0, 1])), diag(1, 1, 1, -2))
+        construct_baseline(alg, form, bad_places(alg, form))
     assert info.value.pending == ((0, 2),)
 
 
 def test_construct_baseline_infeasible_forced_bits():
+    alg, form = algebra(quad(-1), quad(-1)), diag(2, 10, 1, 5)
     with pytest.raises(AuditError, match="no feasible local data"):
-        construct_baseline(algebra(quad(-1), quad(-1)), diag(2, 10, 1, 5))
+        construct_baseline(alg, form, bad_places(alg, form))
 
 
 def test_parity_total_is_even_across_instances():
@@ -205,7 +209,8 @@ def test_parity_total_is_even_across_instances():
         (algebra(quad(2), quad(-5)), diag(1, 1, 1, -10)),
     ]
     for alg, form in cases:
-        assert sum(parity_vector(construct_baseline(alg, form))) % 2 == 0
+        baseline = construct_baseline(alg, form, bad_places(alg, form))
+        assert sum(parity_vector(baseline)) % 2 == 0
 
 
 # -------------------------------------------------------------------- graphs
@@ -338,9 +343,9 @@ def test_witness_walk_matches_a_per_pair_search(monkeypatch):
 
 
 def test_decide_evaluates_each_block_rule_once(monkeypatch):
-    # Within one document the field check and the engine share one answer
-    # per (component, prime); components are told apart by their kernel
-    # lists g and W.
+    # Building the algebra evaluates no block rule, and within one document
+    # the engine evaluates each (component, prime) once; components are told
+    # apart by their kernel lists g and W.
     rng = random.Random(53)
     evaluations: list[tuple[int, int, int]] = []
     queries: set[tuple[int, int, int]] = set()
@@ -356,18 +361,19 @@ def test_decide_evaluates_each_block_rule_once(monkeypatch):
 
     monkeypatch.setattr(etale, "_is_square_at", counting)
     monkeypatch.setattr(etale, "component_split_at", asking)
-    shared = 0
+    evaluated = 0
     for _ in range(30):
         specs = [random_general_spec(rng, 3) for _ in range(rng.randint(2, 3))]
         evaluations.clear()
         queries.clear()
         alg = algebra(*specs)
-        validated = set(evaluations)
+        assert evaluations == []
         form = trace_form(alg, random_symmetric_unit(alg, rng)).space
         decide(alg, form, 60)
         assert len(set(evaluations)) == len(evaluations)
-        shared += len(validated & queries)
-    assert shared >= 10
+        assert set(evaluations) <= queries
+        evaluated += len(evaluations)
+    assert evaluated >= 100
 
 
 def test_decide_builds_bad_places_and_det_support_once(monkeypatch):
@@ -408,7 +414,8 @@ def test_decide_builds_bad_places_and_det_support_once(monkeypatch):
         assert calls["det_support"] == 1
         full += 1
         if report.baseline is not None:
-            assert report.baseline.places == report.bad_places
+            finite = [v for v in report.bad_places if not v.is_infinite]
+            assert [v for v, _ in report.baseline.finite_bits] == finite
             baselines += 1
     assert full >= 20 and baselines >= 3
 

@@ -295,9 +295,9 @@ def test_selftest_block_rule_answers_match_the_reference():
 
 def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
     # A valid component is checked through chi, as the integer chi_T of
-    # D * theta from the resultant's Newton loop, and a good prime where
-    # theta is a non-square; h is factored only when theta is a square at
-    # every prime tried, and f only to name an error.
+    # D * theta from the resultant's Newton loop, and through its norm's
+    # square class; h is factored exactly when the norm is a square, and f
+    # only to name an error.
     calls = []
     real_is_irreducible = etale.is_irreducible
     real_is_monic_irreducible = etale.is_monic_irreducible
@@ -318,10 +318,14 @@ def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
     specs = [random_general_spec(rng) for _ in range(20)]
     monkeypatch.setattr(etale, "is_irreducible", counting)
     monkeypatch.setattr(etale, "is_monic_irreducible", counting_monic)
+    square_norms = 0
     for spec in specs:
         calls.clear()
         c = build_component(spec)
-        assert calls == [chi_T(*base_field(c))], spec
+        square_norm = c.disc_class.rep == 1
+        assert calls == [chi_T(*base_field(c))] + [c.h] * square_norm, spec
+        square_norms += square_norm
+    assert 0 < square_norms < len(specs)
     # Each message for its own input, in the old precedence: a reducible f
     # is named even when theta is also 0 mod f.
     f2 = [-2, 0, 1]
@@ -333,8 +337,8 @@ def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
         (f2, [1], "does not generate a field", ["chi", "f"]),
         # theta = 3 is a non-square but rational, so chi = (x - 3)^2.
         (f2, [3], "does not generate a field", ["chi", "f"]),
-        # theta = (1 + y)^2 = 3 + 2y generates F (chi = x^2 - 6x + 1) and is
-        # a square at every prime, so only h decides.
+        # theta = (1 + y)^2 = 3 + 2y generates F (chi = x^2 - 6x + 1) and
+        # its norm 1 is a square, so only h decides.
         (f2, [3, 2], "does not generate a field", ["chi", "h"]),
     ]
     for f_coeffs, theta_coeffs, message, names in cases:
@@ -364,7 +368,10 @@ def _reference_validation(f: PolyQ, theta: PolyQ) -> str | None:
 
 def test_field_check_matches_irreducibility_of_h():
     # Seeded random specs: a component is accepted exactly when h = chi(x^2)
-    # is irreducible, and otherwise fails with the message of that rule.
+    # is irreducible, and otherwise fails with the message of that rule.  A
+    # twisted theta = r * beta^2 over an even-degree F has a square norm and
+    # may still be a non-square, so the square-norm branch reaches both
+    # outcomes: accepted, and rejected because theta is a square in F.
     rng = random.Random(23)
 
     def small(n):
@@ -372,6 +379,7 @@ def test_field_check_matches_irreducibility_of_h():
 
     kinds = {}
     square_generators = 0  # square theta with chi irreducible: h decides
+    square_norms = set()  # outcomes with chi irreducible and a square norm
     for _ in range(300):
         m = rng.randint(1, 4)
         if m >= 2 and rng.random() < 0.2:  # reducible f
@@ -379,7 +387,7 @@ def test_field_check_matches_irreducibility_of_h():
             f = PolyQ.of(small(k) + [1]) * PolyQ.of(small(m - k) + [1])
         else:
             f = PolyQ.of(small(m) + [1])
-        kind = rng.choice(("random", "random", "zero", "rational", "square"))
+        kind = rng.choice(("random", "random", "zero", "rational", "square", "twisted"))
         if kind == "zero":
             theta = f * PolyQ.of(small(2))
         elif kind == "rational":
@@ -387,13 +395,19 @@ def test_field_check_matches_irreducibility_of_h():
         elif kind == "square":
             beta = PolyQ.of(small(m))
             theta = beta * beta
+        elif kind == "twisted":
+            beta = PolyQ.of(small(m))
+            theta = PolyQ.of([rng.choice((-1, 2, 3, 5))]) * beta * beta
         else:
             theta = PolyQ.of(small(m))
         expected = _reference_validation(f, theta)
         kinds[kind, expected] = kinds.get((kind, expected), 0) + 1
-        if kind == "square" and not (theta % f).is_zero:
+        if not (theta % f).is_zero:
             chi = fraction_resultant_in_y(f, theta % f).coeffs[::2]
-            square_generators += is_irreducible(PolyQ(chi))
+            generates = is_irreducible(PolyQ(chi))
+            square_generators += kind == "square" and generates
+            if generates and squarefree_part((-1) ** m * chi[0]) == 1:
+                square_norms.add(expected)
         if expected is None:
             build_component(GeneralSpec(f, theta))
         else:
@@ -407,6 +421,11 @@ def test_field_check_matches_irreducibility_of_h():
     }
     assert square_generators >= 10
     assert kinds.get(("rational", "does not generate a field"), 0) >= 10
+    assert square_norms == {None, "does not generate a field"}
+    # theta = 9 + 6y = 3 * (1 + y)^2 over Q(sqrt 2) has the square norm 9
+    # and gives K = Q(sqrt 2, sqrt 3).
+    c = build_component(general([-2, 0, 1], [9, 6]))
+    assert c.disc_class.rep == 1 and c.degree == 4
 
 
 def test_degree_five_disc_class_needs_no_large_factoring(monkeypatch):

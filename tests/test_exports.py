@@ -1,6 +1,7 @@
 """Public means no leading underscore: some program file outside the tests
-reads every public module-level name of the package and every public method
-of its classes, and each name is imported from the module that defines it."""
+reads every public module-level name of the package, every public method of
+its classes and every field their constructors set, and each name is
+imported from the module that defines it."""
 
 import ast
 import importlib
@@ -120,6 +121,38 @@ def test_public_methods_have_a_caller_outside_tests():
         for path, cls, name in methods
         if name not in attributes and not any({cls, name} <= pin for pin in pins)
     ]
+    assert unread == []
+
+
+def _init_fields() -> list[tuple[str, str, str]]:
+    """(module path, class, name) of every attribute that an ``__init__`` of
+    a class under ``src/torusembed`` assigns to ``self``."""
+    out = []
+    for path in sorted((ROOT / "src" / "torusembed").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    out.extend(
+                        (str(path.relative_to(ROOT / "src")), cls.name, node.attr)
+                        for node in ast.walk(item)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    )
+    return out
+
+
+def test_init_fields_have_a_reader_outside_tests():
+    # A field that only the tests read is a second copy of a fact some
+    # program reader takes from elsewhere, or a fact no one needs.
+    fields = _init_fields()
+    assert ("torusembed/engine.py", "DecisionReport", "bad_places") in fields
+    assert ("torusembed/etale.py", "Component", "square_at") in fields
+    attributes, _ = _loaded_attributes()
+    unread = [f"{path}: {cls}.{name}" for path, cls, name in fields if name not in attributes]
     assert unread == []
 
 

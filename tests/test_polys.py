@@ -18,6 +18,7 @@ from torusembed.arith.polyfp import (
     fp_reduce,
     fp_rem,
 )
+from torusembed.arith import polyq
 from torusembed.arith.polyq import (
     MAX_IRREDUCIBILITY_DEGREE,
     PolyQ,
@@ -187,6 +188,21 @@ def test_is_irreducible_lifts_and_recombines():
     assert is_irreducible(P([1, 0, -10, 0, 1]))  # sqrt(2) + sqrt(3)
     # sqrt(2) + sqrt(3) + sqrt(5)
     assert is_irreducible(P([576, 0, -960, 0, 352, 0, -40, 0, 1]))
+
+
+def test_is_irreducible_reads_degree_sets_before_factoring(monkeypatch):
+    # x^8 - 17x^6 + 39x^4 + 655x^2 + 625 (h of a component with a square
+    # norm) is reducible modulo every prime, but its factor degrees are
+    # (4, 4) mod 7 and (2, 6) mod 13, which share no proper sum, so no
+    # factorization mod p is needed.  sqrt(2) + sqrt(3) has degrees (2, 2)
+    # or (1, 1, 1, 1) at every prime, so it is still factored.
+    def refuse(gp, p):
+        raise AssertionError("factored mod p")
+
+    monkeypatch.setattr(polyq, "factor_mod_p", refuse)
+    assert is_irreducible(P([625, 0, 655, 0, 39, 0, -17, 0, 1]))
+    with pytest.raises(AssertionError, match="factored mod p"):
+        is_irreducible(P([1, 0, -10, 0, 1]))
 
 
 def test_resultant_in_y_eliminates_the_variable():

@@ -92,8 +92,8 @@ RECORDS = [
     (lambda: AlgebraElement((PolyQ.of([1]),)), AlgebraElement((PolyQ.of([2]),))),
     (lambda: _local(True), _local(False)),
     (
-        lambda: BaselineCollection((TWO,), ((TWO, (0, 1)),), ((1, 1),)),
-        BaselineCollection((TWO,), ((TWO, (1, 0)),), ((1, 1),)),
+        lambda: BaselineCollection(((TWO, (0, 1)),), ((1, 1),)),
+        BaselineCollection(((TWO, (1, 0)),), ((1, 1),)),
     ),
     (
         lambda: WitnessGraph(2, ((0, 1, TWO),), ()),
