@@ -21,9 +21,9 @@ g = y - d, W = d, D = 1 and t = (1, d), so readers take one path.
 
 A general component is a field exactly when h is irreducible, that is, when
 chi is irreducible (theta generates F) and theta is not a square in F.  If
-theta = beta^2 in F, its norm N(theta) = N(beta)^2 is a rational square; so
-a norm outside the square class 1 settles the second condition, and h itself
-is factored only when the norm is a square.
+theta = beta^2 in F, its norm N(theta) = N(beta)^2 is a rational square, so
+only a square norm needs more: it asks the first few good primes (below) for
+one where theta is a non-square, and h is factored only if none is found.
 
 Each component also carries discriminant and determinant square classes, the
 counts of its real places (ramified = theta negative there), and a
@@ -33,12 +33,11 @@ roots x of f, for w = 1 and w = theta (W over Z).  The discriminant class is tha
 norm Res(f, theta) = (-1)^m * chi(0), since disc(h) = 4^m * Res(f, theta) *
 disc(chi)^2.  For general components the splitting is exact at good primes:
 odd primes away from a finite documented gap set (primes dividing the data's
-discriminants and norm).  There theta is a square above p exactly when D*W is
-a square modulo each distinct-degree block of g mod p (the block rule); at 2
-and at the gap primes the oracle abstains unless the user supplies an
-annotation.  The block rule is the only splitting answer that costs more than
-O(1), so each component keeps its answers in ``Component.square_at``: every
-prime the engine asks about, each evaluated once.
+discriminants and norm).  There the norm's Legendre symbol is (-1)^r, r the
+places above p where theta is a non-square; at +1, theta is a square above p
+exactly when D*W is a square modulo each distinct-degree block of g mod p
+(the block rule, evaluated once per prime).  At 2 and at the gap primes the
+oracle abstains unless the user supplies an annotation.
 """
 
 from __future__ import annotations
@@ -46,8 +45,14 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
-from torusembed.arith.integers import SquareClass, factor_integer, factor_rational
+from torusembed.arith.integers import (
+    SquareClass,
+    factor_integer,
+    factor_rational,
+    iter_primes,
+)
 from torusembed.arith.places import Place
 from torusembed.arith.polyfp import fp_distinct_degree, fp_mulmod, fp_pow_mod, fp_reduce
 from torusembed.arith.polyq import (
@@ -126,8 +131,7 @@ class Component:
         self.real_count = real_count
         self.ramified_count = ramified_count
         self.exactness_gaps = exactness_gaps
-        # The block rule's answer (theta a square above p) at each good prime
-        # component_split_at has been asked about.
+        # Block-rule answers (theta a square above p) of component_split_at.
         self.square_at: dict[int, bool] = {}
 
     @property
@@ -168,6 +172,7 @@ class Component:
 _NOT_FULL_DEGREE = (
     "not a field component: sqrt(theta) does not generate a field of the full degree"
 )
+_CERTIFICATE_PRIMES = 8  # good primes to try before a square-norm h is factored
 
 
 def build_component(spec: QuadSpec | GeneralSpec) -> Component:
@@ -237,11 +242,6 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         # disc(h) = 4^m * Res(f, theta) * disc(chi)^2 is in the class of the
         # norm, whose primes are all in the gap set already.
         disc_class = SquareClass.from_factors(*factor_rational(norm, bad))
-        # theta = beta^2 in F would make the norm N(beta)^2 a rational
-        # square, so a norm outside the square class 1 proves that K is a
-        # field; only a square norm leaves h to be factored.
-        if disc_class.rep == 1 and not is_irreducible(h):
-            raise ComponentValidationError(_NOT_FULL_DEGREE)
         gaps = frozenset(bad - {2})
         # Ramified real places are the roots of f where theta < 0.
         real_count = _signature(ones)
@@ -250,7 +250,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
     det_sign = -1 if (h.degree // 2) % 2 else 1
     det_class = SquareClass.of(det_sign) * disc_class
 
-    return Component(
+    component = Component(
         spec=spec,
         g=g,
         W=W,
@@ -264,6 +264,14 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         ramified_count=ramified_count,
         exactness_gaps=gaps,
     )
+    # theta = beta^2 would make the norm N(beta)^2 a rational square; for a
+    # square norm, a good prime where theta is a non-square proves K a field.
+    if disc_class.rep == 1:
+        good = (p for p in iter_primes() if p != 2 and p not in gaps)
+        squares = (component_split_at(component, p) is SPLIT for p in good)
+        if all(islice(squares, _CERTIFICATE_PRIMES)) and not is_irreducible(h):
+            raise ComponentValidationError(_NOT_FULL_DEGREE)
+    return component
 
 
 def _signature(pivots: list[int]) -> int:
@@ -293,18 +301,19 @@ def component_split_at(
 ) -> SplitStatus:
     """Whether every place of F above p splits in K.
 
-    Quadratic-over-Q components are decided exactly at every prime.  General
-    components are decided exactly at odd primes outside the component's gap
-    set, by the block rule kept in ``c.square_at``; at 2 and at gap primes the
-    supplied annotation is used, and the oracle abstains when there is none.
+    Quadratic-over-Q components are decided exactly at every prime, general
+    ones at odd primes outside their gap set: the norm's symbol settles -1,
+    and the block rule, kept in ``c.square_at``, the rest.  At 2 and at gap
+    primes the supplied annotation is used, and the oracle abstains without.
     """
-    if c.is_quad:
-        d = c.spec.d
-        if p == 2:
-            return SPLIT if d % 8 == 1 else NONSPLIT
-        return SPLIT if legendre_symbol(d, p) == 1 else NONSPLIT
+    if p == 2 and c.is_quad:
+        return SPLIT if c.spec.d % 8 == 1 else NONSPLIT
     if p == 2 or p in c.exactness_gaps:
         return SplitStatus(annotation) if annotation else INDETERMINATE
+    # (-1)^r, r the places above p where theta is a non-square; 0 where p | d.
+    symbol = legendre_symbol(c.disc_class.rep, p)
+    if c.is_quad or symbol == -1:
+        return SPLIT if symbol == 1 else NONSPLIT
     square = c.square_at.get(p)
     if square is None:
         square = c.square_at[p] = _is_square_at(c.g, c.W, c.D, p)

@@ -105,10 +105,11 @@ def _suite_real_roots() -> None:
 
 
 def _suite_block_rule() -> None:
-    # F = Q(sqrt(1/2)), theta = y/3 (c = 2, D = 6): f splits mod 7 and 17 and
-    # is inert mod 11; theta is a non-square above 7 only.
+    # F = Q(sqrt(1/2)), theta = y/3 (c = 2, D = 6): f splits mod 7, 17 and 89,
+    # is inert mod 11, and theta is a non-square above 7 (norm symbol -1) and
+    # at both places above 89 (symbol +1: only the block rule tells).
     c = build_component(GeneralSpec(PolyQ.of(("-1/2", 0, 1)), PolyQ.of((0, "1/3"))))
-    for p, status in ((7, NONSPLIT), (11, SPLIT), (17, SPLIT)):
+    for p, status in ((7, NONSPLIT), (11, SPLIT), (17, SPLIT), (89, NONSPLIT)):
         _check(component_split_at(c, p) is status, f"splitting of y/3 at {p}")
 
 

@@ -20,7 +20,13 @@ from torusembed.arith.integers import (
     is_probable_prime,
 )
 from torusembed.arith.places import Place
-from torusembed.arith.polyfp import fp_gcd, fp_pow_mod, fp_reduce, fp_rem
+from torusembed.arith.polyfp import (
+    fp_distinct_degree,
+    fp_gcd,
+    fp_pow_mod,
+    fp_reduce,
+    fp_rem,
+)
 from torusembed.arith.polyq import PolyQ, hankel_pivots, integer_kernel, power_sums
 from torusembed.arith.symbols import (
     hilbert_symbol,
@@ -32,10 +38,13 @@ from torusembed.cli import main as cli_main
 from torusembed.engine import WitnessGraph
 from torusembed.errors import ComponentValidationError
 from torusembed.etale import (
+    NONSPLIT,
+    SPLIT,
     Component,
     EtaleAlgebra,
     GeneralSpec,
     QuadSpec,
+    SplitStatus,
     build_component,
 )
 from torusembed.oracle import AlgebraElement, _streams, make_element
@@ -325,6 +334,24 @@ def is_irreducible_mod_p(f: list[int], p: int) -> bool:
         if len(fp_gcd(f, fp_reduce(g, p), p)) != 1:
             return False
     return True
+
+
+def block_rule_split_at(c: Component, p: int) -> SplitStatus:
+    """``component_split_at`` of a general component at a good prime p with
+    no norm screen: SPLIT exactly when theta = W(z)/D is a square modulo
+    each distinct-degree block of g mod p, read as D * W.  The reference for
+    the screen and for the field check's certificate."""
+    T = fp_reduce([c.D * w for w in c.W], p)
+    for block, k in fp_distinct_degree(fp_reduce(c.g, p), p):
+        if fp_pow_mod(T, (p**k - 1) // 2, block, p) != [1]:
+            return NONSPLIT
+    return SPLIT
+
+
+def good_primes(c: Component, count: int) -> list[int]:
+    """The first ``count`` odd primes outside the component's gap set."""
+    good = (p for p in itertools.count(3, 2) if p not in c.exactness_gaps)
+    return list(itertools.islice(filter(is_probable_prime, good), count))
 
 
 def trial_division_factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:

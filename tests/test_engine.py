@@ -343,8 +343,10 @@ def test_witness_walk_matches_a_per_pair_search(monkeypatch):
 
 
 def test_decide_evaluates_each_block_rule_once(monkeypatch):
-    # Building the algebra evaluates no block rule, and within one document
-    # the engine evaluates each (component, prime) once; components are told
+    # Building the algebra evaluates the block rule only for components
+    # whose norm is a square, and only through component_split_at (the field
+    # check's certificate); within one document each (component, prime) is
+    # evaluated once, by the build or by the engine.  Components are told
     # apart by their kernel lists g and W.
     rng = random.Random(53)
     evaluations: list[tuple[int, int, int]] = []
@@ -361,19 +363,22 @@ def test_decide_evaluates_each_block_rule_once(monkeypatch):
 
     monkeypatch.setattr(etale, "_is_square_at", counting)
     monkeypatch.setattr(etale, "component_split_at", asking)
-    evaluated = 0
-    for _ in range(30):
+    evaluated = built = 0
+    for _ in range(50):
         specs = [random_general_spec(rng, 3) for _ in range(rng.randint(2, 3))]
         evaluations.clear()
         queries.clear()
         alg = algebra(*specs)
-        assert evaluations == []
+        square = {(id(c.g), id(c.W)) for c in alg.components if c.disc_class.rep == 1}
+        assert {(g, W) for g, W, _ in evaluations} <= square
+        assert set(evaluations) <= queries
+        built += len(evaluations)
         form = trace_form(alg, random_symmetric_unit(alg, rng)).space
         decide(alg, form, 60)
         assert len(set(evaluations)) == len(evaluations)
         assert set(evaluations) <= queries
         evaluated += len(evaluations)
-    assert evaluated >= 100
+    assert evaluated >= 100 and built > 0
 
 
 def test_decide_builds_bad_places_and_det_support_once(monkeypatch):

@@ -21,6 +21,7 @@ from torusembed.arith.polyq import (
     resultant_in_y,
 )
 from torusembed.arith.sturm import isolate_real_roots
+from torusembed.arith.symbols import legendre_symbol
 from torusembed.engine import check_local, construct_baseline
 from torusembed.errors import ComponentValidationError, NeedAnnotations
 from torusembed.etale import (
@@ -36,9 +37,11 @@ from torusembed.oracle import make_element, trace_form
 from helpers import (
     algebra,
     base_field,
+    block_rule_split_at,
     diag,
     fraction_resultant_in_y,
     general,
+    good_primes,
     quad,
     random_general_spec,
     rational_tarski_query,
@@ -296,8 +299,9 @@ def test_selftest_block_rule_answers_match_the_reference():
 def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
     # A valid component is checked through chi, as the integer chi_T of
     # D * theta from the resultant's Newton loop, and through its norm's
-    # square class; h is factored exactly when the norm is a square, and f
-    # only to name an error.
+    # square class; h is factored exactly when the norm is a square and
+    # theta is a square above each of the first 8 good primes, and f only
+    # to name an error.
     calls = []
     real_is_irreducible = etale.is_irreducible
     real_is_monic_irreducible = etale.is_monic_irreducible
@@ -323,7 +327,9 @@ def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
         calls.clear()
         c = build_component(spec)
         square_norm = c.disc_class.rep == 1
-        assert calls == [chi_T(*base_field(c))] + [c.h] * square_norm, spec
+        first = good_primes(c, 8)
+        squares = square_norm and all(block_rule_split_at(c, p) is SPLIT for p in first)
+        assert calls == [chi_T(*base_field(c))] + [c.h] * squares, spec
         square_norms += square_norm
     assert 0 < square_norms < len(specs)
     # Each message for its own input, in the old precedence: a reducible f
@@ -351,6 +357,129 @@ def test_general_component_tests_f_only_when_h_is_reducible(monkeypatch):
             build_component(general(f_coeffs, theta_coeffs))
         assert calls == [polys[n] for n in names], (f_coeffs, theta_coeffs)
     assert polys["chi"] == [1, -6, 1]
+
+
+def _full_degree_spec(rng: random.Random, m: int) -> GeneralSpec:
+    """A valid component with deg f = m and deg theta = m - 1."""
+    while True:
+        f = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2))) for _ in range(m)]
+        theta = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 3))) for _ in range(m)]
+        theta[-1] = theta[-1] or Fraction(1)
+        spec = GeneralSpec(PolyQ.of(f + [1]), PolyQ.of(theta))
+        try:
+            build_component(spec)
+        except ComponentValidationError:
+            continue
+        return spec
+
+
+def test_norm_screen_matches_the_block_rule(monkeypatch):
+    # At a good prime the norm's symbol (disc_class.rep / p) is (-1)^r, r the
+    # places above p where theta is a non-square.  component_split_at gives
+    # the unscreened block rule's answer at sampled good primes below 10^5,
+    # a symbol of -1 never meets a square answer, and there the block rule
+    # is not evaluated; at +1 it is, and both answers occur.
+    evaluated = []
+    is_square_at = etale._is_square_at
+
+    def counting(g, W, D, p):
+        evaluated.append(p)
+        return is_square_at(g, W, D, p)
+
+    monkeypatch.setattr(etale, "_is_square_at", counting)
+    rng = random.Random(73)
+    seen = set()
+    for k in range(36):
+        m = 1 + k % 6
+        c = build_component(_full_degree_spec(rng, m))
+        assert c.h.degree == 2 * m
+        # Primes the field check has asked are kept in square_at already.
+        skip = c.exactness_gaps | c.square_at.keys()
+        primes = {p for p in (rng.randrange(3, 10**5) for _ in range(40))
+                  if is_probable_prime(p) and p not in skip}
+        for p in primes:
+            symbol = legendre_symbol(c.disc_class.rep, p)
+            want = block_rule_split_at(c, p)
+            evaluated.clear()
+            assert etale.component_split_at(c, p) is want, (c.spec, p)
+            assert evaluated == ([] if symbol == -1 else [p]), (c.spec, p)
+            assert not (symbol == -1 and want is SPLIT), (c.spec, p)
+            seen.add((m, symbol, want))
+    assert {m for m, _, _ in seen} == set(range(1, 7))
+    assert {(s, w) for _, s, w in seen} == {(-1, NONSPLIT), (1, NONSPLIT), (1, SPLIT)}
+
+
+def test_selftest_pins_a_screened_and_an_unscreened_prime():
+    # selftest's component Q(sqrt(1/2))(sqrt(y/3)) has norm class -2.  At 7
+    # the symbol is -1, so the screen decides; at 89 it is +1 and f splits,
+    # but theta is a non-square at both places, so only the block rule can.
+    f, theta = PolyQ.of((Fraction(-1, 2), 0, 1)), PolyQ.of((0, Fraction(1, 3)))
+    c = build_component(GeneralSpec(f, theta))
+    assert c.disc_class.rep == -2
+    assert legendre_symbol(-2, 7) == -1 and legendre_symbol(-2, 89) == 1
+    assert len(factor_mod_p(reduce_mod_p(f, 89), 89)) == 2
+    assert not _square_at_every_factor(f, theta, 89)
+    assert etale.component_split_at(c, 89) is NONSPLIT
+
+
+def test_square_norm_certificate_stops_at_the_first_nonsplit(monkeypatch):
+    # A component whose norm is a square asks component_split_at at the first
+    # 8 good primes and stops at the first NONSPLIT, which proves theta a
+    # non-square in F; h is factored only if all 8 answer SPLIT.  theta =
+    # r * beta^2 over an even-degree F has a square norm: r = 1 is a square
+    # that asks all 8 and is rejected, and the other r mostly stop early.
+    asked, factored = [], []
+    split_at, irreducible = etale.component_split_at, etale.is_irreducible
+
+    def asking(c, p, annotation=None):
+        asked.append((c, p))
+        return split_at(c, p, annotation)
+
+    def counting(h):
+        factored.append(h)
+        return irreducible(h)
+
+    monkeypatch.setattr(etale, "component_split_at", asking)
+    monkeypatch.setattr(etale, "is_irreducible", counting)
+    rng = random.Random(31)
+    outcomes = set()
+    stops = set()
+    specs = []
+    for _ in range(80):
+        m = rng.choice((2, 4))
+        f = PolyQ.of([rng.randint(-4, 4) for _ in range(m)] + [1])
+        beta = PolyQ.of([rng.randint(-2, 2) for _ in range(m)])
+        r = rng.choice((1, 1, -1, 2, 3, 5))
+        specs.append((r, GeneralSpec(f, PolyQ.of([r]) * beta * beta)))
+    # theta = 443 * (1 + y)^2 over Q(sqrt 2) is a square above each of the
+    # first 8 good primes but not in F: h decides, and accepts it.
+    specs.append((443, general([-2, 0, 1], [1329, 886])))
+    for r, spec in specs:
+        asked.clear()
+        factored.clear()
+        try:
+            build_component(spec)
+            accepted = True
+        except ComponentValidationError:
+            accepted = False
+        if not asked:  # theta is 0 or does not generate F: no norm is read
+            assert not accepted and factored in ([], [spec.f]), spec
+            continue
+        c = asked[0][0]
+        assert c.disc_class.rep == 1 and all(a is c for a, _ in asked), spec
+        first = good_primes(c, 8)
+        answers = [block_rule_split_at(c, p) for p in first]
+        stop = answers.index(NONSPLIT) + 1 if NONSPLIT in answers else len(first)
+        assert [p for _, p in asked] == first[:stop], spec
+        all_square = NONSPLIT not in answers
+        assert factored == [c.h] * all_square, spec
+        assert accepted == (not all_square or irreducible(c.h)), spec
+        if r == 1:
+            assert all_square and not accepted, spec
+        outcomes.add((r == 1, all_square, accepted))
+        stops.add(stop)
+    assert outcomes == {(True, True, False), (False, False, True), (False, True, True)}
+    assert len(stops) >= 3
 
 
 def _reference_validation(f: PolyQ, theta: PolyQ) -> str | None:

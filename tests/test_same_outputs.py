@@ -24,9 +24,10 @@ def test_same_outputs_src_against_itself():
     assert done.returncode == 0, done.stdout + done.stderr
     # One document per workload at each of seeds 1 and 2, each run through
     # decide, local and invariants, plus two oracle runs on oracle-search,
-    # and the four runs (decide, local, invariants, oracle) of one
-    # rational-component document.
-    assert done.stdout.strip() == "30 runs: identical stdout, stderr and exit codes"
+    # the four runs (decide, local, invariants, oracle) of one
+    # rational-component document, and the three (decide, local,
+    # invariants) of one field-check document.
+    assert done.stdout.strip() == "33 runs: identical stdout, stderr and exit codes"
 
 
 def test_same_outputs_stops_at_the_first_difference(tmp_path):

@@ -13,11 +13,15 @@ also through ``oracle``.  So do ``RATIONAL_COUNT`` documents generated here
 (at most N with ``--count``), whose one ``general`` component has
 denominators in f and theta, which no corpus document has; they also run
 through ``oracle --height 2``, the height of their planted alpha, since only
-they reach the oracle's sums with D != 1: 13,040 runs in all.  The runs keep the human summary, so standard error
-is compared too, without its ``elapsed:`` timing line.  Each tree runs all of
-them in one child process, as in-process ``torusembed.cli.main`` calls.  The
-tool exits 1 at the first run whose stdout, stderr or exit code differs, and 0
-when every run agrees.  It uses only the standard library.
+they reach the oracle's sums with D != 1.  ``FIELD_CHECK_COUNT`` more
+generated documents (at most N with ``--count``) reach the field check's
+rejections, which no corpus document does, through ``decide``, ``local`` and
+``invariants``: 13,160 runs in all.  The runs keep the human summary, so
+standard error is compared too, without its ``elapsed:`` timing line.  Each
+tree runs all of them in one child process, as in-process
+``torusembed.cli.main`` calls.  The tool exits 1 at the first run whose
+stdout, stderr or exit code differs, and 0 when every run agrees.  It uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -106,6 +110,37 @@ def rational_documents(count: int) -> list[tuple[dict, dict]]:
     return ops
 
 
+FIELD_CHECK_COUNT = 40
+
+
+def field_check_documents(count: int) -> list[tuple[dict, dict]]:
+    """``count`` seeded documents, each one ``general`` component that the
+    field check must judge, as (document, {}) operations.
+
+    From a field ``(f, beta)`` of ``corpus._general_component`` (deg f 2-4),
+    theta is beta^2 (a square: rejected), r * beta^2 for r in -1, 2, 3, 5
+    (a square norm at even degree; accepted unless r is a square in F), or a
+    rational r (it does not generate F: rejected).  Each carries a random
+    diagonal form of rank 2 * deg f.
+    """
+    rng = random.Random("field-check")
+    ops = []
+    for k in range(count):
+        m = 2 + (k // 6) % 3
+        f, beta = corpus._general_component(rng, m)
+        square = corpus._pmod_monic(corpus._pmul(beta, beta), f)
+        kind = k % 6
+        if kind == 5:
+            theta = [rng.choice((-3, -1, 2, 3, 5))]
+        else:
+            r = (1, -1, 2, 3, 5)[kind]
+            theta = [r * c for c in square]
+        entries = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(2 * m)]
+        component = corpus._general(f, theta)
+        ops.append(({"algebra": [component], "form": corpus._form(entries=entries)}, {}))
+    return ops
+
+
 def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
     """Write every generated document under ``work``; return the argv lists."""
     goldens = corpus.load_goldens(ROOT)
@@ -125,6 +160,10 @@ def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
         for command in ("decide", "local", "invariants"):
             runs.append([command, entry["path"]])
         runs.append(["oracle", "--height", "2", entry["path"]])
+    n = FIELD_CHECK_COUNT if count is None else min(count, FIELD_CHECK_COUNT)
+    for entry in corpus.write_corpus(field_check_documents(n), work / "field-check"):
+        for command in ("decide", "local", "invariants"):
+            runs.append([command, entry["path"]])
     return runs
 
 
