@@ -4,16 +4,20 @@ Factorization removes the primes below 10^4 in two stages: trial division by
 the 25 primes below 100, which stops as soon as p^2 exceeds what is left, and
 otherwise one gcd with the product of the primes from 101 to 9973 (the
 smooth-part idea of Bernstein, "How to find smooth parts of integers", 2004).
-A cofactor below 10^8 is then prime; a larger one is split by Pollard rho
-(Brent variant), whatever its size: no work budget bounds rho yet.  The
-primality test is Miller-Rabin to the prime bases up to 37, deterministic
-below 3.18e23, and Baillie-PSW above.
+A cofactor below 10^8 is then prime.  The larger cofactors of one call, of
+one integer or of a whole list (:func:`factor_rationals`), are reduced by
+their gcds into pairwise coprime parts and split together: Pollard p-1 stage
+1 to 1000 over their product, then one Brent rho sequence modulo the product
+of the parts left, which keeps running after each split.  No work budget
+bounds that stage yet.  The primality test is Miller-Rabin to the prime
+bases up to 37, deterministic below 3.18e23, and Baillie-PSW above.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from bisect import bisect
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -138,94 +142,197 @@ def iter_primes():
         n += 2
 
 
-def _pollard_brent(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of an odd composite n (Brent's cycle variant)."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-        if g != n:
-            return g
+# Pollard p-1 stage 1 raises a base to the largest power of each prime that
+# is at most P1_BOUND, in ascending blocks: one pow per block, then one gcd.
+# Each block keeps its prime powers, so a part caught whole by one block can
+# be stepped back through them.
+P1_BOUND = 1000
 
 
-def factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Factor nonzero n as (sign, [(prime, exponent), ...]) with primes ascending.
+def _p1_block(low: int, high: int) -> tuple[int, tuple[int, ...]]:
+    powers = []
+    for p in _SMALL_PRIMES[bisect(_SMALL_PRIMES, low) : bisect(_SMALL_PRIMES, high)]:
+        q = p
+        while q * p <= P1_BOUND:
+            q *= p
+        powers.append(q)
+    return prod(powers), tuple(powers)
+
+
+_P1_BLOCKS = tuple(_p1_block(*b) for b in ((0, 100), (100, 250), (250, 500), (500, P1_BOUND)))
+_RHO_BATCH = 128  # rho steps per gcd
+
+
+def _is_prime_cofactor(n: int) -> bool:
+    """Primality of n > 1 with no prime factor below TRIAL_DIVISION_BOUND: a
+    cofactor below its square is prime."""
+    return n < _TRIAL_DIVISION_SQUARE or is_probable_prime(n)
+
+
+def _remove_small_primes(m: int) -> tuple[dict[int, int], int]:
+    """Split m > 0 into its primes below 10^4, as {prime: exponent}, and the
+    cofactor with no such prime.
 
     Trial division by the primes below 100 ends as soon as p^2 exceeds the
-    cofactor, which is then 1 or a prime.  Past them, one gcd with the
-    product of the primes from 101 to 9973 gives the tail primes that divide
-    the cofactor, each then divided out with its full exponent.  What is left
-    has no prime factor below 10^4, so it is prime below 10^8; above, Pollard
-    rho splits it with no bound on its work.
+    cofactor, which is then 1 or a prime (counted here).  Past them, one gcd
+    with the product of the primes from 101 to 9973 gives the tail primes
+    that divide the cofactor, each then divided out with its full exponent.
     """
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    sign = -1 if n < 0 else 1
-    m = abs(n)
     counts: dict[int, int] = {}
     for p in _HEAD_PRIMES:
         if p * p > m:
             # No prime up to sqrt(m) divides m, so m is 1 or a prime.
             if m > 1:
                 counts[m] = 1
-                m = 1
-            break
+            return counts, 1
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    else:
-        # g is the squarefree product of the tail primes dividing m.
-        g = gcd(m, _TAIL_PRODUCT)
-        for p in _TAIL_PRIMES:
+    # g is the squarefree product of the tail primes dividing m.
+    g = gcd(m, _TAIL_PRODUCT)
+    for p in _TAIL_PRIMES:
+        if g == 1:
+            break
+        if p * p > g:
+            p = g  # no tail prime up to sqrt(g) divides g, so g is a prime
+        if g % p == 0:
+            g //= p
+            while m % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                m //= p
+    return counts, m
+
+
+def _spread(
+    g: int, parts: list[int], primes: set[int], step_back: Callable[[int], int]
+) -> tuple[list[int], list[int]]:
+    """Split each part by its gcd with g, which divides their product.
+
+    A part whose gcd with g is composite is split by ``step_back(part)``
+    instead, a divisor found one step at a time; a part that it returns
+    whole is stuck.  Prime pieces go to ``primes`` and are divided out of
+    the others.  Returns the composite pieces and the stuck parts.
+    """
+    kept: list[int] = []
+    stuck: list[int] = []
+    for x in parts:
+        d = gcd(x, g)
+        if d > 1 and not _is_prime_cofactor(d):
+            d = step_back(x)
+        if d in (1, x):
+            (kept if d == 1 else stuck).append(x)
+            continue
+        for y in (d, x // d):
+            for p in primes:
+                while y % p == 0:
+                    y //= p
+            if y > 1 and _is_prime_cofactor(y):
+                primes.add(y)
+            elif y > 1:
+                kept.append(y)
+    return kept, stuck
+
+
+def _split_cofactors(parts: list[int]) -> set[int]:
+    """The primes of composite parts with no prime factor below 10^4.
+
+    Pollard p-1 stage 1 (Pollard, 1974) runs first, over the product of the
+    parts.  Then one Brent rho sequence (Brent, 1980) runs modulo the product
+    of the parts left, and keeps running after each split: every prime found
+    leaves the modulus, so the sequence costs about as much as the hardest
+    part, not the sum of all.  A part it cannot split (its primes collide at
+    one step) restarts with a fresh c.  The random stream is seeded from the
+    parts, so every run takes the same path.
+    """
+    primes: set[int] = set()
+    n, a = prod(parts), 2
+    for block, powers in _P1_BLOCKS:
+        b = pow(a, block, n)
+        g = gcd(b - 1, n)
+        if g > 1:
+
+            def p1_step_back(x, a=a, powers=powers):
+                z = a % x
+                for power in powers:
+                    z = pow(z, power, x)
+                    if (d := gcd(z - 1, x)) > 1:
+                        return d
+                return x
+
+            kept, stuck = _spread(g, parts, primes, p1_step_back)
+            parts = kept + stuck  # rho gets the stuck parts
+            n = prod(parts)
+        a = b % n
+    if parts:
+        rng = random.Random(n ^ 0x5DEECE66D)
+        while parts:
+            parts = _brent(parts, primes, rng)
+    return primes
+
+
+def _brent(parts: list[int], primes: set[int], rng: random.Random) -> list[int]:
+    """Run one rho sequence y -> y^2 + c modulo the product of the parts
+    until each is split or stuck (Brent's cycle search, batches of gcds);
+    return the stuck parts."""
+    n = prod(parts)
+    y, c = rng.randrange(1, n), rng.randrange(1, n)
+    stuck: list[int] = []
+    r, q = 1, 1
+    while parts:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and parts:
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            k += _RHO_BATCH
+            g = gcd(q, n)
             if g == 1:
-                break
-            if p * p > g:
-                p = g  # no tail prime up to sqrt(g) divides g, so g is a prime
-            if g % p == 0:
-                g //= p
-                while m % p == 0:
-                    counts[p] = counts.get(p, 0) + 1
-                    m //= p
-    if m > 1:
-        # Every prime below TRIAL_DIVISION_BOUND is divided out, so a piece
-        # below its square is prime.  The pseudo-random stream is local to
-        # this call and seeded from the cofactor m, so repeated
-        # factorizations are reproducible; it is built only when
-        # Pollard-Brent first runs.
-        seed = m ^ 0x5DEECE66D
-        rng = None
-        stack = [m]
-        while stack:
-            x = stack.pop()
-            if x < _TRIAL_DIVISION_SQUARE or is_probable_prime(x):
-                counts[x] = counts.get(x, 0) + 1
                 continue
-            if rng is None:
-                rng = random.Random(seed)
-            d = _pollard_brent(x, rng)
-            stack.append(d)
-            stack.append(x // d)
-    return sign, sorted(counts.items())
+
+            def rho_step_back(part, x=x, ys=ys):
+                z = ys % part
+                while (d := gcd(x - z, part)) == 1:
+                    z = (z * z + c) % part
+                return d
+
+            parts, lost = _spread(g, parts, primes, rho_step_back)
+            stuck += lost
+            n, q = prod(parts), 1
+        r *= 2
+    return stuck
+
+
+def _exponents(m: int, primes: Iterable[int]) -> dict[int, int]:
+    """The exponent in m of each prime of ``primes`` that divides it."""
+    out: dict[int, int] = {}
+    for p in primes:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    return out
+
+
+def factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """Factor nonzero n as (sign, [(prime, exponent), ...]) with primes ascending.
+
+    The primes below 10^4 come out by trial division and one gcd
+    (:func:`_remove_small_primes`).  What is left is prime below 10^8;
+    above, it goes to the splitting stage, p-1 then rho, with no bound on
+    its work.
+    """
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    counts, m = _remove_small_primes(abs(n))
+    if m > 1:
+        if _is_prime_cofactor(m):
+            counts[m] = 1
+        else:
+            counts.update(_exponents(m, _split_cofactors([m])))
+    return (-1 if n < 0 else 1), sorted(counts.items())
 
 
 def divisors(n: int) -> list[int]:
@@ -259,6 +366,62 @@ def factor_rational(
             for p, e in factor_integer(part)[1]:
                 exponents[p] = exponents.get(p, 0) + unit * e
     return (1 if fr > 0 else -1), exponents
+
+
+def factor_rationals(
+    values: Iterable[int | Fraction],
+) -> list[tuple[int, dict[int, int]]]:
+    """Factor nonzero rationals together, each as (sign, {prime: exponent})
+    with negative exponents for the primes of its denominator.
+
+    Each value's primes below 10^4 come out first.  The cofactors left are
+    reduced by their gcds with each other and with the primes among them
+    into pairwise coprime parts, and the composite parts go to the
+    splitting stage in one call.  Each value's exponents of the large
+    primes are then read by division.
+    """
+    out: list[tuple[int, dict[int, int]]] = []
+    cofactors: list[tuple[dict[int, int], int, int]] = []
+    for x in values:
+        fr = Fraction(x)
+        if fr == 0:
+            raise ValueError("cannot factor zero")
+        exponents: dict[int, int] = {}
+        for part, unit in ((abs(fr.numerator), 1), (fr.denominator, -1)):
+            counts, m = _remove_small_primes(part)
+            for p, e in counts.items():
+                exponents[p] = exponents.get(p, 0) + unit * e
+            if m > 1:
+                cofactors.append((exponents, unit, m))
+        out.append(((1 if fr > 0 else -1), exponents))
+    if cofactors:
+        primes: set[int] = set()
+        parts: list[int] = []
+        work = [m for _, _, m in cofactors]
+        while work:
+            m = work.pop()
+            for p in primes:
+                while m % p == 0:
+                    m //= p
+            if m == 1:
+                continue
+            for i, b in enumerate(parts):
+                if (g := gcd(m, b)) > 1:
+                    del parts[i]
+                    work += (g, m // g, b // g)
+                    break
+            else:
+                if _is_prime_cofactor(m):
+                    primes.add(m)
+                else:
+                    parts.append(m)
+        if parts:
+            primes |= _split_cofactors(parts)
+        large = sorted(primes)
+        for exponents, unit, m in cofactors:
+            for p, e in _exponents(m, large).items():
+                exponents[p] = exponents.get(p, 0) + unit * e
+    return out
 
 
 class SquareClass:

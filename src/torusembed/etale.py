@@ -50,7 +50,7 @@ from itertools import islice
 from torusembed.arith.integers import (
     SquareClass,
     factor_integer,
-    factor_rational,
+    factor_rationals,
     iter_primes,
 )
 from torusembed.arith.places import Place
@@ -234,14 +234,13 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         ones = hankel_pivots([1], s, m)
         # The gap set: odd primes of c (the lcm of f's denominators), disc(f),
         # D (theta's denominators, with c) and the norm Res(f, theta) =
-        # (-1)^m * chi(0), each factored after dividing out those found.
+        # (-1)^m * chi(0), factored together.
         norm = (-1) ** m * h.coeffs[0]
-        bad: set[int] = set()
-        for x in (c, ones[-1], D, norm):
-            bad.update(factor_rational(x, bad)[1])
+        factored = factor_rationals((c, ones[-1], D, norm))
+        bad = {p for _, exponents in factored for p in exponents}
         # disc(h) = 4^m * Res(f, theta) * disc(chi)^2 is in the class of the
-        # norm, whose primes are all in the gap set already.
-        disc_class = SquareClass.from_factors(*factor_rational(norm, bad))
+        # norm.
+        disc_class = SquareClass.from_factors(*factored[-1])
         gaps = frozenset(bad - {2})
         # Ramified real places are the roots of f where theta < 0.
         real_count = _signature(ones)

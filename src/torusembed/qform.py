@@ -37,7 +37,7 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from torusembed.arith.integers import SquareClass, factor_rational
+from torusembed.arith.integers import SquareClass, factor_rationals
 from torusembed.arith.places import INFINITY, TWO, Place
 from torusembed.arith.polyq import bareiss_pivots
 from torusembed.arith.symbols import hasse_bit, places_over
@@ -125,16 +125,14 @@ class QuadraticSpace:
 
     @cached_property
     def invariants(self) -> QFInvariants:
-        # Factor each distinct entry once, after dividing out the primes of
-        # the entries before it; every invariant is read off the exponents.
-        primes: set[int] = set()
-        factored: dict[Fraction, dict[int, int]] = {}
+        # Factor the distinct entries together, once each; every invariant
+        # is read off the exponents.
+        distinct = list(dict.fromkeys(self.diagonal))
+        factored = dict(zip(distinct, factor_rationals(distinct)))
+        primes = {p for _, exponents in factored.values() for p in exponents}
         total: dict[int, int] = {}
         for a in self.diagonal:
-            if a not in factored:
-                factored[a] = factor_rational(a, primes)[1]
-                primes.update(factored[a])
-            for p, e in factored[a].items():
+            for p, e in factored[a][1].items():
                 total[p] = total.get(p, 0) + e
         m = self.dim
         r = sum(1 for a in self.diagonal if a > 0)

@@ -1,10 +1,11 @@
 """Embedded consistency suites that need only the standard library.
 
 Eight fixed-input suites, each running one kernel once against known
-answers: Hilbert symbols and Hasse bits, integer factorization, factorization
-mod p, irreducibility over Q, real-root counts by isolation and the real
-places of pinned components from Hermite's form, the block rule's splitting
-of a component with denominators in f and theta, the trace forms of two pinned
+answers: Hilbert symbols and Hasse bits, integer factorization (by p-1, by
+rho, and of values sharing a prime), factorization mod p, irreducibility
+over Q, real-root counts by isolation and the real places of pinned
+components from Hermite's form, the block rule's splitting of a component
+with denominators in f and theta, the trace forms of two pinned
 elements (their signatures and the discriminant identity), and six
 decisions, two with a status indeterminate at 2.  The randomized and
 brute-force checks, and the reference functions they compare against, live in
@@ -15,9 +16,10 @@ check with :func:`_check`, not ``assert``, so they still check under ``-O``.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import prod
 
-from .arith.integers import factor_integer, is_probable_prime
+from .arith.integers import factor_integer, factor_rationals, is_probable_prime
 from .arith.places import INFINITY, Place
 from .arith.polyfp import factor_mod_p
 from .arith.polyq import PolyQ, is_irreducible
@@ -65,6 +67,16 @@ def _suite_factor_integer() -> None:
     for n in (-360, 9_973, 2**61 - 1, -12 * p * q):
         sign, factors = factor_integer(n)
         _check(sign * prod(r**e for r, e in factors) == n, f"factors of {n}")
+    # p-1 splits 1000033 * 1000159 (only 1000032 is 1000-smooth); rho has to
+    # split 1000037 * 1000969, whose p - 1 both end in the prime 233.
+    for p, q in ((1000033, 1000159), (1000037, 1000969)):
+        _check(factor_integer(p * q) == (1, [(p, 1), (q, 1)]), f"factors of {p * q}")
+    # Values sharing the prime 1000037, once squared, factored together.
+    r = 1000037
+    values = [6 * r * 1000969, Fraction(r * r, 35), -1000033 * r]
+    expected = [(1, {2: 1, 3: 1, r: 1, 1000969: 1}), (1, {5: -1, 7: -1, r: 2}),
+                (-1, {1000033: 1, r: 1})]
+    _check(factor_rationals(values) == expected, "factors of values sharing a prime")
     # The least strong pseudoprimes to every prime base up to 37 and up to
     # 41, which only the strong Lucas half of Baillie-PSW rejects.
     for n in (399165290221 * 798330580441, 1287836182261 * 2575672364521):

@@ -8,13 +8,12 @@ import io
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from torusembed.arith.integers import (
     _SMALL_PRIMES,
     _TRIAL_DIVISION_SQUARE,
     SquareClass,
-    _pollard_brent,
     factor_integer,
     factor_rational,
     is_probable_prime,
@@ -354,10 +353,42 @@ def good_primes(c: Component, count: int) -> list[int]:
     return list(itertools.islice(filter(is_probable_prime, good), count))
 
 
+def _pollard_brent(n: int, rng: random.Random) -> int:
+    """A nontrivial factor of an odd composite n (Brent's cycle variant),
+    restarted with a fresh y and c until it splits n."""
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def trial_division_factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
     """Reference for ``factor_integer``: trial division by every prime below
-    10^4 in turn, ending as soon as p^2 exceeds the cofactor, then the same
-    Pollard-Brent stage with the same seed."""
+    10^4 in turn, ending as soon as p^2 exceeds the cofactor, then
+    Pollard-Brent on each composite piece, restarting after every split:
+    no p-1 pass and no shared sequence."""
     if n == 0:
         raise ValueError("cannot factor zero")
     sign = -1 if n < 0 else 1

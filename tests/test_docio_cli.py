@@ -1078,8 +1078,15 @@ def test_cli_selftest_needs_no_test_dependencies():
         "import torusembed.oracle as orc\n"
         "kernel = pq.hankel\n"
         "pq.hankel = orc.hankel = lambda vec, sums, count: kernel(vec[:-1], sums, count)",
+        # The splitting stage loses the first part at every spread.
+        "import torusembed.arith.integers as ai\n"
+        "kernel = ai._spread\n"
+        "ai._spread = lambda g, parts, primes, back: kernel(g, parts[1:], primes, back)",
     ],
-    ids=["hilbert_symbol", "trace_form", "hermite_pivots", "indeterminate", "square_at", "hankel"],
+    ids=[
+        "hilbert_symbol", "trace_form", "hermite_pivots", "indeterminate", "square_at",
+        "hankel", "spread",
+    ],
 )
 def test_selftest_still_checks_under_optimize(breakage):
     # python -O strips assert statements; a broken kernel must still fail

@@ -566,8 +566,15 @@ def test_degree_five_disc_class_needs_no_large_factoring(monkeypatch):
         assert len(str(abs(n))) <= 20, n
         return real_factor(n)
 
+    real_split = integers._split_cofactors
+
+    def small_parts_only(parts):
+        assert all(len(str(n)) <= 20 for n in parts), parts
+        return real_split(parts)
+
     monkeypatch.setattr(integers, "factor_integer", small_only)
     monkeypatch.setattr(etale, "factor_integer", small_only)
+    monkeypatch.setattr(integers, "_split_cofactors", small_parts_only)
     f = [1, 0, 2, Fraction(-5, 2), -2, 1]
     theta = [1, Fraction(1, 3), 1, 3, -3]
     start = time.perf_counter()

@@ -15,6 +15,8 @@ from torusembed.arith.integers import (
     _is_strong_lucas_probable_prime,
     divisors,
     factor_integer,
+    factor_rational,
+    factor_rationals,
     is_probable_prime,
     iter_primes,
 )
@@ -175,6 +177,136 @@ def _differential_cases() -> list[int]:
 def test_factor_integer_matches_trial_division_reference():
     for n in _differential_cases():
         assert factor_integer(n) == trial_division_factor_integer(n), n
+
+
+def _rational_lists() -> list[list[Fraction]]:
+    """Seeded lists of rationals whose cofactors above 10^4 share large
+    primes across entries, hold squares of primes above 10^4, three primes,
+    or sit near 10^8, with small primes, denominators and signs mixed in."""
+    rng = random.Random(23)
+    lists = []
+    for _ in range(60):
+        pool = [_prime_between(rng, 10**k, 10 ** (k + 1)) for k in rng.choices((4, 5, 6, 7), k=4)]
+        near = _prime_between(rng, 10**8 - 10**5, 10**8)  # its square is just below 10^16
+        shapes = [
+            lambda: pool[0] * pool[1],  # a semiprime sharing primes with others
+            lambda: pool[0] * pool[2] * pool[3],  # three primes
+            lambda: pool[rng.randrange(4)] ** 2,  # a square above 10^4
+            lambda: near * rng.choice((1, pool[1], 10007)),  # near 10^8
+            lambda: pool[3] * rng.choice((10007, 10009)),
+            lambda: rng.randint(1, 10**6),
+        ]
+        values = []
+        for _ in range(rng.randint(1, 6)):
+            num = rng.choice(shapes)() * rng.randint(1, 300) * rng.choice((1, -1))
+            den = rng.choice((1, 1, 2, 9, 10007, pool[2], pool[1] * pool[3]))
+            values.append(Fraction(num, den))
+        lists.append(values)
+    return lists
+
+
+def test_factor_rationals_matches_per_value_factoring():
+    # The batch gives each value what factor_rational gives it alone, and
+    # what the trial-division reference gives its numerator and denominator.
+    for values in _rational_lists():
+        for value, got in zip(values, factor_rationals(values), strict=True):
+            assert got == factor_rational(value), value
+            expected = dict(trial_division_factor_integer(value.numerator)[1])
+            for p, e in trial_division_factor_integer(value.denominator)[1]:
+                expected[p] = expected.get(p, 0) - e
+            assert got == ((1 if value > 0 else -1), expected), value
+    assert factor_rationals([]) == []
+    with pytest.raises(ValueError):
+        factor_rationals([3, 0])
+
+
+def _spy_on_rho(monkeypatch) -> list[list[int]]:
+    runs = []
+    real = integers._brent
+
+    def recording(parts, primes, rng):
+        runs.append(list(parts))
+        return real(parts, primes, rng)
+
+    monkeypatch.setattr(integers, "_brent", recording)
+    return runs
+
+
+def test_rho_splits_what_p_minus_1_cannot(monkeypatch):
+    # p - 1 = 2^2 29 37 233 and q - 1 = 2^3 3 179 233: both are 1000-smooth,
+    # and the order of 2 mod each has 233 as its largest prime, so the p-1
+    # pass catches both primes at the same prime power and rho has to
+    # separate them.
+    runs = _spy_on_rho(monkeypatch)
+    p, q = 1000037, 1000969
+    assert factor_integer(p * q) == (1, [(p, 1), (q, 1)])
+    assert runs == [[p * q]]
+
+
+def test_p_minus_1_splits_when_one_prime_is_smooth(monkeypatch):
+    # p - 1 = 2^5 3 11 947 is 1000-smooth and q - 1 = 2 3 166693 is not, so
+    # the p-1 pass alone splits p * q.
+    runs = _spy_on_rho(monkeypatch)
+    p, q = 1000033, 1000159
+    assert factor_integer(p * q) == (1, [(p, 1), (q, 1)])
+    assert runs == []
+
+
+def test_one_rho_sequence_serves_every_part(monkeypatch):
+    # Each prime here has a p - 1 that is not 1000-smooth (2 * prime,
+    # 2^3 3^2 7 109^2 167, 2 3 166693, 2 3 13 12821, 2 500501, 2^2 251257).
+    # The gcd of t * u with 5 * u splits that pair before any sequence runs;
+    # one sequence modulo the product of the other two semiprimes splits both.
+    runs = _spy_on_rho(monkeypatch)
+    p, q, r, s, t, u = 10**9 + 7, 10**9 + 9, 1000159, 1000039, 1001003, 1005029
+    assert factor_rationals([p * q, -r * s, Fraction(3, t * u), 5 * u]) == [
+        (1, {p: 1, q: 1}),
+        (-1, {r: 1, s: 1}),
+        (1, {3: 1, t: -1, u: -1}),
+        (1, {5: 1, u: 1}),
+    ]
+    assert len(runs) == 1 and sorted(runs[0]) == sorted([p * q, r * s])
+
+
+def test_a_stuck_part_restarts_with_a_fresh_c(monkeypatch):
+    # Drawing y = 2 and c = n - 2 makes 2 a fixed point of y -> y^2 + c mod
+    # n, so both primes collide at the first step and stepping back finds n
+    # whole: the part is stuck, and a second sequence with the next draws
+    # from the same stream splits it.
+    p, q = 10**9 + 7, 10**9 + 9
+    n = p * q
+
+    class FixedFirst(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = [2, n - 2]
+
+        def randrange(self, *args):
+            return self.draws.pop(0) if self.draws else super().randrange(*args)
+
+    monkeypatch.setattr(integers.random, "Random", FixedFirst)
+    runs = _spy_on_rho(monkeypatch)
+    assert factor_integer(n) == (1, [(p, 1), (q, 1)])
+    assert runs == [[n], [n]]
+
+
+def test_spread_files_primes_and_steps_back_composite_gcds():
+    # g = p r s: the part p q splits into two primes; r s shares a composite
+    # gcd with g, so step_back decides it (whole: stuck; or one prime);
+    # t u is untouched.
+    p, q, r, s, t, u = 10007, 10009, 10037, 10039, 10061, 10067
+    g = p * r * s
+
+    primes = set()
+    kept, stuck = integers._spread(g, [p * q, r * s, t * u], primes, lambda x: x)
+    assert (sorted(primes), kept, stuck) == ([p, q], [t * u], [r * s])
+    primes = set()
+    kept, stuck = integers._spread(g, [p * q, r * s, t * u], primes, lambda x: r)
+    assert (sorted(primes), kept, stuck) == ([p, q, r, s], [t * u], [])
+    # A square's two pieces are one prime, filed once.
+    primes = set()
+    assert integers._spread(p, [p * p * q * r], primes, None) == ([q * r], [])
+    assert primes == {p}
 
 
 def test_factor_integer_walks_tail_primes_only_up_to_sqrt_of_the_gcd(monkeypatch):

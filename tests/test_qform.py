@@ -267,21 +267,30 @@ def test_invariants_are_congruence_invariant_under_scaling_by_squares():
 
 def test_invariants_factor_each_entry_not_the_determinant(monkeypatch):
     # Entries k * (10^9 + 7)(10^9 + 9): factoring their 230-digit product as
-    # one number takes seconds; factoring entry by entry, after dividing out
-    # the primes already found, never sees an argument longer than an entry.
+    # one number takes seconds.  The entries are factored together, but each
+    # cofactor stays its own part: p * q reaches the splitting stage once,
+    # and no argument to it or to factor_integer is longer than an entry.
     p, q = 10**9 + 7, 10**9 + 9
     space = QuadraticSpace.of([k * p * q for k in range(1, 13)])
     seen = []
+    parts = []
     real_factor = integers.factor_integer
+    real_split = integers._split_cofactors
 
     def counting_factor(n):
         seen.append(n)
         return real_factor(n)
 
+    def counting_split(cofactors):
+        parts.extend(cofactors)
+        return real_split(cofactors)
+
     monkeypatch.setattr(integers, "factor_integer", counting_factor)
+    monkeypatch.setattr(integers, "_split_cofactors", counting_split)
     inv = space.invariants
     largest = max(len(str(abs(a.numerator))) for a in space.diagonal)
-    assert seen and max(len(str(abs(n))) for n in seen) <= largest
+    assert parts.count(p * q) == 1
+    assert max(len(str(abs(n))) for n in seen + parts) <= largest
 
     # 12! is 2^10 3^5 5^2 7 11, so det and disc lie in the class of 231.
     assert (inv.det.rep, inv.disc.rep, inv.signature) == (231, 231, (12, 0))

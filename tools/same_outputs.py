@@ -15,11 +15,13 @@ denominators in f and theta, which no corpus document has; they also run
 through ``oracle --height 2``, the height of their planted alpha, since only
 they reach the oracle's sums with D != 1.  ``FIELD_CHECK_COUNT`` more
 generated documents (at most N with ``--count``) reach the field check's
-rejections, which no corpus document does, through ``decide``, ``local`` and
-``invariants``: 13,160 runs in all.  The runs keep the human summary, so
-standard error is compared too, without its ``elapsed:`` timing line.  Each
-tree runs all of them in one child process, as in-process
-``torusembed.cli.main`` calls.  The tool exits 1 at the first run whose
+rejections, which no corpus document does, and ``FACTORING_COUNT`` more
+(at most N with ``--count``) give the factoring stage entries that share
+large primes, three-prime cofactors and squares of primes above 10^4, each
+through ``decide``, ``local`` and ``invariants``: 13,280 runs in all.  The
+runs keep the human summary, so standard error is compared too, without its
+``elapsed:`` timing line.  Each tree runs all of them in one child process,
+as in-process ``torusembed.cli.main`` calls.  The tool exits 1 at the first run whose
 stdout, stderr or exit code differs, and 0 when every run agrees.  It uses
 only the standard library.
 """
@@ -141,6 +143,52 @@ def field_check_documents(count: int) -> list[tuple[dict, dict]]:
     return ops
 
 
+FACTORING_COUNT = 40
+
+
+def factoring_documents(count: int) -> list[tuple[dict, dict]]:
+    """``count`` seeded documents of 2-3 ``quad`` components whose form
+    entries share large primes, as (document, {}) operations.
+
+    Each document draws four primes of 5-7 digits, and each entry carries a
+    cofactor built from them: three primes, the square of one, a square
+    times another, or two.  So the entries share their large primes, and a
+    cofactor above 10^8 can hold three primes or a square above 10^4, which
+    no corpus document has.  Odd documents carry the planted trace form of a
+    rational unit, entries 2a and -2ad per component as in ``big-integers``;
+    even ones a diagonal form of signed fractions whose denominators hold
+    the same primes.
+    """
+    rng = random.Random("factoring")
+    ops = []
+    for k in range(count):
+        pool = [corpus._random_prime(rng, rng.choice((5, 6, 7))) for _ in range(4)]
+
+        def cofactor() -> int:
+            a, b, c = rng.sample(pool, 3)
+            return rng.choice((a * b * c, a * a, a * a * b, a * b))
+
+        ds: list[int] = []
+        while len(ds) < 2 + k % 2:
+            d = rng.choice((-1, 1)) * corpus._random_prime(rng, rng.choice((2, 5, 6)))
+            if d not in ds:
+                ds.append(d)
+        entries: list[Fraction] = []
+        for d in ds:
+            if k % 2:
+                alpha = rng.choice((-1, 1)) * rng.randint(1, 12) * cofactor()
+                entries += [Fraction(2 * alpha), Fraction(-2 * alpha * d)]
+            else:
+                entries += [
+                    Fraction(rng.choice((-1, 1)) * rng.randint(1, 30) * cofactor(),
+                             rng.choice((1, 3, pool[0], pool[1] ** 2)))
+                    for _ in range(2)
+                ]
+        doc = {"algebra": [corpus._quad(d) for d in ds], "form": corpus._form(entries)}
+        ops.append((doc, {}))
+    return ops
+
+
 def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
     """Write every generated document under ``work``; return the argv lists."""
     goldens = corpus.load_goldens(ROOT)
@@ -162,6 +210,10 @@ def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
         runs.append(["oracle", "--height", "2", entry["path"]])
     n = FIELD_CHECK_COUNT if count is None else min(count, FIELD_CHECK_COUNT)
     for entry in corpus.write_corpus(field_check_documents(n), work / "field-check"):
+        for command in ("decide", "local", "invariants"):
+            runs.append([command, entry["path"]])
+    n = FACTORING_COUNT if count is None else min(count, FACTORING_COUNT)
+    for entry in corpus.write_corpus(factoring_documents(n), work / "factoring"):
         for command in ("decide", "local", "invariants"):
             runs.append([command, entry["path"]])
     return runs
