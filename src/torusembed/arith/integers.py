@@ -1,16 +1,18 @@
 """Integer arithmetic: primality, factorization, square classes.
 
-Factorization removes the primes below 10^4 in two stages: trial division by
-the 25 primes below 100, which stops as soon as p^2 exceeds what is left, and
+Factorization has one entry, :func:`factor_rationals`, which factors a list
+of rationals together; :func:`factor_integer` is its view of one integer.
+It removes the primes below 10^4 in two stages: trial division by the 25
+primes below 100, which stops as soon as p^2 exceeds what is left, and
 otherwise one gcd with the product of the primes from 101 to 9973 (the
 smooth-part idea of Bernstein, "How to find smooth parts of integers", 2004).
-A cofactor below 10^8 is then prime.  The larger cofactors of one call, of
-one integer or of a whole list (:func:`factor_rationals`), are reduced by
-their gcds into pairwise coprime parts and split together: Pollard p-1 stage
-1 to 1000 over their product, then one Brent rho sequence modulo the product
-of the parts left, which keeps running after each split.  No work budget
-bounds that stage yet.  The primality test is Miller-Rabin to the prime
-bases up to 37, deterministic below 3.18e23, and Baillie-PSW above.
+A cofactor below 10^8 is then prime.  The larger cofactors, after the
+caller's known primes are divided out, are reduced by their gcds into
+pairwise coprime parts and split together: Pollard p-1 stage 1 to 1000 over
+their product, then one Brent rho sequence modulo the product of the parts
+left, which keeps running after each split.  No work budget bounds that
+stage yet.  The primality test is Miller-Rabin to the prime bases up to 37,
+deterministic below 3.18e23, and Baillie-PSW above.
 """
 
 from __future__ import annotations
@@ -306,33 +308,11 @@ def _brent(parts: list[int], primes: set[int], rng: random.Random) -> list[int]:
     return stuck
 
 
-def _exponents(m: int, primes: Iterable[int]) -> dict[int, int]:
-    """The exponent in m of each prime of ``primes`` that divides it."""
-    out: dict[int, int] = {}
-    for p in primes:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    return out
-
-
 def factor_integer(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """Factor nonzero n as (sign, [(prime, exponent), ...]) with primes ascending.
-
-    The primes below 10^4 come out by trial division and one gcd
-    (:func:`_remove_small_primes`).  What is left is prime below 10^8;
-    above, it goes to the splitting stage, p-1 then rho, with no bound on
-    its work.
-    """
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    counts, m = _remove_small_primes(abs(n))
-    if m > 1:
-        if _is_prime_cofactor(m):
-            counts[m] = 1
-        else:
-            counts.update(_exponents(m, _split_cofactors([m])))
-    return (-1 if n < 0 else 1), sorted(counts.items())
+    """Factor nonzero n as (sign, [(prime, exponent), ...]) with primes
+    ascending: :func:`factor_rationals` of n alone."""
+    sign, exponents = factor_rationals([n])[0]
+    return sign, sorted(exponents.items())
 
 
 def divisors(n: int) -> list[int]:
@@ -344,58 +324,36 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def factor_rational(
-    x: int | Fraction, known: Iterable[int] = ()
-) -> tuple[int, dict[int, int]]:
-    """Factor nonzero x as (sign, {prime: exponent}).
-
-    Primes of the denominator get negative exponents.  The primes in
-    ``known`` are divided out first, so :func:`factor_integer` only sees the
-    cofactor that is left.
-    """
-    fr = Fraction(x)
-    if fr == 0:
-        raise ValueError("cannot factor zero")
-    exponents: dict[int, int] = {}
-    for part, unit in ((abs(fr.numerator), 1), (fr.denominator, -1)):
-        for p in known:
-            while part % p == 0:
-                exponents[p] = exponents.get(p, 0) + unit
-                part //= p
-        if part > 1:
-            for p, e in factor_integer(part)[1]:
-                exponents[p] = exponents.get(p, 0) + unit * e
-    return (1 if fr > 0 else -1), exponents
-
-
 def factor_rationals(
-    values: Iterable[int | Fraction],
+    values: Iterable[int | Fraction], known: Iterable[int] = ()
 ) -> list[tuple[int, dict[int, int]]]:
     """Factor nonzero rationals together, each as (sign, {prime: exponent})
     with negative exponents for the primes of its denominator.
 
     Each value's primes below 10^4 come out first.  The cofactors left are
-    reduced by their gcds with each other and with the primes among them
-    into pairwise coprime parts, and the composite parts go to the
-    splitting stage in one call.  Each value's exponents of the large
-    primes are then read by division.
+    divided by the primes of ``known`` (which must be primes; those below
+    10^4 are ignored), reduced by their gcds with each other and with the
+    primes among them into pairwise coprime parts, and the composite parts
+    go to the splitting stage in one call.  Each value's exponents of the
+    large primes are then read by division.
     """
     out: list[tuple[int, dict[int, int]]] = []
     cofactors: list[tuple[dict[int, int], int, int]] = []
     for x in values:
-        fr = Fraction(x)
-        if fr == 0:
+        if not x:
             raise ValueError("cannot factor zero")
-        exponents: dict[int, int] = {}
-        for part, unit in ((abs(fr.numerator), 1), (fr.denominator, -1)):
-            counts, m = _remove_small_primes(part)
-            for p, e in counts.items():
-                exponents[p] = exponents.get(p, 0) + unit * e
+        exponents, m = _remove_small_primes(abs(x.numerator))
+        if m > 1:
+            cofactors.append((exponents, 1, m))
+        if x.denominator > 1:
+            # Numerator and denominator are coprime: every prime here is new.
+            counts, m = _remove_small_primes(x.denominator)
+            exponents.update((p, -e) for p, e in counts.items())
             if m > 1:
-                cofactors.append((exponents, unit, m))
-        out.append(((1 if fr > 0 else -1), exponents))
+                cofactors.append((exponents, -1, m))
+        out.append((-1 if x.numerator < 0 else 1, exponents))
     if cofactors:
-        primes: set[int] = set()
+        primes = {p for p in known if p > TRIAL_DIVISION_BOUND}
         parts: list[int] = []
         work = [m for _, _, m in cofactors]
         while work:
@@ -419,8 +377,10 @@ def factor_rationals(
             primes |= _split_cofactors(parts)
         large = sorted(primes)
         for exponents, unit, m in cofactors:
-            for p, e in _exponents(m, large).items():
-                exponents[p] = exponents.get(p, 0) + unit * e
+            for p in large:
+                while m % p == 0:
+                    exponents[p] = exponents.get(p, 0) + unit
+                    m //= p
     return out
 
 
@@ -447,7 +407,7 @@ class SquareClass:
     def of(cls, x: int | Fraction) -> "SquareClass":
         if x == 1 or x == -1:
             return _UNIT_CLASSES[x]
-        return cls.from_factors(*factor_rational(x))
+        return cls.from_factors(*factor_rationals([x])[0])
 
     @classmethod
     def from_factors(cls, sign: int, exponents: dict[int, int]) -> "SquareClass":

@@ -54,6 +54,9 @@ from .oracle import SearchResult
 from .qform import QuadraticSpace, signature_hasse_bit
 
 
+_ECHO_CHARS = 32  # how much of a malformed string an error repeats
+
+
 def parse_rational(value: Any, path: str) -> Fraction:
     """A rational from the wire format: an integer or a string ``"p/q"``."""
     if isinstance(value, bool):
@@ -66,9 +69,14 @@ def parse_rational(value: Any, path: str) -> Fraction:
         if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
             try:
                 return Fraction(value)
-            except (ValueError, ZeroDivisionError):
+            except ZeroDivisionError:
                 pass
-        raise InputDocumentError(path, f"malformed rational string {value!r}")
+            except ValueError:
+                # The only other failure: a part past the interpreter's
+                # digit limit for str -> int.
+                raise InputDocumentError(path, "rational string too long") from None
+        shown = repr(value[:_ECHO_CHARS]) + ("..." if len(value) > _ECHO_CHARS else "")
+        raise InputDocumentError(path, f"malformed rational string {shown}")
     raise InputDocumentError(
         path, f"expected an integer or 'p/q' string, got {type(value).__name__}"
     )

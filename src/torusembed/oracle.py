@@ -51,7 +51,7 @@ from functools import cached_property
 from math import isqrt, prod
 from typing import Sequence
 
-from .arith.integers import SquareClass, factor_rational
+from .arith.integers import SquareClass, factor_rationals
 from .arith.places import Place
 from .arith.polyq import PolyQ, bareiss_pivots, hankel, integerize
 from .arith.symbols import places_over
@@ -241,7 +241,7 @@ class _Block:
         """The places of the primes of N_{F/Q}(alpha) outside the known set."""
         trace = self.trace
         norm = Fraction(self.halves[1], trace.unit_det)
-        exponents = factor_rational(norm, trace.known_primes)[1]
+        exponents = factor_rationals([norm], trace.known_primes)[0][1]
         return tuple(Place(p) for p in exponents if p not in trace.known_primes)
 
     @cached_property

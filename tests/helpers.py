@@ -15,7 +15,7 @@ from torusembed.arith.integers import (
     _TRIAL_DIVISION_SQUARE,
     SquareClass,
     factor_integer,
-    factor_rational,
+    factor_rationals,
     is_probable_prime,
 )
 from torusembed.arith.places import Place
@@ -499,9 +499,7 @@ def candidate_places(values) -> list[Place]:
 
     Any Hilbert symbol built from ``values`` is trivial outside this list.
     """
-    primes: set[int] = set()
-    for x in values:
-        primes.update(factor_rational(x, primes)[1])
+    primes = {p for _, exponents in factor_rationals(values) for p in exponents}
     return places_over(primes)
 
 

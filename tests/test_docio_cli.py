@@ -85,6 +85,8 @@ def test_parse_rational_accepts_ints_and_fraction_strings():
         (" 7", "malformed rational string"),
         ("+3", "malformed rational string"),
         ("\u0663", "malformed rational string"),
+        pytest.param("1" * 5000, "rational string too long", id="5000-digits"),
+        pytest.param("x" * 10_000, "malformed rational string 'xxxxx", id="10000-letters"),
     ],
 )
 def test_parse_rational_rejections(value, fragment):
@@ -92,6 +94,7 @@ def test_parse_rational_rejections(value, fragment):
         parse_rational(value, "$.x")
     assert info.value.path == "$.x"
     assert fragment in info.value.message
+    assert len(info.value.message) <= 80
 
 
 def test_render_rational_roundtrip():

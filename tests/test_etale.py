@@ -10,7 +10,7 @@ import pytest
 
 from torusembed import etale
 from torusembed.arith import integers
-from torusembed.arith.integers import factor_rational, is_probable_prime
+from torusembed.arith.integers import factor_rationals, is_probable_prime
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyfp import factor_mod_p, fp_pow_mod
 from torusembed.arith.polyq import (
@@ -214,7 +214,7 @@ def test_real_counts_and_gaps_match_the_sturm_and_sylvester_references():
             lcm(*(a.denominator for a in theta)),
             sylvester_resultant(cf, ctheta),
         ):
-            primes.update(factor_rational(x)[1])
+            primes.update(factor_rationals([x])[0][1])
         assert c.exactness_gaps == frozenset(primes - {2}), (f, theta)
         seen.add((m, c.real_count, c.ramified_count))
     assert {m for m, _, _ in seen} == set(range(1, 7))
@@ -275,7 +275,7 @@ def test_integer_kernel_matches_the_fraction_references():
         primes: set[int] = set()
         for n in (f_den, sylvester_discriminant(cf), theta_den,
                   sylvester_resultant(cf, ctheta)):
-            primes.update(factor_rational(n)[1])
+            primes.update(factor_rationals([n])[0][1])
         assert c.exactness_gaps == frozenset(primes - {2}), (f, theta)
         for p in primes_up_to(60):
             if p != 2 and p not in primes:

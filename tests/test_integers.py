@@ -15,7 +15,6 @@ from torusembed.arith.integers import (
     _is_strong_lucas_probable_prime,
     divisors,
     factor_integer,
-    factor_rational,
     factor_rationals,
     is_probable_prime,
     iter_primes,
@@ -205,19 +204,56 @@ def _rational_lists() -> list[list[Fraction]]:
     return lists
 
 
+def _reference_factors(value: Fraction) -> tuple[int, dict[int, int]]:
+    expected = dict(trial_division_factor_integer(value.numerator)[1])
+    for p, e in trial_division_factor_integer(value.denominator)[1]:
+        expected[p] = expected.get(p, 0) - e
+    return (1 if value > 0 else -1), expected
+
+
 def test_factor_rationals_matches_per_value_factoring():
-    # The batch gives each value what factor_rational gives it alone, and
-    # what the trial-division reference gives its numerator and denominator.
+    # The batch gives each value what factor_rationals gives it in a list of
+    # its own, and what the trial-division reference gives its numerator and
+    # denominator.
     for values in _rational_lists():
         for value, got in zip(values, factor_rationals(values), strict=True):
-            assert got == factor_rational(value), value
-            expected = dict(trial_division_factor_integer(value.numerator)[1])
-            for p, e in trial_division_factor_integer(value.denominator)[1]:
-                expected[p] = expected.get(p, 0) - e
-            assert got == ((1 if value > 0 else -1), expected), value
+            assert got == factor_rationals([value])[0], value
+            assert got == _reference_factors(value), value
     assert factor_rationals([]) == []
     with pytest.raises(ValueError):
         factor_rationals([3, 0])
+
+
+def test_known_primes_keep_cofactors_from_the_splitting_stage(monkeypatch):
+    # p q needs rho and r s needs p-1 (see the two tests below); knowing p
+    # and r leaves the primes q and s, so the stage never runs.  Unknown,
+    # both semiprimes reach it together, once.
+    calls = []
+    real = integers._split_cofactors
+
+    def spying(parts):
+        calls.append(sorted(parts))
+        return real(parts)
+
+    monkeypatch.setattr(integers, "_split_cofactors", spying)
+    p, q, r, s = 1000037, 1000969, 1000033, 1000159
+    values = [Fraction(p * q), Fraction(-5, r * s), Fraction(-7 * 10007, 12)]
+    expected = [_reference_factors(x) for x in values]
+    assert factor_rationals(values, known=[p, r]) == expected
+    assert calls == []
+    assert factor_rationals(values) == expected
+    assert calls == [sorted([p * q, r * s])]
+    # A known prime that divides no value, or one below 10^4, changes nothing.
+    for known in ([p, r, 10**9 + 7], [10**9 + 7], [2, 3, 9973], [2, 101, p, r]):
+        assert factor_rationals(values, known=known) == expected, known
+    # A value with the known prime as its denominator reveals it to the
+    # gcds anyway: the stage never runs, known or not.
+    calls.clear()
+    values = [Fraction(p * q), Fraction(5, p)]
+    expected = [_reference_factors(x) for x in values]
+    assert factor_rationals(values, known=[p]) == expected
+    assert factor_rationals(values) == expected
+    assert calls == []
 
 
 def _spy_on_rho(monkeypatch) -> list[list[int]]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from torusembed import oracle
-from torusembed.arith.integers import factor_rational
+from torusembed.arith.integers import factor_rationals
 from torusembed.arith.places import INFINITY, Place
 from torusembed.arith.polyq import PolyQ
 from torusembed.arith.symbols import places_over
@@ -592,7 +592,7 @@ def test_certificate_compares_signature_det_class_and_bits(unit_corpus):
         ):
             target = QuadraticSpace.of(scaled)
             entries = [*space.diagonal, *target.diagonal]
-            primes = {p for a in entries for p in factor_rational(a)[1]}
+            primes = {p for _, exponents in factor_rationals(entries) for p in exponents}
             same = target.invariants == space.invariants
             places = places_over(primes)
             assert oracle._certifies(space, target.invariants, places) == same
