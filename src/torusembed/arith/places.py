@@ -8,6 +8,7 @@ class Place:
 
     def __init__(self, p: int | None) -> None:
         self.p = p
+        self.is_infinite = p is None
 
     def __eq__(self, other):
         if type(other) is not Place:
@@ -16,10 +17,6 @@ class Place:
 
     def __hash__(self) -> int:
         return hash((self.p,))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.p is None
 
     def sort_key(self) -> tuple[int, int]:
         # Finite places ascending, the real place last.

@@ -54,7 +54,7 @@ from .engine import (
     check_local,
     decide,
 )
-from .errors import AuditError, InputDocumentError, format_pairs
+from .errors import AuditError, InputDocumentError, echo, format_pairs
 from .oracle import search_realizing_element
 
 EXIT_INPUT_ERROR = 4
@@ -111,7 +111,7 @@ def _check_oracle_cost(algebra, height: int) -> None:
     if count > MAX_ORACLE_CANDIDATES:
         raise InputDocumentError(
             "$.options.oracle_height",
-            f"oracle search over {count} candidates exceeds the limit of "
+            f"oracle search over {echo(count)} candidates exceeds the limit of "
             f"{MAX_ORACLE_CANDIDATES}",
         )
 

@@ -41,7 +41,7 @@ from . import __version__
 from .arith.places import Place
 from .arith.polyq import PolyQ
 from .engine import DEFAULT_PRIME_BOUND, DecisionReport, LocalCheckResult
-from .errors import AuditError, ComponentValidationError, InputDocumentError
+from .errors import AuditError, ComponentValidationError, InputDocumentError, echo
 from .etale import (
     NONSPLIT,
     SPLIT,
@@ -52,9 +52,6 @@ from .etale import (
 )
 from .oracle import SearchResult
 from .qform import QuadraticSpace, signature_hasse_bit
-
-
-_ECHO_CHARS = 32  # how much of a malformed string an error repeats
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
@@ -75,8 +72,7 @@ def parse_rational(value: Any, path: str) -> Fraction:
                 # The only other failure: a part past the interpreter's
                 # digit limit for str -> int.
                 raise InputDocumentError(path, "rational string too long") from None
-        shown = repr(value[:_ECHO_CHARS]) + ("..." if len(value) > _ECHO_CHARS else "")
-        raise InputDocumentError(path, f"malformed rational string {shown}")
+        raise InputDocumentError(path, f"malformed rational string {echo(repr(value))}")
     raise InputDocumentError(
         path, f"expected an integer or 'p/q' string, got {type(value).__name__}"
     )
@@ -117,7 +113,7 @@ def _expect_int(value: Any, path: str) -> int:
 def _reject_unknown_keys(obj: Mapping[str, Any], allowed: set[str], path: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise InputDocumentError(path, f"unknown key(s): {', '.join(unknown)}")
+        raise InputDocumentError(path, f"unknown key(s): {echo(', '.join(unknown))}")
 
 
 def _parse_poly(value: Any, path: str) -> PolyQ:
@@ -218,7 +214,7 @@ def _parse_annotations(
         i = _expect_int(obj["component"], f"{epath}.component")
         if not 0 <= i < component_count:
             raise InputDocumentError(
-                f"{epath}.component", f"component index {i} out of range"
+                f"{epath}.component", f"component index {echo(i)} out of range"
             )
         p = _expect_int(obj["prime"], f"{epath}.prime")
         if p < 2:
@@ -231,7 +227,7 @@ def _parse_annotations(
             )
         if (i, p) in annotations:
             raise InputDocumentError(
-                epath, f"duplicate annotation for component {i}, prime {p}"
+                epath, f"duplicate annotation for component {i}, prime {echo(p)}"
             )
         annotations[(i, p)] = status
     return annotations

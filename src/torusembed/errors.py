@@ -1,9 +1,26 @@
-"""Exception types shared across the package, and the formatter for the
-(component, prime) annotation keys their messages list."""
+"""Exception types shared across the package, the formatter for the
+(component, prime) annotation keys their messages list, and ``echo``, the
+one rule for how much of an input value a message repeats."""
 
 from __future__ import annotations
 
 from typing import Iterable
+
+_ECHO_CHARS = 32  # how much of an input value an error message repeats
+
+
+def echo(value: object) -> str:
+    """``value`` as an error message repeats it: the first ``_ECHO_CHARS``
+    characters of its text, then ``...`` if there are more.  A nonnegative
+    int past the interpreter's digit limit for ``str`` shows its leading
+    digits."""
+    try:
+        text = str(value)
+    except ValueError:
+        # log10(2) > 0.3, so this drops trailing digits but keeps more than
+        # _ECHO_CHARS leading ones.
+        return echo(value // 10 ** (value.bit_length() * 3 // 10 - _ECHO_CHARS))
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
 
 def format_pairs(pairs: Iterable[tuple[int, int]]) -> str:

@@ -27,7 +27,8 @@ one where theta is a non-square, and h is factored only if none is found.
 
 Each component also carries discriminant and determinant square classes, the
 counts of its real places (ramified = theta negative there), and a
-prime-splitting oracle.  The counts come from the power sums of g's roots too:
+prime-splitting oracle.  These counts, and the algebra's sums of them, are
+stored when each is built.  They come from the power sums of g's roots too:
 Hermite's form Tr_{F/Q}(w * y^(i+j)) has signature sum sign w(x) over the real
 roots x of f, for w = 1 and w = theta (W over Z).  The discriminant class is that of the
 norm Res(f, theta) = (-1)^m * chi(0), since disc(h) = 4^m * Res(f, theta) *
@@ -66,7 +67,7 @@ from torusembed.arith.polyq import (
     resultant_in_y,
 )
 from torusembed.arith.symbols import legendre_symbol
-from torusembed.errors import ComponentValidationError
+from torusembed.errors import ComponentValidationError, echo
 from torusembed.qform import pairwise_det_support
 from torusembed.record import Record
 
@@ -102,7 +103,8 @@ class GeneralSpec(Record):
 
 
 class Component:
-    """A validated field component: its integer kernel g, W, D, t, and h."""
+    """A validated field component: its integer kernel g, W, D, t, and h,
+    and the counts of F's infinite places, all stored when it is built."""
 
     def __init__(
         self,
@@ -120,6 +122,7 @@ class Component:
         exactness_gaps: frozenset[int],
     ) -> None:
         self.spec = spec
+        self.is_quad = isinstance(spec, QuadSpec)
         self.g = g
         self.W = W
         self.D = D
@@ -131,42 +134,16 @@ class Component:
         self.real_count = real_count
         self.ramified_count = ramified_count
         self.exactness_gaps = exactness_gaps
+        self.fixed_degree = len(g) - 1  # [F:Q]
+        unramified = real_count - ramified_count
+        complex_pairs = (self.fixed_degree - real_count) // 2
+        self.real_profile = (ramified_count, unramified, complex_pairs)
+        # Degree-weighted count of unramified infinite places of F.
+        self.unramified_weight = unramified + 2 * complex_pairs
+        # Raw count of unramified infinite places (complex places count once).
+        self.unramified_place_count = unramified + complex_pairs
         # Block-rule answers (theta a square above p) of component_split_at.
         self.square_at: dict[int, bool] = {}
-
-    @property
-    def is_quad(self) -> bool:
-        return isinstance(self.spec, QuadSpec)
-
-    @property
-    def fixed_degree(self) -> int:
-        return len(self.g) - 1
-
-    @property
-    def unramified_real_count(self) -> int:
-        return self.real_count - self.ramified_count
-
-    @property
-    def complex_pair_count(self) -> int:
-        return (self.fixed_degree - self.real_count) // 2
-
-    @property
-    def real_profile(self) -> tuple[int, int, int]:
-        return (
-            self.ramified_count,
-            self.unramified_real_count,
-            self.complex_pair_count,
-        )
-
-    @property
-    def unramified_weight(self) -> int:
-        """Degree-weighted count of unramified infinite places of F."""
-        return self.unramified_real_count + 2 * self.complex_pair_count
-
-    @property
-    def unramified_place_count(self) -> int:
-        """Raw count of unramified infinite places (complex places count once)."""
-        return self.unramified_real_count + self.complex_pair_count
 
 
 _NOT_FULL_DEGREE = (
@@ -185,7 +162,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             )
         sign, facs = factor_integer(d)
         if any(e > 1 for _, e in facs):
-            raise ComponentValidationError(f"d = {d} must be squarefree")
+            raise ComponentValidationError(f"d = {echo(d)} must be squarefree")
         # The trivial kernel of f = y - d and theta = d: g = f, W = d, D = 1,
         # and chi_T = x - d, whose root d has the power sums 1, d.
         g, W, D, t = [-d, 1], [d], 1, [1, d]
@@ -321,7 +298,9 @@ def component_split_at(
 
 class EtaleAlgebra:
     """A product of validated components, with their splitting annotations,
-    whose keys the constructor checks against the components."""
+    whose keys the constructor checks against the components, and the rank,
+    discriminant class and place counts the local conditions read, all
+    stored when it is built."""
 
     def __init__(
         self,
@@ -342,44 +321,26 @@ class EtaleAlgebra:
             if c.is_quad:
                 raise ComponentValidationError(
                     f"component {i} is decided exactly at every prime; "
-                    f"annotation at {p} not allowed"
+                    f"annotation at {echo(p)} not allowed"
                 )
             if p != 2 and p not in c.exactness_gaps:
                 raise ComponentValidationError(
-                    f"component {i} is decided exactly at {p}; annotation not allowed"
+                    f"component {i} is decided exactly at {echo(p)}; "
+                    "annotation not allowed"
                 )
         self.components = components
         self.annotations = ann
-
-    @property
-    def rank(self) -> int:
-        return sum(c.degree for c in self.components)
-
-    @property
-    def disc_class(self) -> SquareClass:
-        out = SquareClass.of(1)
-        for c in self.components:
-            out = out * c.disc_class
-        return out
-
-    @property
-    def unramified_real_weight(self) -> int:
-        """Degree-weighted count of unramified infinite places of the fixed algebra."""
-        return sum(c.unramified_weight for c in self.components)
-
-    @property
-    def unramified_place_count(self) -> int:
-        """Raw (unweighted) count of unramified infinite places."""
-        return sum(c.unramified_place_count for c in self.components)
-
-    @property
-    def ramified_real_count(self) -> int:
-        return sum(c.ramified_count for c in self.components)
-
-    @property
-    def is_cm(self) -> bool:
-        """All fixed fields totally real and theta totally negative."""
-        return self.unramified_real_weight == 0
+        self.rank = sum(c.degree for c in components)
+        self.disc_class = SquareClass.of(1)
+        for c in components:
+            self.disc_class *= c.disc_class
+        # Degree-weighted count of unramified infinite places of the fixed algebra.
+        self.unramified_real_weight = sum(c.unramified_weight for c in components)
+        # Raw (unweighted) count of unramified infinite places.
+        self.unramified_place_count = sum(c.unramified_place_count for c in components)
+        self.ramified_real_count = sum(c.ramified_count for c in components)
+        # All fixed fields totally real and theta totally negative.
+        self.is_cm = self.unramified_real_weight == 0
 
     def component_split(self, i: int, v: Place) -> SplitStatus:
         """Whether component i splits at v; at infinity, split iff theta is

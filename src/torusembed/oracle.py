@@ -171,7 +171,7 @@ class _Trace:
     on first.
     """
 
-    def __init__(self, component: Component, known: tuple[Place, ...] = ()) -> None:
+    def __init__(self, component: Component, known: tuple[Place, ...]) -> None:
         self.component = component
         self.known = known
         self.scaled_sums = _scaled_sums(component)
@@ -250,7 +250,7 @@ class _Block:
 
 
 def _streams(
-    algebra: EtaleAlgebra, height: int, primes: frozenset[int] = frozenset()
+    algebra: EtaleAlgebra, height: int, primes: frozenset[int]
 ) -> list[list[_Block]]:
     """Per component, its involution-fixed unit parts whose even-power
     coefficients are integers in [-height, height], in vector order; the

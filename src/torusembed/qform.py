@@ -101,6 +101,7 @@ class QuadraticSpace:
 
     def __init__(self, diagonal: tuple[Fraction, ...]) -> None:
         self.diagonal = diagonal
+        self.dim = len(diagonal)
 
     @classmethod
     def of(cls, entries) -> "QuadraticSpace":
@@ -112,10 +113,6 @@ class QuadraticSpace:
     @classmethod
     def from_gram(cls, rows) -> "QuadraticSpace":
         return cls(diagonalize_gram(rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.diagonal)
 
     def local_hasse_bit(self, v: Place) -> int:
         """Additive Hasse invariant at v: the sum over i < j of the symbols

@@ -240,7 +240,7 @@ def enumerate_symmetric_units(alg: EtaleAlgebra, height: int):
     in [-height, height], in the oracle's search order: component-wise
     lexicographic, with the first component varying slowest.  The zero
     vector is excluded per component; every other vector is a unit."""
-    for blocks in itertools.product(*_streams(alg, height)):
+    for blocks in itertools.product(*_streams(alg, height, frozenset())):
         yield AlgebraElement(tuple(b.part for b in blocks))
 
 

@@ -268,7 +268,23 @@ SYNTAX_ERRORS = [
         "$.options.prime_bound",
         "at most 100000",
     ),
+    # An error repeats at most 32 characters of an input value.
+    (
+        {"algebra": [], "form": {"diagonal": [1]}, "k" * 10_000: 1},
+        "$",
+        "unknown key(s): " + "k" * 32 + "...",
+    ),
+    (
+        quad_doc(
+            -1, [1, 1], annotations=[{"component": 10**2999, "prime": 2, "status": "split"}]
+        ),
+        "$.options.annotations[0].component",
+        "component index " + "1" + "0" * 31 + "... out of range",
+    ),
 ]
+
+# The most bytes an error object takes, whatever values the document holds.
+_ERROR_BYTES = 200
 
 
 @pytest.mark.parametrize("doc, path, fragment", SYNTAX_ERRORS)
@@ -277,22 +293,25 @@ def test_parse_problem_error_paths(doc, path, fragment):
         parse_problem(doc)
     assert info.value.path == path
     assert fragment in info.value.message
+    assert len(dump_json(render_error(info.value))) <= _ERROR_BYTES
 
 
 def test_parse_problem_duplicate_annotation():
-    ann = [
-        {"component": 0, "prime": 2, "status": "split"},
-        {"component": 0, "prime": 2, "status": "nonsplit"},
-    ]
-    doc = {
-        "algebra": [{"type": "general", "f": [-2, 0, 1], "theta": [0, 1]}],
-        "form": {"diagonal": [1, 1, 1, 1]},
-        "options": {"annotations": ann},
-    }
-    with pytest.raises(InputDocumentError) as info:
-        parse_problem(doc)
-    assert info.value.path == "$.options.annotations[1]"
-    assert "duplicate" in info.value.message
+    for prime in (2, 10**2999 + 1):
+        ann = [
+            {"component": 0, "prime": prime, "status": "split"},
+            {"component": 0, "prime": prime, "status": "nonsplit"},
+        ]
+        doc = {
+            "algebra": [{"type": "general", "f": [-2, 0, 1], "theta": [0, 1]}],
+            "form": {"diagonal": [1, 1, 1, 1]},
+            "options": {"annotations": ann},
+        }
+        with pytest.raises(InputDocumentError) as info:
+            parse_problem(doc)
+        assert info.value.path == "$.options.annotations[1]"
+        assert "duplicate" in info.value.message
+        assert len(dump_json(render_error(info.value))) <= _ERROR_BYTES
 
 
 SEMANTIC_ERRORS = [
@@ -339,6 +358,18 @@ SEMANTIC_ERRORS = [
     ),
     (quad_doc(-1, [1, 0]), "$.form", "degenerate form"),
     (quad_doc(-1, [1, 1, 1]), "$.form", "does not match algebra rank"),
+    (quad_doc(10**2999, [1, 1]), "$.algebra[0]", "d = 1" + "0" * 31 + "... must be"),
+    (
+        {
+            "algebra": [{"type": "general", "f": [-2, 0, 1], "theta": [0, 1]}],
+            "form": {"diagonal": [1, 1, 1, 1]},
+            "options": {
+                "annotations": [{"component": 0, "prime": 10**2999 + 1, "status": "split"}]
+            },
+        },
+        "$.options.annotations",
+        "decided exactly at 1" + "0" * 31 + "...;",
+    ),
 ]
 
 
@@ -349,6 +380,7 @@ def test_build_inputs_error_paths(doc, path, fragment):
         build_inputs(problem)
     assert info.value.path == path
     assert fragment in info.value.message
+    assert len(dump_json(render_error(info.value))) <= _ERROR_BYTES
 
 
 def test_build_inputs_builds_each_component_once(monkeypatch):
@@ -680,6 +712,39 @@ def test_cli_oracle_candidate_cap_default(tmp_path):
     code, report = _two_quad_run(tmp_path, "oracle", 51, True)  # 102^2
     assert code == 4
     assert report["error"]["path"] == "$.options.oracle_height"
+
+
+_SEXTIC = {"type": "general", "f": [-2, 0, 0, 0, 0, 0, 1], "theta": [0, 1]}
+
+
+@pytest.mark.parametrize("from_flag", [False, True])
+@pytest.mark.parametrize(
+    "component, rank, height, head",
+    [
+        # (2H + 1)^6 - 1 has 6,002 digits, past the interpreter's limit for
+        # str(int); the error shows the count's leading digits all the same.
+        (_SEXTIC, 12, 10**1000, "64"),
+        ({"type": "quad", "d": -1}, 2, 10**3999, "2"),
+    ],
+    ids=["sextic-height-1001-digits", "quad-height-4000-digits"],
+)
+def test_cli_oracle_cost_of_a_huge_height_is_an_input_error(
+    tmp_path, component, rank, height, head, from_flag
+):
+    doc = {"algebra": [component], "form": {"diagonal": [1] * rank}}
+    argv = ["decide", "--json"]
+    if from_flag:
+        argv += ["--height", str(height)]
+    else:
+        doc["options"] = {"oracle_height": height}
+    code, out, _ = run_cli(argv + [write_doc(tmp_path, doc)])
+    assert code == 4
+    assert len(out.strip()) <= _ERROR_BYTES
+    count = head.ljust(32, "0")
+    assert json.loads(out)["error"] == {
+        "path": "$.options.oracle_height",
+        "message": f"oracle search over {count}... candidates exceeds the limit of 10000",
+    }
 
 
 def test_cli_local_and_invariants_ignore_the_oracle_height(tmp_path):
@@ -1292,7 +1357,9 @@ def test_a_rising_bound_keeps_realizable_and_locally_fails():
 
 # Integers stay within |n| <= 10^6 and prime_bound within 10^3: factoring and
 # the witness walk have no work budget yet (ROADMAP item 1), so a large
-# integer or bound could make one example run for minutes.  Strings have at
+# integer or bound could make one example run for minutes.  oracle_height
+# alone reaches 10^4000: past the candidate cap only the cost check runs, and
+# its count can pass the interpreter's digit limit for str.  Strings have at
 # most six characters; a rational string takes ASCII digits and at most one
 # "/", so "1e9999" is malformed and cannot smuggle in a large integer.
 _INTS = st.integers(-(10**6), 10**6)
@@ -1367,6 +1434,8 @@ def _mutated_skeletons(draw):
             del parent[key]
         elif key == "prime_bound":
             parent[key] = draw(st.integers(-(10**6), 1000) | st.text(max_size=4))
+        elif key == "oracle_height":
+            parent[key] = draw(_INTS | st.integers(0, 10**4000))
         else:
             # Rationals and integers drawn directly, besides any JSON value,
             # so that more mutants get past the syntax checks.

@@ -4,7 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -831,6 +831,39 @@ def test_algebra_level_invariants():
     wide = algebra(general([1, 0, 1], [0, 1]))  # complex fixed field
     assert wide.unramified_real_weight == 2
     assert wide.unramified_place_count == 1
+
+    # Seeded mixed algebras: up to two quad components beside up to two
+    # general ones with deg f 2-4.  Each stored count is the sum of the
+    # components' values, and the disc class their product.
+    rng = random.Random(2028)
+    seen_cm, seen_degrees, complex_pairs = set(), set(), 0
+    for _ in range(40):
+        specs = [quad(rng.choice((-7, -3, -1, 2, 3, 5))) for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(0 if specs else 1, 2)):
+            spec = random_general_spec(rng)
+            while spec.f.degree < 2:
+                spec = random_general_spec(rng)
+            specs.append(spec)
+        rng.shuffle(specs)
+        alg = algebra(*specs)
+        comps = alg.components
+        for c in comps:
+            ram, unram, cx = c.real_profile
+            assert ram + unram + 2 * cx == c.fixed_degree == c.degree // 2
+            assert c.unramified_weight == unram + 2 * cx
+            assert c.unramified_place_count == unram + cx
+            seen_degrees.add(c.fixed_degree)
+            complex_pairs += cx
+        assert alg.rank == sum(c.degree for c in comps)
+        assert alg.disc_class.rep == squarefree_part(prod(c.disc_class.rep for c in comps))
+        assert alg.unramified_real_weight == sum(c.unramified_weight for c in comps)
+        assert alg.unramified_place_count == sum(c.unramified_place_count for c in comps)
+        assert alg.ramified_real_count == sum(c.ramified_count for c in comps)
+        assert alg.is_cm == (alg.unramified_real_weight == 0)
+        seen_cm.add(alg.is_cm)
+    assert seen_cm == {True, False}
+    assert seen_degrees == {1, 2, 3, 4}
+    assert complex_pairs > 0
 
 
 def test_algebra_split_conjunction():

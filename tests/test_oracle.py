@@ -410,7 +410,7 @@ def test_streams_keep_every_nonzero_vector_and_run_no_gcd(monkeypatch):
         for height in (1, 2, 3):
             with monkeypatch.context() as m:
                 m.setattr(PolyQ, "gcd", no_gcd)
-                streams = oracle._streams(alg, height)
+                streams = oracle._streams(alg, height, frozenset())
             assert [len(s) for s in streams] == [
                 (2 * height + 1) ** c.fixed_degree - 1 for c in alg.components
             ]
@@ -426,7 +426,7 @@ def test_block_det_class_is_the_component_det_class():
     checked = 0
     for _ in range(40):
         alg = _random_small_algebra(rng)
-        traces = [oracle._Trace(comp) for comp in alg.components]
+        traces = [oracle._Trace(comp, ()) for comp in alg.components]
         for _ in range(3):
             for comp, trace in zip(alg.components, traces):
                 vec = _random_vector(rng, comp.fixed_degree, 3)
@@ -560,7 +560,7 @@ def test_integer_gram_and_halves_match_the_fraction_reference():
             assert result.space.diagonal == fraction_diagonalize(want), alpha
         for comp in comps:
             m = comp.fixed_degree
-            trace = oracle._Trace(comp)
+            trace = oracle._Trace(comp, ())
             for height in (1, 2):
                 vec = _random_vector(rng, m, height)
                 gram = fraction_component_gram(comp, symmetric_part(vec))
