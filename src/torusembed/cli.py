@@ -21,14 +21,17 @@ Exit codes: decide maps verdicts to 0 (realizable), 1 (locally fails),
 2 (not realizable up to the bound), 3 (inconclusive); local uses 0/1/3 for
 pass/fail/indeterminate; oracle uses 0/1 for found/not found; 4 means a
 malformed input document or a report integer too long to print, 64 a usage
-error, and 70 an internal audit failure; 4 and 70 print an error object in
-place of the report.  A batch exits with its maximum code, an empty one with 0.
+error, 70 an internal audit failure, and 74 a report or batch that standard
+output could not take (a full disk, a reader that closed the pipe); 4 and 70
+print an error object in place of the report, and 74 one line on standard
+error.  A batch exits with its maximum code, an empty one with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -59,6 +62,7 @@ from .oracle import search_realizing_element
 
 EXIT_INPUT_ERROR = 4
 EXIT_AUDIT_ERROR = 70
+EXIT_IO_ERROR = 74  # EX_IOERR
 
 # The most candidates an oracle search from the command line may enumerate.
 # A search over H = height visits prod((2H+1)^(deg f_i) - 1) elements;
@@ -103,6 +107,22 @@ def _load_documents(path: str) -> tuple[list[Any], bool]:
     if isinstance(data, list):
         return data, True
     return [data], False
+
+
+def _emit(text: str, code: int) -> int:
+    """Print ``text`` to standard output and return ``code``, or
+    ``EXIT_IO_ERROR`` with one line on standard error if the write fails."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write to standard output: {exc.strerror}", file=sys.stderr)
+        # The interpreter flushes standard output again at exit: send what is
+        # left to /dev/null, not into an "Exception ignored" message.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_IO_ERROR
+    return code
 
 
 def _check_oracle_cost(algebra, height: int) -> None:
@@ -293,10 +313,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         documents, batch = _load_documents(args.path)
     except InputDocumentError as exc:
-        print(dump_json(render_error(exc)))
         if chatty:
             print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _emit(dump_json(render_error(exc)), EXIT_INPUT_ERROR)
 
     codes: list[int] = []
     texts: list[str] = []
@@ -319,13 +338,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(prefix + line, file=sys.stderr)
 
     if batch:
-        print("[" + newline + ("," + newline).join(texts) + "\n]" if texts else "[]")
+        out = "[" + newline + ("," + newline).join(texts) + "\n]" if texts else "[]"
     else:
-        print(texts[0])
-    if chatty:
+        out = texts[0]
+    code = _emit(out, max(codes, default=0))
+    if chatty and code != EXIT_IO_ERROR:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
-    return max(codes, default=0)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,9 +18,14 @@ The wire format is JSON.  A problem document looks like::
     }
 
 Polynomials are coefficient lists in ascending order; rationals are integers
-or strings ``"p/q"`` (never floats).  ``check_option`` is the one range check
-of ``prime_bound`` and ``oracle_height``, whether they come from the document
-or from a command-line flag.
+or strings ``"p/q"`` (never floats).  The document layer keeps a JSON integer
+as the ``int`` it is, on the way in and in the echo; only a ``"p/q"`` string
+becomes a ``Fraction`` here.  The math layer (``PolyQ.of``,
+``QuadraticSpace.of``, ``diagonalize_gram``) turns what it receives into
+``Fraction``s.  An entry's JSON path is formatted only when the entry is
+rejected.  ``check_option`` is the one range check of ``prime_bound`` and
+``oracle_height``, whether they come from the document or from a
+command-line flag.
 
 Every command's report has one frame, ``render_report``: the tool, the input
 echo in normalized form, the command's own sections, then the invariants.  So
@@ -54,8 +59,11 @@ from .oracle import SearchResult
 from .qform import QuadraticSpace, signature_hasse_bit
 
 
-def parse_rational(value: Any, path: str) -> Fraction:
-    """A rational from the wire format: an integer or a string ``"p/q"``."""
+def parse_rational(value: Any, path: str) -> int | Fraction:
+    """A rational from the wire format: an integer, returned as it is, or a
+    string ``"p/q"``, returned as a ``Fraction``."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise InputDocumentError(path, "expected a rational, got a boolean")
     if isinstance(value, int):
@@ -78,7 +86,11 @@ def parse_rational(value: Any, path: str) -> Fraction:
     )
 
 
-def render_rational(value: Fraction) -> int | str:
+def render_rational(value: int | Fraction) -> int | str:
+    """A rational as the wire format writes it: an ``int`` as it is, a
+    ``Fraction`` as an integer or a reduced ``"p/q"`` string."""
+    if type(value) is int:
+        return value
     if value.denominator == 1:
         return int(value)
     try:
@@ -116,23 +128,38 @@ def _reject_unknown_keys(obj: Mapping[str, Any], allowed: set[str], path: str) -
         raise InputDocumentError(path, f"unknown key(s): {echo(', '.join(unknown))}")
 
 
+def _parse_rationals(values: list, path: str) -> tuple[int | Fraction, ...]:
+    """The entries of the JSON array of rationals at ``path``.  An entry's
+    own path is formatted only when that entry is rejected."""
+    parsed = []
+    for i, value in enumerate(values):
+        if type(value) is not int:
+            try:
+                value = parse_rational(value, path)
+            except InputDocumentError as exc:
+                raise InputDocumentError(f"{path}[{i}]", exc.message) from None
+        parsed.append(value)
+    return tuple(parsed)
+
+
 def _parse_poly(value: Any, path: str) -> PolyQ:
     coeffs = _expect_list(value, path)
     if not coeffs:
         raise InputDocumentError(path, "polynomial needs at least one coefficient")
-    return PolyQ.of(
-        [parse_rational(c, f"{path}[{i}]") for i, c in enumerate(coeffs)]
-    )
+    return PolyQ.of(_parse_rationals(coeffs, path))
 
 
 class Problem:
-    """A parsed, syntactically valid problem document."""
+    """A parsed, syntactically valid problem document.  The form's entries
+    are kept as the wire gave them: an ``int`` for a JSON integer, a
+    ``Fraction`` for a ``"p/q"`` string; ``build_inputs`` hands them to the
+    math layer, which converts them."""
 
     def __init__(
         self,
         component_specs: tuple[QuadSpec | GeneralSpec, ...],
-        diagonal: tuple[Fraction, ...] | None,
-        gram: tuple[tuple[Fraction, ...], ...] | None,
+        diagonal: tuple[int | Fraction, ...] | None,
+        gram: tuple[tuple[int | Fraction, ...], ...] | None,
         prime_bound: int,
         oracle_height: int,
         annotations: dict[tuple[int, int], str],
@@ -169,7 +196,9 @@ def _parse_component(value: Any, path: str) -> QuadSpec | GeneralSpec:
 
 def _parse_form(
     value: Any, path: str
-) -> tuple[tuple[Fraction, ...] | None, tuple[tuple[Fraction, ...], ...] | None]:
+) -> tuple[
+    tuple[int | Fraction, ...] | None, tuple[tuple[int | Fraction, ...], ...] | None
+]:
     obj = _expect_object(value, path)
     _reject_unknown_keys(obj, {"diagonal", "gram"}, path)
     if ("diagonal" in obj) == ("gram" in obj):
@@ -178,24 +207,17 @@ def _parse_form(
         entries = _expect_list(obj["diagonal"], f"{path}.diagonal")
         if not entries:
             raise InputDocumentError(f"{path}.diagonal", "form must be nonempty")
-        diag = tuple(
-            parse_rational(c, f"{path}.diagonal[{i}]") for i, c in enumerate(entries)
-        )
-        return diag, None
+        return _parse_rationals(entries, f"{path}.diagonal"), None
     rows = _expect_list(obj["gram"], f"{path}.gram")
     if not rows:
         raise InputDocumentError(f"{path}.gram", "form must be nonempty")
     gram = []
     for i, row in enumerate(rows):
-        entries = _expect_list(row, f"{path}.gram[{i}]")
+        row_path = f"{path}.gram[{i}]"
+        entries = _expect_list(row, row_path)
         if len(entries) != len(rows):
-            raise InputDocumentError(f"{path}.gram[{i}]", "gram matrix must be square")
-        gram.append(
-            tuple(
-                parse_rational(c, f"{path}.gram[{i}][{j}]")
-                for j, c in enumerate(entries)
-            )
-        )
+            raise InputDocumentError(row_path, "gram matrix must be square")
+        gram.append(_parse_rationals(entries, row_path))
     return None, tuple(gram)
 
 
@@ -307,7 +329,7 @@ def build_inputs(problem: Problem) -> tuple[EtaleAlgebra, QuadraticSpace]:
         if problem.diagonal is not None:
             form = QuadraticSpace.of(problem.diagonal)
         else:
-            form = QuadraticSpace.from_gram([list(r) for r in problem.gram or ()])
+            form = QuadraticSpace.from_gram(problem.gram or ())
     except ValueError as exc:
         raise InputDocumentError("$.form", str(exc)) from None
     if form.dim != algebra.rank:

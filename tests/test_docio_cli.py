@@ -281,6 +281,24 @@ SYNTAX_ERRORS = [
         "$.options.annotations[0].component",
         "component index " + "1" + "0" * 31 + "... out of range",
     ),
+    # A rejected entry of an array of rationals names its own path.
+    (
+        {
+            "algebra": [{"type": "quad", "d": -1}],
+            "form": {"gram": [[1, 0, 0], [0, 1, 0], [0, True, 1]]},
+        },
+        "$.form.gram[2][1]",
+        "expected a rational, got a boolean",
+    ),
+    (quad_doc(-1, [1, 1, 1, 0.5]), "$.form.diagonal[3]", "got float"),
+    (
+        {
+            "algebra": [{"type": "general", "f": [-2, 0, 1], "theta": [0, 1, "1/0"]}],
+            "form": {"diagonal": [1, 1, 1, 1]},
+        },
+        "$.algebra[0].theta[2]",
+        "malformed rational string '1/0'",
+    ),
 ]
 
 # The most bytes an error object takes, whatever values the document holds.
@@ -294,6 +312,29 @@ def test_parse_problem_error_paths(doc, path, fragment):
     assert info.value.path == path
     assert fragment in info.value.message
     assert len(dump_json(render_error(info.value))) <= _ERROR_BYTES
+
+
+def test_parse_problem_builds_no_fraction_for_integer_entries(monkeypatch):
+    # The document layer keeps JSON integers as ints: an all-integer 12x12
+    # Gram document is parsed, and echoed, without one Fraction; the math
+    # layer converts the entries when it builds the form.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(docio, "Fraction", counting)
+    n = 12
+    gram = [[i + 3 if i == j else (i + j) % 5 - 2 for j in range(n)] for i in range(n)]
+    doc = {
+        "algebra": [{"type": "general", "f": [-2, 0, 1], "theta": [0, 1]}],
+        "form": {"gram": gram},
+    }
+    problem = parse_problem(doc)
+    assert all(type(x) is int for row in problem.gram for x in row)
+    assert normalize_problem(problem)["form"] == {"gram": gram}
+    assert calls == []
 
 
 def test_parse_problem_duplicate_annotation():
@@ -1179,6 +1220,44 @@ def test_selftest_still_checks_under_optimize(breakage):
     assert proc.stdout == "1\n"
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("batch", [False, True], ids=["report", "batch"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+def test_cli_failed_write_to_stdout_exits_74(tmp_path, sink, batch, unbuffered):
+    # A report that standard output cannot take is an I/O error (EX_IOERR),
+    # not a verdict's exit code: one line on standard error, no traceback,
+    # and no "Exception ignored" from the interpreter's flush at exit.  The
+    # batch of 100 reports is larger than the output buffer, so a buffered
+    # write fails inside print, and a single report only at the flush.
+    if sink == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("this platform has no /dev/full")
+    doc = quad_doc(-1, [1, 1])
+    path = write_doc(tmp_path, [doc] * 100 if batch else doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusembed", "decide", path, "--json"],
+            env=env,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 74, proc.stderr
+    assert proc.stderr.startswith("error: cannot write to standard output: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_cli_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
@@ -1452,3 +1531,74 @@ def test_cli_survives_any_json_document(command, doc):
     code, out, _ = run_cli([command, "--json", "-"], json.dumps(doc))
     assert code in (0, 1, 2, 3, 4, 70)
     json.loads(out)
+
+
+# ------------------------------------------------------ spelling invariance
+
+
+def _rational_arrays(doc):
+    """Every array of rationals in ``doc``, as (kind, entries, JSON path):
+    each general component's ``f`` and ``theta``, and the form's
+    ``diagonal`` or each row of its ``gram``."""
+    for i, component in enumerate(doc["algebra"]):
+        for key in ("f", "theta"):
+            if key in component:
+                yield key, component[key], f"$.algebra[{i}].{key}"
+    form = doc["form"]
+    if "diagonal" in form:
+        yield "diagonal", form["diagonal"], "$.form.diagonal"
+    else:
+        for i, row in enumerate(form["gram"]):
+            yield "gram", row, f"$.form.gram[{i}]"
+
+
+def _respelled(value, how, k):
+    """The rational ``value``, an int n or a string "p/q", spelled another
+    way: n as "n", "n/1" or "kn/k" by ``how``, and "p/q" as "kp/kq"."""
+    if isinstance(value, int):
+        return (str(value), f"{value}/1", f"{k * value}/{k}")[how]
+    p, q = value.split("/")
+    return f"{k * int(p)}/{k * int(q)}"
+
+
+def test_respelled_rationals_keep_the_report():
+    # A rational's spelling is not part of the problem, and the echo is
+    # canonical: a respelled document gives decide's report byte for byte,
+    # and its exit code.  A boolean put at one entry of each kind of array
+    # is still rejected at that entry's own path.
+    respelled, rejected = Counter(), Counter()
+    for doc in [*_permutation_bases(), _SKELETONS[3]]:
+        code, out, _ = run_cli(["decide", "--json"], json.dumps(doc))
+
+        @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            moved = json.loads(json.dumps(doc))
+            arrays = list(_rational_arrays(moved))
+            for _, entries, _ in arrays:
+                for j, value in enumerate(entries):
+                    how, k = data.draw(st.integers(0, 2)), data.draw(st.integers(2, 9))
+                    entries[j] = _respelled(value, how, k)
+                    respelled["int" if isinstance(value, int) else "fraction"] += 1
+            assert run_cli(["decide", "--json"], json.dumps(moved))[:2] == (code, out)
+
+            for kind in dict.fromkeys(kind for kind, _, _ in arrays):
+                _, entries, path = data.draw(
+                    st.sampled_from([a for a in arrays if a[0] == kind])
+                )
+                j = data.draw(st.integers(0, len(entries) - 1))
+                broken = json.loads(json.dumps(moved))
+                target = next(e for _, e, p in _rational_arrays(broken) if p == path)
+                target[j] = True
+                bad_code, bad_out, _ = run_cli(["decide", "--json"], json.dumps(broken))
+                error = json.loads(bad_out)["error"]
+                assert bad_code == 4
+                assert error == {
+                    "path": f"{path}[{j}]",
+                    "message": "expected a rational, got a boolean",
+                }
+                rejected[kind] += 1
+
+        check()
+    assert respelled["int"] and respelled["fraction"], respelled
+    assert set(rejected) == {"f", "theta", "diagonal", "gram"}, rejected
