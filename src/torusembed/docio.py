@@ -20,9 +20,10 @@ The wire format is JSON.  A problem document looks like::
 Polynomials are coefficient lists in ascending order; rationals are integers
 or strings ``"p/q"`` (never floats).  The document layer keeps a JSON integer
 as the ``int`` it is, on the way in and in the echo; only a ``"p/q"`` string
-becomes a ``Fraction`` here.  The math layer (``PolyQ.of``,
-``QuadraticSpace.of``, ``diagonalize_gram``) turns what it receives into
-``Fraction``s.  An entry's JSON path is formatted only when the entry is
+becomes a ``Fraction`` here.  The forms keep integers too
+(``QuadraticSpace.of``, ``diagonalize_gram``), and so do the report's ``h``
+coefficients; only ``PolyQ.of`` (f, theta) turns every coefficient into a
+``Fraction``.  An entry's JSON path is formatted only when the entry is
 rejected.  ``check_option`` is the one range check of ``prime_bound`` and
 ``oracle_height``, whether they come from the document or from a
 command-line flag.
@@ -409,7 +410,7 @@ def _invariants_block(algebra: EtaleAlgebra, form: QuadraticSpace) -> dict:
             "components": [
                 {
                     "degree": c.degree,
-                    "h": [render_rational(x) for x in c.h.coeffs],
+                    "h": [render_rational(x) for x in c.h_coeffs()],
                     "disc": c.disc_class.rep,
                     "det": c.det_class.rep,
                     "real_profile": list(c.real_profile),

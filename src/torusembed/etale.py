@@ -15,9 +15,12 @@ h(x) = chi(x^2) = Res_y(f(y), x^2 - theta(y)) is the minimal polynomial of
 sqrt(theta).  chi_T's power sums test chi's irreducibility and give those of
 h's roots, p_w = Tr_{K/Q}(sqrt(theta)^w), which are 2*Tr_{F/Q}(theta^(w/2))
 for even w and 0 for odd w, and which give every trace-form Gram block.
-A component keeps this kernel, not f and theta: g, W, D and chi_T's power
-sums t, with h for the report.  A quad component keeps the trivial kernel
-g = y - d, W = d, D = 1 and t = (1, d), so readers take one path.
+A component keeps this kernel, not f and theta: g, W, D, chi_T and its power
+sums t.  h's coefficients are read from chi_T and D when the report asks for
+them, as ints when D = 1; the polynomial h is built only for the oracle's
+reductions and the square-norm fallback below.  A quad component keeps the
+trivial kernel g = y - d, W = d, D = 1, chi_T = x - d and t = (1, d), so
+readers take one path.
 
 A general component is a field exactly when h is irreducible, that is, when
 chi is irreducible (theta generates F) and theta is not a square in F.  If
@@ -103,7 +106,7 @@ class GeneralSpec(Record):
 
 
 class Component:
-    """A validated field component: its integer kernel g, W, D, t, and h,
+    """A validated field component: its integer kernel g, W, D, chi_T and t,
     and the counts of F's infinite places, all stored when it is built."""
 
     def __init__(
@@ -112,9 +115,8 @@ class Component:
         g: list[int],
         W: list[int],
         D: int,
+        chi_T: list[int],
         t: list[int],
-        h: PolyQ,
-        degree: int,
         disc_class: SquareClass,
         det_class: SquareClass,
         real_count: int,
@@ -126,15 +128,15 @@ class Component:
         self.g = g
         self.W = W
         self.D = D
+        self.chi_T = chi_T
         self.t = t
-        self.h = h
-        self.degree = degree
         self.disc_class = disc_class
         self.det_class = det_class
         self.real_count = real_count
         self.ramified_count = ramified_count
         self.exactness_gaps = exactness_gaps
         self.fixed_degree = len(g) - 1  # [F:Q]
+        self.degree = 2 * self.fixed_degree  # [K:Q]
         unramified = real_count - ramified_count
         complex_pairs = (self.fixed_degree - real_count) // 2
         self.real_profile = (ramified_count, unramified, complex_pairs)
@@ -144,6 +146,22 @@ class Component:
         self.unramified_place_count = unramified + complex_pairs
         # Block-rule answers (theta a square above p) of component_split_at.
         self.square_at: dict[int, bool] = {}
+
+    def h_coeffs(self) -> list[int | Fraction]:
+        """h(x) = chi(x^2), ascending: chi's coefficient of x^j is
+        chi_T[j] / D^(m-j), with zeros between; all ints when D = 1."""
+        chi_T, D = self.chi_T, self.D
+        m = len(chi_T) - 1
+        out: list[int | Fraction] = [0] * (2 * m + 1)
+        out[::2] = chi_T if D == 1 else [
+            Fraction(a, D ** (m - j)) for j, a in enumerate(chi_T)
+        ]
+        return out
+
+    @cached_property
+    def h(self) -> PolyQ:
+        """The minimal polynomial of sqrt(theta) over Q."""
+        return PolyQ.of(self.h_coeffs())
 
 
 _NOT_FULL_DEGREE = (
@@ -165,8 +183,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             raise ComponentValidationError(f"d = {echo(d)} must be squarefree")
         # The trivial kernel of f = y - d and theta = d: g = f, W = d, D = 1,
         # and chi_T = x - d, whose root d has the power sums 1, d.
-        g, W, D, t = [-d, 1], [d], 1, [1, d]
-        h = PolyQ.of((-d, 0, 1))
+        g, W, D, chi_T, t = [-d, 1], [d], 1, [-d, 1], [1, d]
         # disc(h) = 4d lies in the class of d.
         disc_class = SquareClass.from_factors(sign, dict(facs))
         gaps: frozenset[int] = frozenset()
@@ -203,16 +220,15 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
             if theta.is_zero:
                 raise ComponentValidationError("theta must be nonzero in F")
             raise ComponentValidationError(_NOT_FULL_DEGREE)
-        zero = Fraction(0)
-        h = PolyQ(tuple(q for j, a in enumerate(chi_T)
-                        for q in (Fraction(a, D ** (m - j)), zero))[:-1])
         # chi is irreducible, so Hermite's form of g is nonsingular for W = 1
         # and W; for W = 1 its last pivot is disc(g) = c^(m(m-1)) * disc(f).
         ones = hankel_pivots([1], s, m)
         # The gap set: odd primes of c (the lcm of f's denominators), disc(f),
         # D (theta's denominators, with c) and the norm Res(f, theta) =
-        # (-1)^m * chi(0), factored together.
-        norm = (-1) ** m * h.coeffs[0]
+        # (-1)^m * chi(0) = (-1)^m * chi_T(0) / D^m, factored together.
+        norm = (-1) ** m * chi_T[0]
+        if D != 1:
+            norm = Fraction(norm, D**m)
         factored = factor_rationals((c, ones[-1], D, norm))
         bad = {p for _, exponents in factored for p in exponents}
         # disc(h) = 4^m * Res(f, theta) * disc(chi)^2 is in the class of the
@@ -223,7 +239,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         real_count = _signature(ones)
         ramified_count = (real_count - _signature(hankel_pivots(W, s, m))) // 2
 
-    det_sign = -1 if (h.degree // 2) % 2 else 1
+    det_sign = -1 if (len(g) - 1) % 2 else 1  # (-1)^m, m = [F:Q]
     det_class = SquareClass.of(det_sign) * disc_class
 
     component = Component(
@@ -231,9 +247,8 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
         g=g,
         W=W,
         D=D,
+        chi_T=chi_T,
         t=t,
-        h=h,
-        degree=h.degree,
         disc_class=disc_class,
         det_class=det_class,
         real_count=real_count,
@@ -245,7 +260,7 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
     if disc_class.rep == 1:
         good = (p for p in iter_primes() if p != 2 and p not in gaps)
         squares = (component_split_at(component, p) is SPLIT for p in good)
-        if all(islice(squares, _CERTIFICATE_PRIMES)) and not is_irreducible(h):
+        if all(islice(squares, _CERTIFICATE_PRIMES)) and not is_irreducible(component.h):
             raise ComponentValidationError(_NOT_FULL_DEGREE)
     return component
 

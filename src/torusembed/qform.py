@@ -9,8 +9,11 @@ A Gram matrix is diagonalized fraction-free: Bareiss elimination
 (``arith.polyq.bareiss_pivots``) runs over the integers on the matrix scaled
 by L, the lcm of its denominators, and each diagonal entry is a pivot over L
 times the previous pivot.  When no pivot is zero these are the ratios D_k / D_(k-1) of
-the leading principal minors D_k (Bareiss, Math. Comp. 22, 1968).  Only the
-n diagonal entries are Fractions.
+the leading principal minors D_k (Bareiss, Math. Comp. 22, 1968).
+
+A diagonal entry that is an integer is an ``int``; a ``Fraction`` holds
+only a value that is not.  Every reader of a diagonal (``hasse_bit``,
+``factor_rationals``, the report) takes both.
 
 The Hasse invariant is represented by its support: the finite set of places
 where the pairwise symbol sum is odd.  Away from 2, infinity, and primes
@@ -62,14 +65,15 @@ class QFInvariants(Record):
         self.signature = signature
 
 
-def diagonalize_gram(gram) -> tuple[Fraction, ...]:
+def diagonalize_gram(gram) -> tuple[int | Fraction, ...]:
     """Diagonal entries of a form congruent to the symmetric matrix ``gram``.
 
     The matrix is scaled by L, the lcm of its denominators, and eliminated
     by ``bareiss_pivots``; the k-th diagonal entry is a_k / (L * a_(k-1)) for
-    the pivots a_k (a_0 = 1).  The scaled matrix has the rational one's zero
-    pattern, so the pivot choices are those of rational elimination.  Raises
-    ValueError ("degenerate form") when the matrix is singular.
+    the pivots a_k (a_0 = 1), an ``int`` when that divides exactly.  The
+    scaled matrix has the rational one's zero pattern, so the pivot choices
+    are those of rational elimination.  Raises ValueError ("degenerate
+    form") when the matrix is singular.
     """
     # Integers and Fractions already carry numerator and denominator.
     m = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
@@ -84,9 +88,12 @@ def diagonalize_gram(gram) -> tuple[Fraction, ...]:
             if b[i][j] != b[j][i]:
                 raise ValueError("gram matrix must be symmetric")
     pivots = bareiss_pivots(b)
-    return tuple(
-        Fraction(a, scale * prev) for prev, a in zip([1, *pivots], pivots)
-    )
+    out: list[int | Fraction] = []
+    for prev, a in zip([1, *pivots], pivots):
+        d = scale * prev
+        q, r = divmod(a, d)
+        out.append(Fraction(a, d) if r else q)
+    return tuple(out)
 
 
 def hasse_support(entries, places) -> frozenset[Place]:
@@ -99,13 +106,13 @@ def hasse_support(entries, places) -> frozenset[Place]:
 class QuadraticSpace:
     """A nondegenerate quadratic form over Q in diagonal presentation."""
 
-    def __init__(self, diagonal: tuple[Fraction, ...]) -> None:
+    def __init__(self, diagonal: tuple[int | Fraction, ...]) -> None:
         self.diagonal = diagonal
         self.dim = len(diagonal)
 
     @classmethod
     def of(cls, entries) -> "QuadraticSpace":
-        diag = tuple(Fraction(a) for a in entries)
+        diag = tuple(a if type(a) is int else _rational(a) for a in entries)
         if any(a == 0 for a in diag):
             raise ValueError("degenerate form")
         return cls(diag)
@@ -139,6 +146,13 @@ class QuadraticSpace:
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(a) for a in self.diagonal) + ">"
+
+
+def _rational(a) -> int | Fraction:
+    """A rational entry as an ``int`` when it is an integer."""
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    return a.numerator if a.denominator == 1 else a
 
 
 def _disc(det: SquareClass, dim: int) -> SquareClass:

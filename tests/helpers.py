@@ -26,7 +26,13 @@ from torusembed.arith.polyfp import (
     fp_reduce,
     fp_rem,
 )
-from torusembed.arith.polyq import PolyQ, hankel_pivots, integer_kernel, power_sums
+from torusembed.arith.polyq import (
+    PolyQ,
+    hankel_pivots,
+    integer_kernel,
+    power_sums,
+    resultant_in_y,
+)
 from torusembed.arith.symbols import (
     hilbert_symbol,
     legendre_symbol,
@@ -93,6 +99,22 @@ def base_field(component: Component) -> tuple[PolyQ, PolyQ]:
     if isinstance(spec, QuadSpec):
         return P(-spec.d, 1), P(spec.d)
     return spec.f, spec.theta % spec.f
+
+
+def eager_h(spec: QuadSpec | GeneralSpec) -> PolyQ:
+    """Reference for a component's h, built from its spec as the build once
+    built it for every component: x^2 - d for a quad component, else
+    h(x) = chi(x^2) with chi's coefficient of x^j Fraction(chi_T[j], D^(m-j))
+    for the integer kernel's chi_T and D."""
+    if isinstance(spec, QuadSpec):
+        return PolyQ.of((-spec.d, 0, 1))
+    f = spec.f
+    g, _, W, D, s = integer_kernel(f, spec.theta % f)
+    chi_T = resultant_in_y(g, W, s)
+    m = f.degree
+    zero = Fraction(0)
+    return PolyQ(tuple(q for j, a in enumerate(chi_T)
+                       for q in (Fraction(a, D ** (m - j)), zero))[:-1])
 
 
 def reduce_mod_p(poly: PolyQ, p: int) -> list[int]:

@@ -337,6 +337,44 @@ def test_parse_problem_builds_no_fraction_for_integer_entries(monkeypatch):
     assert calls == []
 
 
+_INTEGER_QUAD_DOCS = [
+    quad_doc(-1, [1, 1]),
+    {
+        "algebra": [{"type": "quad", "d": -1}, {"type": "quad", "d": 2}],
+        "form": {
+            "gram": [[2, 2, 0, 0], [2, 4, 0, 0], [0, 0, 2, 2], [0, 0, 2, -2]]
+        },
+    },
+]
+
+
+@pytest.mark.parametrize("doc", _INTEGER_QUAD_DOCS, ids=["diagonal", "gram"])
+def test_decide_builds_no_fraction_for_integer_quad_documents(tmp_path, monkeypatch, doc):
+    # Past the document layer integers stay ints too: a quad component
+    # keeps chi_T = x - d and reads h's coefficients from it, and a
+    # diagonal entry that is an integer (here every pivot ratio) is an int.
+    # So an all-integer quad document goes from parse to printed report
+    # without one Fraction construction, counted at the class itself.
+    path = write_doc(tmp_path, doc)
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    code, out, _ = run_cli(["decide", str(path), "--json"])
+    monkeypatch.undo()
+    assert (code, json.loads(out)["verdict"]) == (0, "realizable")
+    assert calls == []
+    # The counter is live: one Fraction construction is seen.
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    Fraction(1, 2)
+    monkeypatch.undo()
+    assert calls == [(1, 2)]
+
+
 def test_parse_problem_duplicate_annotation():
     for prime in (2, 10**2999 + 1):
         ann = [

@@ -1,12 +1,17 @@
 """Etale algebras with involution: validation, invariants, splitting."""
 
 import itertools
+import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusembed import etale
 from torusembed.arith import integers
@@ -22,6 +27,7 @@ from torusembed.arith.polyq import (
 )
 from torusembed.arith.sturm import isolate_real_roots
 from torusembed.arith.symbols import legendre_symbol
+from torusembed.docio import render_rational
 from torusembed.engine import check_local, construct_baseline
 from torusembed.errors import ComponentValidationError, NeedAnnotations
 from torusembed.etale import (
@@ -39,6 +45,7 @@ from helpers import (
     base_field,
     block_rule_split_at,
     diag,
+    eager_h,
     fraction_resultant_in_y,
     general,
     good_primes,
@@ -47,6 +54,7 @@ from helpers import (
     rational_tarski_query,
     real_root_count,
     reduce_mod_p,
+    run_cli,
     squarefree_part,
     sylvester_discriminant,
     sylvester_resultant,
@@ -242,8 +250,25 @@ def test_integer_kernel_matches_the_fraction_references():
     # 1 and theta; the gap set comes from the primes of the denominators,
     # disc(f) and Res(f, theta); and square_at, after the primes below 60
     # are asked, agrees with Euler's criterion modulo each factor of f.
+    # h is checked against helpers.eager_h, a Fraction reference built from
+    # the spec, here and on quad and random_general_spec components of
+    # degree 1..5: the rendered h_coeffs() (the report's h list) and
+    # Component.h equal it, h_coeffs() are ints when D = 1, and the build
+    # of a component whose norm is not a square never builds h.
     rng = random.Random(71)
     built = with_c = with_d = 0
+    unbuilt = Counter()
+
+    def check_h(c):
+        if c.disc_class.rep != 1:
+            assert "h" not in vars(c), c.spec
+            unbuilt[c.is_quad] += 1
+        want = eager_h(c.spec)
+        got = c.h_coeffs()
+        assert [render_rational(x) for x in got] == [render_rational(x) for x in want.coeffs]
+        assert c.D != 1 or all(type(x) is int for x in got), c.spec
+        assert c.h == want, c.spec
+
     while built < 60:
         m = 1 + built % 6
         f = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(m)]
@@ -255,6 +280,7 @@ def test_integer_kernel_matches_the_fraction_references():
         except ComponentValidationError:
             continue
         built += 1
+        check_h(c)
         cf, ctheta = base_field(c)
         f_den = lcm(*(a.denominator for a in cf.coeffs))
         theta_den = lcm(*(a.denominator for a in ctheta.coeffs))
@@ -283,6 +309,16 @@ def test_integer_kernel_matches_the_fraction_references():
         for p, square in c.square_at.items():
             assert square == _square_at_every_factor(cf, ctheta, p), (f, theta, p)
     assert with_c >= 40 and with_d >= 40
+    for d in (-1, 2, -3, 5, -15, 30, -7, 11):
+        check_h(build_component(quad(d)))
+    kernels = Counter()
+    for _ in range(40):
+        c = build_component(random_general_spec(rng, 5))
+        check_h(c)
+        kernels[c.fixed_degree, c.D == 1] += 1
+    assert {m for m, _ in kernels} == {1, 2, 3, 4, 5}
+    assert {unit for _, unit in kernels} == {True, False}
+    assert unbuilt[True] == 8 and unbuilt[False] >= 60, unbuilt
 
 
 def test_selftest_block_rule_answers_match_the_reference():
@@ -911,3 +947,158 @@ def test_quad_components_never_indeterminate():
         for p in primes_up_to(40):
             assert alg.component_split(i, Place(p)) is not INDETERMINATE
         assert alg.component_split(i, INFINITY) is not INDETERMINATE
+
+
+# ------------------------------------------------- presentation invariance
+
+_SHIFTS = (-2, -1, 1, 2, Fraction(1, 3))
+_BETA_COEFFS = (-2, -1, 1, 2, 3, Fraction(1, 2))
+
+
+def _compose(p: PolyQ, q: PolyQ) -> PolyQ:
+    """p(q(y)), by Horner's rule."""
+    out = PolyQ.zero()
+    for c in reversed(p.coeffs):
+        out = out * q + PolyQ.constant(c)
+    return out
+
+
+def _presented(spec: GeneralSpec, move) -> GeneralSpec:
+    """The component of ``spec`` written another way: ("shift", a) gives
+    (f(y + a), theta(y + a)), the same theta in the generator y - a of F;
+    ("twist", beta) gives (f, theta * beta^2), theta times a square of F."""
+    kind, arg = move
+    if kind == "shift":
+        y = PolyQ.of((arg, 1))
+        f = _compose(spec.f, y)
+        return GeneralSpec(f, _compose(spec.theta, y) % f)
+    beta = PolyQ.of(arg)
+    return GeneralSpec(spec.f, (spec.theta * beta * beta) % spec.f)
+
+
+def _moves(degree: int):
+    """A shift y -> y + a, or a twist by beta of degree below ``degree``."""
+    return st.one_of(
+        st.tuples(st.just("shift"), st.sampled_from(_SHIFTS)),
+        st.tuples(
+            st.just("twist"),
+            st.lists(st.sampled_from(_BETA_COEFFS), min_size=1, max_size=degree),
+        ),
+    )
+
+
+def _keeps_a_generator(moved: GeneralSpec, move) -> bool:
+    """Whether the moved theta still generates F (f irreducible), as a
+    component's presentation needs.  A twist can make theta * beta^2
+    rational, or a generator of a proper subfield of F; it generates F
+    exactly when its characteristic polynomial chi, from the Fraction
+    reference, is squarefree.  A shift always keeps a generator."""
+    if move[0] == "shift":
+        return True
+    chi = PolyQ.of(fraction_resultant_in_y(moved.f, moved.theta).coeffs[::2])
+    return chi.gcd(chi.derivative()).degree == 0
+
+
+def _built(spec):
+    try:
+        return build_component(spec)
+    except ComponentValidationError:
+        return None
+
+
+def test_presentation_keeps_the_component_invariants():
+    # ROADMAP item 11: the invariants, and the splitting at primes where
+    # neither presentation abstains, belong to the field K, not to (f,
+    # theta).  The bases: golden 06's component, theta = 3(1 + y)^2 over
+    # y^2 - 2 (a square norm, not a square), seeded random_general_spec
+    # components, and two square thetas, (1 + y)^2 over y^2 - 2 and over
+    # y^3 - y - 1, rejected in every presentation.  A shift keeps theta's
+    # element of F, so it keeps h, though D can change.
+    rng = random.Random(113)
+    bases = [
+        general([-2, 0, 1], [0, 1]),
+        general([-2, 0, 1], [9, 6]),
+        *(random_general_spec(rng, 4) for _ in range(4)),
+        general([-2, 0, 1], [3, 2]),
+        general([-1, -1, 0, 1], [1, 2, 1]),
+    ]
+    outcomes, statuses, new_d = Counter(), Counter(), Counter()
+    for spec in bases:
+
+        @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+        @given(_moves(spec.f.degree), st.integers(3, 120))
+        def check(move, bound):
+            moved = _presented(spec, move)
+            assume(_keeps_a_generator(moved, move))
+            one, two = _built(spec), _built(moved)
+            assert (one is None) == (two is None), move
+            outcomes[one is not None] += 1
+            if one is None:
+                return
+            assert (one.real_count, one.ramified_count) == (two.real_count, two.ramified_count)
+            assert (one.disc_class, one.det_class) == (two.disc_class, two.det_class)
+            for p in primes_up_to(bound):
+                if p in one.exactness_gaps or p in two.exactness_gaps:
+                    continue
+                status = etale.component_split_at(one, p)
+                assert etale.component_split_at(two, p) is status, (move, p)
+                statuses[status] += 1
+            if move[0] == "shift":
+                rendered = [[render_rational(x) for x in c.h_coeffs()] for c in (one, two)]
+                assert rendered[0] == rendered[1], move
+                new_d[one.D != two.D] += 1
+
+        check()
+    assert set(outcomes) == {True, False}, outcomes
+    assert {SPLIT, NONSPLIT} <= set(statuses), statuses
+    assert new_d[True] > 0, new_d
+
+
+def _document_bases():
+    """Documents with general components that reach every verdict: goldens
+    06, 08 and 09, golden 07 without its oracle height, 09's algebra with
+    the all-ones form, and golden 06's component beside Q(i)."""
+    golden = Path(__file__).parent / "golden"
+    docs = {
+        k: json.loads(next(golden.glob(f"{k}-*.input.json")).read_text())
+        for k in ("06", "07", "08", "09")
+    }
+    del docs["07"]["options"]["oracle_height"]
+    docs["ones"] = dict(docs["09"], form={"diagonal": [1] * 8})
+    docs["mixed"] = {
+        "algebra": [{"type": "quad", "d": -1}, docs["06"]["algebra"][0]],
+        "form": {"diagonal": [1, 1, 1, 1, 1, -2]},
+    }
+    return list(docs.values())
+
+
+def test_presentation_never_turns_realizable_into_locally_fails():
+    # The document-level half of item 11.  The gap sets differ between
+    # presentations, so a witness or a bad place at a gap prime of one
+    # presentation needs an annotation in that one only, and a verdict can
+    # move to inconclusive; it can never move between realizable and
+    # locally_fails.  Every general component here has deg f = 2.
+    seen, seen_moved = Counter(), Counter()
+    for doc in _document_bases():
+        general_at = [i for i, c in enumerate(doc["algebra"]) if c["type"] == "general"]
+        _, out, _ = run_cli(["decide", "--json"], json.dumps(doc))
+        verdict = json.loads(out)["verdict"]
+        seen[verdict] += 1
+
+        @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+        @given(st.sampled_from(general_at), _moves(2))
+        def check(i, move):
+            moved = json.loads(json.dumps(doc))
+            entry = moved["algebra"][i]
+            spec = _presented(general(entry["f"], entry["theta"]), move)
+            assume(_keeps_a_generator(spec, move))
+            entry["f"] = [render_rational(x) for x in spec.f.coeffs]
+            entry["theta"] = [render_rational(x) for x in spec.theta.coeffs]
+            _, out, _ = run_cli(["decide", "--json"], json.dumps(moved))
+            moved_verdict = json.loads(out)["verdict"]
+            assert {verdict, moved_verdict} != {"realizable", "locally_fails"}, (i, move)
+            seen_moved[moved_verdict] += 1
+
+        check()
+    assert {"realizable", "locally_fails", "inconclusive"} <= set(seen), seen
+    assert {"realizable", "locally_fails"} <= set(seen_moved), seen_moved

@@ -74,6 +74,14 @@ def test_invariants_frozen_small_forms():
     assert inv.hasse_support == frozenset()
 
 
+def test_diagonal_entries_are_ints_exactly_when_integral():
+    space = QuadraticSpace.of([2, Fraction(4, 2), Fraction(1, 3), "-10/2", True])
+    assert space.diagonal == (2, 2, Fraction(1, 3), -5, 1)
+    assert [type(a) for a in space.diagonal] == [int, int, Fraction, int, int]
+    assert QuadraticSpace.from_gram([[2, 1], [1, 2]]).diagonal == (2, Fraction(3, 2))
+    assert type(QuadraticSpace.from_gram([[2, 2], [2, 4]]).diagonal[1]) is int
+
+
 def test_diagonalize_gram_handles_zero_diagonal():
     diag = diagonalize_gram([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     space = QuadraticSpace.of(diag)
@@ -112,6 +120,7 @@ def test_fraction_free_diagonalization_matches_rational_elimination():
     rng = random.Random(61)
     branches: list[str] = []
     errors = set()
+    kinds = set()
     for _ in range(400):
         gram = random_symmetric(rng, rng.randint(1, 12))
         want = outcome(lambda g: fraction_diagonalize(g, branches), gram)
@@ -120,11 +129,14 @@ def test_fraction_free_diagonalization_matches_rational_elimination():
         if isinstance(want, str):
             errors.add(want)
         else:
-            assert all(type(a) is Fraction for a in got)
+            # An entry is an int exactly when it is integral.
+            assert all(type(a) is (int if a.denominator == 1 else Fraction) for a in got)
+            kinds.update(type(a) for a in got)
     # Both ways of making a zero pivot nonzero ran, and singular input
     # failed in both.
     assert {"swap", "sum"} <= set(branches)
     assert errors == {"degenerate form"}
+    assert kinds == {int, Fraction}
     # Degenerate, non-square and asymmetric input raise the same text.
     for gram in (
         [[0, 0], [0, 0]],
