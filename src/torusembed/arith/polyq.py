@@ -6,10 +6,11 @@ identities), from which ``resultant_in_y`` gives theta's characteristic
 polynomial over Z and ``hankel_pivots`` the Bareiss pivots of Hermite's trace
 form (real-root counts, signs at the real roots, the discriminant); ``hankel``
 builds its Hankel vector and the oracle's.  Also rational roots, and
-irreducibility over Q of a monic integer polynomial with its power sums, by
-the factor degrees mod a few primes, then by Hensel lifting a mod-p
-factorization and trying factor recombinations (degrees up to 12 keep the
-subset search trivial; Cohen, GTM 138, 3.5).
+irreducibility over Q of a monic integer polynomial with its power sums: of
+a quadratic by its discriminant, else by the factor degrees mod a few primes
+prime to the discriminant, then by Hensel lifting a mod-p factorization and
+trying factor recombinations (degrees up to 12 keep the subset search
+trivial; Cohen, GTM 138, 3.5).
 Integer polynomials are ascending int lists that share the ``polyfp``
 kernel's ``_raw_mul`` and ``_strip``; the modular factors and their lifts are
 kernel lists too.  A ``PolyQ`` is never reduced mod p: the modular readers
@@ -28,11 +29,9 @@ from torusembed.arith.polyfp import (
     _raw_mul,
     _strip,
     factor_mod_p,
-    fp_derivative,
     fp_distinct_degree,
     fp_div_exact,
     fp_divmod,
-    fp_gcd,
     fp_mul,
     fp_mulmod,
     fp_reduce,
@@ -183,7 +182,7 @@ def integerize(f: PolyQ) -> tuple[list[int], int]:
     d = 1
     for c in f.coeffs:
         d = d * c.denominator // gcd(d, c.denominator)
-    return [int(c * d) for c in f.coeffs], d
+    return [c.numerator * (d // c.denominator) for c in f.coeffs], d
 
 
 def _ip_rem(a: list[int], b: list[int]) -> list[int]:
@@ -427,7 +426,9 @@ def is_irreducible(f: PolyQ) -> bool:
 
 def is_monic_irreducible(g: list[int], s: list[int]) -> bool:
     """Whether the monic integer g of degree 1..12 is irreducible over Q,
-    given the power sums s_0, ..., s_(2n-2) of its roots, n = deg g."""
+    given the power sums s_0, ..., s_(2n-2) of its roots, n = deg g.  The
+    last pivot of Hermite's form is disc(g): a quadratic is irreducible
+    exactly when that is not a square, and the primes tried are prime to it."""
     n = len(g) - 1
     if n > MAX_IRREDUCIBILITY_DEGREE:
         raise ValueError(f"unsupported degree {n} (max {MAX_IRREDUCIBILITY_DEGREE})")
@@ -435,12 +436,14 @@ def is_monic_irreducible(g: list[int], s: list[int]) -> bool:
         return True
     if g[0] == 0:
         return False
-    # g is squarefree exactly when its Hermite form is nonsingular; then g mod
-    # p is squarefree at all but finitely many p, so the prime loop ends.
+    # g is squarefree exactly when its Hermite form is nonsingular; g mod p
+    # is squarefree exactly when p does not divide disc(g), so the loop ends.
     try:
-        hankel_pivots([1], s, n)
+        disc = hankel_pivots([1], s, n)[-1]
     except ValueError:
         return False
+    if n == 2:
+        return disc < 0 or isqrt(disc) ** 2 != disc
 
     # A factor over Q has a degree that the factors mod every good prime can
     # sum to (Musser's degree sets; bit d of ``degrees`` for degree d), so
@@ -453,9 +456,9 @@ def is_monic_irreducible(g: list[int], s: list[int]) -> bool:
     for p in iter_primes():
         if p == 2:
             continue
-        gp = fp_reduce(g, p)
-        if len(fp_gcd(gp, fp_derivative(gp, p), p)) != 1:
+        if disc % p == 0:
             continue
+        gp = fp_reduce(g, p)
         sums, count = 1, 0
         for b, k in fp_distinct_degree(gp, p):
             for _ in range((len(b) - 1) // k):

@@ -40,8 +40,9 @@ odd primes away from a finite documented gap set (primes dividing the data's
 discriminants and norm).  There the norm's Legendre symbol is (-1)^r, r the
 places above p where theta is a non-square; at +1, theta is a square above p
 exactly when D*W is a square modulo each distinct-degree block of g mod p
-(the block rule, evaluated once per prime).  At 2 and at the gap primes the
-oracle abstains unless the user supplies an annotation.
+but the last one that is one place, which the even r settles (the block
+rule, evaluated once per prime).  At 2 and at the gap primes the oracle
+abstains unless the user supplies an annotation.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def build_component(spec: QuadSpec | GeneralSpec) -> Component:
                 f"unsupported degree: [K:Q] = {2 * f.degree} exceeds "
                 f"{MAX_IRREDUCIBILITY_DEGREE}"
             )
-        theta = theta % f
+        if theta.degree >= f.degree:
+            theta = theta % f
         m = f.degree
         # One integer kernel: g = c^m f(z/c), theta = W(z)/D at z = c*y, the
         # power sums s of g's roots, and chi_T, the characteristic polynomial
@@ -272,14 +274,20 @@ def _signature(pivots: list[int]) -> int:
 
 def _is_square_at(g: list[int], W: list[int], D: int, p: int) -> bool:
     """Whether theta = W(z)/D is a square at every place of F above the good
-    prime p.  c and D are units mod p, so z = c*y maps the blocks of f mod p
-    onto those of g, and theta * D^2 = D * W(z).  So with T = D * W,
-    r = T^((p^k - 1)/2) is 1 or -1 modulo each degree-k factor of g, and 1
-    where theta is a square; by the Chinese remainder theorem r is 1 modulo
-    the block exactly when it is 1 modulo every factor.
+    prime p, where the norm's symbol is +1.  c and D are units mod p, so z =
+    c*y maps the blocks of f mod p onto those of g, and theta * D^2 = D * W(z).
+    So with T = D * W, r = T^((p^k - 1)/2) is 1 or -1 modulo each degree-k
+    factor of g, and 1 where theta is a square; by the Chinese remainder
+    theorem r is 1 modulo the block exactly when it is 1 modulo every factor.
+    The symbol makes the count of non-square places even, so the last block
+    that is one place is a square once every other block is: it is not powered.
     """
     T = fp_reduce([D * w for w in W], p)
-    for block, k in fp_distinct_degree(fp_reduce(g, p), p):
+    blocks = fp_distinct_degree(fp_reduce(g, p), p)
+    single = [i for i, (block, k) in enumerate(blocks) if len(block) - 1 == k]
+    if single:
+        del blocks[single[-1]]
+    for block, k in blocks:
         r = fp_pow_mod(T, (p**k - 1) // 2, block, p)
         assert fp_mulmod(r, r, block, p) == [1], "theta is a unit at good primes"
         if r != [1]:
@@ -294,8 +302,9 @@ def component_split_at(
 
     Quadratic-over-Q components are decided exactly at every prime, general
     ones at odd primes outside their gap set: the norm's symbol settles -1,
-    and the block rule, kept in ``c.square_at``, the rest.  At 2 and at gap
-    primes the supplied annotation is used, and the oracle abstains without.
+    and the block rule, kept in ``c.square_at``, the rest; it runs only at
+    +1, whose even parity it reads.  At 2 and at gap primes the supplied
+    annotation is used, and the oracle abstains without.
     """
     if p == 2 and c.is_quad:
         return SPLIT if c.spec.d % 8 == 1 else NONSPLIT

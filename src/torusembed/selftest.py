@@ -5,8 +5,8 @@ answers: Hilbert symbols and Hasse bits, integer factorization (by p-1, by
 rho, and of values sharing a prime), factorization mod p, irreducibility
 over Q, real-root counts by isolation and the real places of pinned
 components from Hermite's form, the block rule's splitting of a component
-with denominators in f and theta, the trace forms of two pinned
-elements (their signatures and the discriminant identity), and six
+with denominators in f and theta and of a cubic one, the trace forms of two
+pinned elements (their signatures and the discriminant identity), and six
 decisions, two with a status indeterminate at 2.  The randomized and
 brute-force checks, and the reference functions they compare against, live in
 ``tests/``.  ``torusembed selftest`` drives :func:`run_all`.  The suites
@@ -94,6 +94,7 @@ def _suite_irreducible() -> None:
     _check(is_irreducible(PolyQ.of((1, 0, 0, 0, 1))), "x^4 + 1 is irreducible")
     _check(not is_irreducible(PolyQ.of((6, 0, -5, 0, 1))), "(x^2 - 2)(x^2 - 3)")
     _check(not is_irreducible(PolyQ.of((4, 0, -4, 0, 1))), "(x^2 - 2)^2")
+    _check(not is_irreducible(PolyQ.of((3, -4, 1))), "disc 4: (x - 1)(x - 3)")
 
 
 def _suite_real_roots() -> None:
@@ -123,6 +124,10 @@ def _suite_block_rule() -> None:
     c = build_component(GeneralSpec(PolyQ.of(("-1/2", 0, 1)), PolyQ.of((0, "1/3"))))
     for p, status in ((7, NONSPLIT), (11, SPLIT), (17, SPLIT), (89, NONSPLIT)):
         _check(component_split_at(c, p) is status, f"splitting of y/3 at {p}")
+    # Q(2^(1/3)), theta = 1 + y: f = (y - 7)(y^2 + 7y + 5) mod 11, and (3/11) =
+    # +1 for the norm 3, so only the linear block tells that theta is not square.
+    c = build_component(GeneralSpec(PolyQ.of((-2, 0, 0, 1)), PolyQ.of((1, 1))))
+    _check(component_split_at(c, 11) is NONSPLIT, "splitting of 1 + y at 11")
 
 
 # Q(2^(1/4)) = Q(sqrt 2)(sqrt y), indeterminate at 2.

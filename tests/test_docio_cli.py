@@ -1219,6 +1219,16 @@ def test_cli_selftest_needs_no_test_dependencies():
         # The block rule finds theta a square above every good prime.
         "import torusembed.etale as et\n"
         "et._is_square_at = lambda g, W, D, p: True",
+        # The parity skip drops every block that is one place, not only the
+        # last one.
+        "import torusembed.etale as et\n"
+        "kernel = et.fp_distinct_degree\n"
+        "et.fp_distinct_degree = lambda f, p: [\n"
+        "    (b, k) for b, k in kernel(f, p) if len(b) - 1 != k]",
+        # No quadratic's discriminant reads as a square.
+        "import math\n"
+        "import torusembed.arith.polyq as pq\n"
+        "pq.isqrt = lambda n: math.isqrt(n) + 1",
         # Every Hankel entry drops its last term, as a zip over too few
         # sums would.
         "import torusembed.arith.polyq as pq\n"
@@ -1232,7 +1242,7 @@ def test_cli_selftest_needs_no_test_dependencies():
     ],
     ids=[
         "hilbert_symbol", "trace_form", "hermite_pivots", "indeterminate", "square_at",
-        "hankel", "spread",
+        "parity_skip", "quadratic_disc", "hankel", "spread",
     ],
 )
 def test_selftest_still_checks_under_optimize(breakage):

@@ -27,12 +27,13 @@ from torusembed.engine import (
 )
 from torusembed.errors import AuditError, NeedAnnotations
 from torusembed.etale import INDETERMINATE, NONSPLIT, SPLIT
-from torusembed.oracle import trace_form
+from torusembed.oracle import make_element, trace_form
 from torusembed.qform import QuadraticSpace
 
 import helpers
 from helpers import (
     algebra,
+    block_rule_split_at,
     demo_algebra,
     demo_form,
     diag,
@@ -379,6 +380,49 @@ def test_decide_evaluates_each_block_rule_once(monkeypatch):
         assert set(evaluations) <= queries
         evaluated += len(evaluations)
     assert evaluated >= 100 and built > 0
+
+
+def test_long_walk_reaches_its_bound_with_no_witness(monkeypatch):
+    # ROADMAP item 12's construction at bound 2,000: quad(2) beside F =
+    # Q(2^(1/6)), theta = 3(1 + y + y^2)^2, annotated split at 2 (its one
+    # abstention that binds; the gap set is {3}).  F holds sqrt 2, so where
+    # (2/p) = -1 every place of F above p has even degree, 3 is a square
+    # there, and the general component splits: no prime settles the pair.
+    # The walk asks quad(2) at every prime up to the bound and the general
+    # component exactly where quad(2) is non-split, and every answer is the
+    # reference one.
+    alg = algebra(
+        quad(2),
+        general([-2, 0, 0, 0, 0, 0, 1], [3, 6, 9, 6, 3]),
+        annotations={(1, 2): "split"},
+    )
+    quad2, sextic = alg.components
+    assert sextic.exactness_gaps == {3}
+    report = decide(alg, trace_form(alg, make_element(alg, [1, 1])).space, 2000)
+    assert (report.verdict, report.fast_path, report.parity) == (
+        VERDICT_REALIZABLE, None, (0, 0))
+    assert (report.graph.edges, report.graph.unresolved) == ((), ((0, 1),))
+
+    primes = [p for p in range(2, 2001) if is_probable_prime(p)]
+    quad_nonsplit = [p for p in primes if p == 2 or p % 8 in (3, 5)]
+    for p in primes:
+        want = NONSPLIT if p in quad_nonsplit else SPLIT
+        assert etale.component_split_at(quad2, p) is want, p
+    for p in primes[1:]:
+        want = INDETERMINATE if p == 3 else block_rule_split_at(sextic, p)
+        assert etale.component_split_at(sextic, p) is want, p
+        assert p not in quad_nonsplit or want is not NONSPLIT, p
+    asked = []
+    split_at = etale.component_split_at
+
+    def asking(c, p, annotation=None):
+        asked.append((c is quad2, p))
+        return split_at(c, p, annotation)
+
+    monkeypatch.setattr(etale, "component_split_at", asking)
+    assert build_graph(alg, 2000) == report.graph
+    assert asked == [(q, p) for p in primes for q in (True, False)
+                     if q or p in quad_nonsplit]
 
 
 def test_decide_builds_bad_places_and_det_support_once(monkeypatch):

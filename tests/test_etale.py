@@ -17,7 +17,12 @@ from torusembed import etale
 from torusembed.arith import integers
 from torusembed.arith.integers import factor_rationals, is_probable_prime
 from torusembed.arith.places import INFINITY, Place
-from torusembed.arith.polyfp import factor_mod_p, fp_pow_mod
+from torusembed.arith.polyfp import (
+    factor_mod_p,
+    fp_distinct_degree,
+    fp_pow_mod,
+    fp_reduce,
+)
 from torusembed.arith.polyq import (
     PolyQ,
     integer_kernel,
@@ -443,6 +448,50 @@ def test_norm_screen_matches_the_block_rule(monkeypatch):
             seen.add((m, symbol, want))
     assert {m for m, _, _ in seen} == set(range(1, 7))
     assert {(s, w) for _, s, w in seen} == {(-1, NONSPLIT), (1, NONSPLIT), (1, SPLIT)}
+
+
+def test_parity_skip_matches_the_block_rule(monkeypatch):
+    # Where the norm's symbol is +1 the count of non-square places is even,
+    # so _is_square_at does not power the last block that is one place of
+    # F.  At every good prime below 2,000 with symbol +1, on seeded
+    # components with deg f 1-6, component_split_at gives the unskipped block
+    # rule's answer; the powered moduli are the other blocks in order (a
+    # prefix of them for a non-square), never the skipped one.  The factor
+    # patterns (m) (f inert), (1, 2), (1, 3) and (1, 1, 2) occur, as do
+    # both answers.
+    powered = []
+    pow_mod = etale.fp_pow_mod
+
+    def spying(a, e, m, p):
+        powered.append(m)
+        return pow_mod(a, e, m, p)
+
+    monkeypatch.setattr(etale, "fp_pow_mod", spying)
+    rng = random.Random(79)
+    patterns, answers = Counter(), Counter()
+    for i in range(30):
+        m = 1 + i % 6
+        c = build_component(_full_degree_spec(rng, m))
+        for p in primes_up_to(2000)[1:]:
+            if p in c.exactness_gaps or legendre_symbol(c.disc_class.rep, p) != 1:
+                continue
+            blocks = fp_distinct_degree(fp_reduce(c.g, p), p)
+            moduli = [b for b, _ in blocks]
+            single = [b for b, k in blocks if len(b) - 1 == k]
+            if single:
+                moduli.remove(single[-1])
+            want = block_rule_split_at(c, p)
+            c.square_at.pop(p, None)
+            powered.clear()
+            assert etale.component_split_at(c, p) is want, (c.spec, p)
+            assert powered == (moduli if want is SPLIT else moduli[: len(powered)])
+            assert want is SPLIT or powered, (c.spec, p)
+            pattern = tuple(k for b, k in blocks for _ in range((len(b) - 1) // k))
+            patterns[pattern] += 1
+            answers[want] += 1
+    assert {(1, 2), (1, 3), (1, 1, 2)} <= set(patterns)
+    assert {(m,) for m in range(2, 7)} <= set(patterns)
+    assert set(answers) == {SPLIT, NONSPLIT}
 
 
 def test_selftest_pins_a_screened_and_an_unscreened_prime():

@@ -1,7 +1,9 @@
 """Rational and finite-field polynomials: arithmetic, resultants, factoring."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -25,6 +27,8 @@ from torusembed.arith.polyq import (
     integer_kernel,
     integerize,
     is_irreducible,
+    is_monic_irreducible,
+    power_sums,
     rational_roots,
     resultant_in_y,
 )
@@ -175,8 +179,9 @@ def test_is_irreducible():
 
 def test_is_irreducible_lifts_and_recombines():
     # A product of two monic factors is reducible at every prime, so each
-    # squarefree one with a nonzero constant term (159 of these 200) goes
-    # through the mod-p factorization, Hensel lifting and the subset search.
+    # squarefree one of degree 3 or more with a nonzero constant term goes
+    # through the mod-p factorization, Hensel lifting and the subset search;
+    # a quadratic one is read off its square discriminant.
     rng = random.Random(29)
     for _ in range(200):
         a, b = ([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))] + [1]
@@ -203,6 +208,94 @@ def test_is_irreducible_reads_degree_sets_before_factoring(monkeypatch):
     assert is_irreducible(P([625, 0, 655, 0, 39, 0, -17, 0, 1]))
     with pytest.raises(AssertionError, match="factored mod p"):
         is_irreducible(P([1, 0, -10, 0, 1]))
+
+
+def monic_irreducible(g: list[int]) -> bool:
+    """is_monic_irreducible on an ascending monic integer list."""
+    return is_monic_irreducible(g, power_sums(g, 2 * len(g) - 3))
+
+
+def int_mul(a: list[int], b: list[int]) -> list[int]:
+    return [int(c) for c in (P(a) * P(b)).coeffs]
+
+
+def shifted(g: list[int], a: int) -> list[int]:
+    """g(x + a), by Horner's rule."""
+    out = P([])
+    for c in reversed(g):
+        out = out * P([a, 1]) + P([c])
+    return [int(c) for c in out.coeffs]
+
+
+def eisenstein(rng: random.Random, p: int, n: int) -> list[int]:
+    """A monic degree-n polynomial that is Eisenstein at p."""
+    lower = [p * rng.randint(-3, 3) for _ in range(n)]
+    lower[0] = p * rng.choice([u for u in range(-6, 7) if u % p])
+    return lower + [1]
+
+
+def test_is_monic_irreducible_accepts_eisenstein_polynomials_and_shifts():
+    # Eisenstein at p is irreducible, and so is every shift g(x + a).
+    rng = random.Random(103)
+    for _ in range(120):
+        g = eisenstein(rng, rng.choice((2, 3, 5, 7)), rng.randint(2, 8))
+        assert monic_irreducible(g), g
+        for a in (rng.randint(-4, -1), rng.randint(1, 4)):
+            assert monic_irreducible(shifted(g, a)), (g, a)
+
+
+def test_is_monic_irreducible_decides_a_quadratic_by_its_discriminant(monkeypatch):
+    # x^2 + bx + c is irreducible exactly when b^2 - 4c is not a square; no
+    # quadratic is reduced mod any prime.
+    def refuse(f, p):
+        raise AssertionError("reduced mod p")
+
+    monkeypatch.setattr(polyq, "fp_distinct_degree", refuse)
+    kinds = Counter()
+    for b in range(-7, 8):
+        for c in range(-12, 13):
+            disc = b * b - 4 * c
+            square = disc >= 0 and isqrt(disc) ** 2 == disc
+            assert monic_irreducible([c, b, 1]) is not square, (b, c)
+            kinds["square" if square else "negative" if disc < 0 else "non-square"] += 1
+    assert set(kinds) == {"square", "negative", "non-square"}
+
+
+def test_is_monic_irreducible_tries_the_primes_prime_to_the_discriminant(monkeypatch):
+    # A prime p is tried exactly when g mod p is squarefree, that is, when p
+    # does not divide disc(g): the tried primes are the first odd ones prime
+    # to it.  Polynomials Eisenstein at 3, 5 or 7 (p is ramified) and
+    # products with a repeated root mod p, (x - a)(x - a - p) h(x), put p in
+    # the discriminant.
+    tried = []
+    distinct_degree = polyq.fp_distinct_degree
+
+    def spying(f, p):
+        tried.append(p)
+        return distinct_degree(f, p)
+
+    monkeypatch.setattr(polyq, "fp_distinct_degree", spying)
+    rng = random.Random(107)
+    seen = Counter()
+    for k in range(90):
+        p = (3, 5, 7)[k % 3]
+        if k % 2:
+            g, want = eisenstein(rng, p, rng.randint(3, 6)), True
+        else:
+            a = rng.randint(1, 3)
+            h = [rng.choice((-3, -2, -1, 1, 2, 3))]
+            h += [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [1]
+            g, want = int_mul(int_mul([-a, 1], [-a - p, 1]), h), False
+        disc = sylvester_discriminant(P(g))
+        assert disc % p == 0
+        if disc == 0:
+            continue
+        tried.clear()
+        assert monic_irreducible(g) is want, g
+        odd = [q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43) if disc % q]
+        assert tried == odd[: len(tried)] and 1 <= len(tried) <= 4, (g, tried)
+        seen[p, want] += 1
+    assert set(seen) == {(p, w) for p in (3, 5, 7) for w in (True, False)}
 
 
 def test_resultant_in_y_eliminates_the_variable():

@@ -26,8 +26,9 @@ def test_same_outputs_src_against_itself():
     # decide, local and invariants, plus two oracle runs on oracle-search,
     # the four runs (decide, local, invariants, oracle) of one
     # rational-component document, and the three (decide, local,
-    # invariants) of one field-check document and of one factoring document.
-    assert done.stdout.strip() == "36 runs: identical stdout, stderr and exit codes"
+    # invariants) of one field-check, one factoring and one long-walk
+    # document.
+    assert done.stdout.strip() == "39 runs: identical stdout, stderr and exit codes"
 
 
 def test_same_outputs_stops_at_the_first_difference(tmp_path):

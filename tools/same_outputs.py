@@ -17,10 +17,12 @@ they reach the oracle's sums with D != 1.  ``FIELD_CHECK_COUNT`` more
 generated documents (at most N with ``--count``) reach the field check's
 rejections, which no corpus document does, and ``FACTORING_COUNT`` more
 (at most N with ``--count``) give the factoring stage entries that share
-large primes, three-prime cofactors and squares of primes above 10^4, each
-through ``decide``, ``local`` and ``invariants``: 13,280 runs in all.  The
-runs keep the human summary, so standard error is compared too, without its
-``elapsed:`` timing line.  Each tree runs all of them in one child process,
+large primes, three-prime cofactors and squares of primes above 10^4, and
+``LONG_WALK_COUNT`` more (at most N with ``--count``) walk every prime up to
+a ``prime_bound`` of 2,000-20,000 with no witness, which no other document
+does, each through ``decide``, ``local`` and ``invariants``: 13,316 runs in
+all.  The runs keep the human summary, so standard error is compared too,
+without its ``elapsed:`` timing line.  Each tree runs all of them in one child process,
 as in-process ``torusembed.cli.main`` calls.  The tool exits 1 at the first run whose
 stdout, stderr or exit code differs, and 0 when every run agrees.  It uses
 only the standard library.
@@ -189,6 +191,62 @@ def factoring_documents(count: int) -> list[tuple[dict, dict]]:
     return ops
 
 
+LONG_WALK_COUNT = 12
+LONG_WALK_BOUNDS = (2000, 5000, 10000, 20000)
+
+
+def long_walk_documents(count: int) -> list[tuple[dict, dict]]:
+    """``count`` seeded documents of ``quad(d)`` beside one ``general``
+    component whose pair no prime settles, as (document, {}) operations.
+
+    With f = y^(2j) - d (j = 1, 2, 3 cycled, d in 2, 3, 5, 7) and theta =
+    r * beta^2 (r in -1, 2, 3, 5, 7, not d), F contains sqrt(d), so every
+    place of F above a good prime p with (d/p) = -1 has even degree, r is a
+    square there, and the ``general`` component splits wherever ``quad(d)``
+    does not.  r is not a square in F, whose one quadratic subfield is
+    Q(sqrt(d)), so K is a field once beta^2 generates F: beta is drawn until
+    beta^2 provably does and ``quad(d)`` is non-split at every gap prime, so
+    the local checks never wait on an annotation and the walk reaches the
+    document's ``prime_bound`` (``LONG_WALK_BOUNDS``, cycled).  The form is the planted
+    trace form of a random alpha.  Odd documents also annotate the
+    ``general`` component as split at 2 and at every gap prime; an
+    annotation is taken as given, so these reach other verdicts.
+    """
+    rng = random.Random("long-walks")
+    ops = []
+    for k in range(count):
+        j = 1 + k % 3
+        while True:
+            d = rng.choice((2, 3, 5, 7))
+            r = rng.choice([r for r in (-1, 2, 3, 5, 7) if r != d])
+            f = [-d] + [0] * (2 * j - 1) + [1]
+            beta = [rng.randint(-2, 2) for _ in range(2 * j)]
+            square = corpus._pmod_monic(corpus._pmul(beta, beta), f)
+            theta = [r * c for c in square]
+            gaps = corpus.gap_primes(f, theta)
+            chi = [int(c) for c in corpus.charpoly(square, f)]
+            if all(pow(d, (p - 1) // 2, p) != 1 for p in gaps) and (
+                corpus.provably_irreducible(chi)
+            ):
+                break
+        blocks = [
+            corpus.trace_gram([-d, 1], [d], [rng.choice((-3, -2, -1, 1, 2, 3))]),
+            corpus.trace_gram(f, theta, corpus._random_alpha(rng, 2 * j, 2)),
+        ]
+        options: dict = {"prime_bound": LONG_WALK_BOUNDS[k % len(LONG_WALK_BOUNDS)]}
+        if k % 2:
+            options["annotations"] = [
+                {"component": 1, "prime": p, "status": "split"} for p in [2, *gaps]
+            ]
+        doc = {
+            "algebra": [corpus._quad(d), corpus._general(f, theta)],
+            "form": corpus._form(gram=corpus.block_diagonal(blocks)),
+            "options": options,
+        }
+        ops.append((doc, {}))
+    return ops
+
+
 def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
     """Write every generated document under ``work``; return the argv lists."""
     goldens = corpus.load_goldens(ROOT)
@@ -214,6 +272,10 @@ def corpus_runs(work: Path, count: int | None) -> list[list[str]]:
             runs.append([command, entry["path"]])
     n = FACTORING_COUNT if count is None else min(count, FACTORING_COUNT)
     for entry in corpus.write_corpus(factoring_documents(n), work / "factoring"):
+        for command in ("decide", "local", "invariants"):
+            runs.append([command, entry["path"]])
+    n = LONG_WALK_COUNT if count is None else min(count, LONG_WALK_COUNT)
+    for entry in corpus.write_corpus(long_walk_documents(n), work / "long-walk"):
         for command in ("decide", "local", "invariants"):
             runs.append([command, entry["path"]])
     return runs
